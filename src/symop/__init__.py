@@ -3,12 +3,11 @@ operator families U (multiplication), D (skewing), K (Kronecker), and KB
 (the straightened Kronecker family), together with an exhaustive identity
 verification suite and the skew tableau rules."""
 
-from . import cli, coeffs, identities, operators, partitions, symfunc, tableaux
+from . import coeffs, identities, operators, partitions, symfunc, tableaux
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "cli",
     "coeffs",
     "identities",
     "operators",

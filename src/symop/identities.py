@@ -10,10 +10,9 @@ contained in a), so every sum here is finite and exact, never truncated
 by guesswork.
 """
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from . import coeffs
@@ -80,77 +79,38 @@ def _ab_instances(bounds):
 
 
 # ---------------------------------------------------------------------------
-# the six normal ordering relations, skew-function form
+# the six normal ordering relations
+#
+# Both right sides of a relation are sums of c * word(x, y) over one
+# two-letter word: the skew form over (c, x, y) terms of skew functions, the
+# structure-constant form over x = s_mu, y = s_nu with c from {(mu, nu): c}.
 
-def _rhs_du(alpha, beta):
-    rhs = op.zero_op()
+def _du_terms(alpha, beta, twisted):
+    """Terms (1, s_{a/l}, s_{b/l}) over l in a and b; when twisted, l' takes
+    the place of l in b and the sign is (-1)^|l|."""
+    out = []
     for lam in pt.sub_partitions(alpha):
-        if not pt.contains(lam, beta):
+        lam2 = pt.conjugate(lam) if twisted else lam
+        if not pt.contains(lam2, beta):
             continue
-        rhs = rhs + op.U(sf.skew_schur(alpha, lam)) * op.D(sf.skew_schur(beta, lam))
-    return rhs
+        sign = -1 if twisted and sum(lam) % 2 else 1
+        out.append((sign, sf.skew_schur(alpha, lam), sf.skew_schur(beta, lam2)))
+    return out
 
 
-def _chk_thm_main_1(prm):
-    a, b = prm["alpha"], prm["beta"]
-    lhs = op.D(sf.schur(b)) * op.U(sf.schur(a))
-    return _ops_equal(prm, [lhs, _rhs_du(a, b)], prm["vector_bound"])
-
-
-def _rhs_ud(alpha, beta):
-    rhs = op.zero_op()
-    for lam in pt.sub_partitions(alpha):
-        if not pt.contains(pt.conjugate(lam), beta):
-            continue
-        sign = -1 if sum(lam) % 2 else 1
-        rhs = rhs + sign * (
-            op.D(sf.skew_schur(beta, pt.conjugate(lam)))
-            * op.U(sf.skew_schur(alpha, lam))
-        )
-    return rhs
-
-
-def _chk_thm_main_2(prm):
-    a, b = prm["alpha"], prm["beta"]
-    lhs = op.U(sf.schur(a)) * op.D(sf.schur(b))
-    return _ops_equal(prm, [lhs, _rhs_ud(a, b)], prm["vector_bound"])
-
-
-def _rhs_ku(alpha, beta):
-    rhs = op.zero_op()
-    for lam in pt.sub_partitions(beta):
-        if sum(beta) - sum(lam) != sum(alpha):
-            continue
-        f = sf.kronecker(sf.skew_schur(beta, lam), sf.schur(alpha))
-        rhs = rhs + op.U(f) * op.K(sf.schur(lam))
-    return rhs
-
-
-def _chk_thm_main_3(prm):
-    a, b = prm["alpha"], prm["beta"]
-    lhs = op.K(sf.schur(b)) * op.U(sf.schur(a))
-    return _ops_equal(prm, [lhs, _rhs_ku(a, b)], prm["vector_bound"])
-
-
-def _rhs_dk(alpha, beta):
-    rhs = op.zero_op()
-    for lam in pt.sub_partitions(beta):
-        if sum(beta) - sum(lam) != sum(alpha):
-            continue
-        f = sf.kronecker(sf.skew_schur(beta, lam), sf.schur(alpha))
-        rhs = rhs + op.K(sf.schur(lam)) * op.D(f)
-    return rhs
-
-
-def _chk_thm_main_4(prm):
-    a, b = prm["alpha"], prm["beta"]
-    lhs = op.D(sf.schur(a)) * op.K(sf.schur(b))
-    return _ops_equal(prm, [lhs, _rhs_dk(a, b)], prm["vector_bound"])
+def _skew_kron_terms(alpha, beta):
+    """Pairs (lam, s_{b/lam} * s_a) over lam in b with |b/lam| = |a|; used by
+    both orders of the K/U relation."""
+    return [
+        (lam, sf.kronecker(sf.skew_schur(beta, lam), sf.schur(alpha)))
+        for lam in pt.sub_partitions(beta)
+        if sum(beta) - sum(lam) == sum(alpha)
+    ]
 
 
 def _kbu_terms(alpha, beta):
     """Pairs (nu, f) with f = (s_{beta/nu} * s_tau) s_{alpha/tau} summed
-    over tau; used by both orders of the KB/U relation."""
+    over tau; used by both orders of the KB/U relation and commutator."""
     out = []
     for nu in pt.sub_partitions(beta):
         f = sf.zero()
@@ -166,26 +126,10 @@ def _kbu_terms(alpha, beta):
     return out
 
 
-def _chk_thm_main_5(prm):
-    a, b = prm["alpha"], prm["beta"]
-    lhs = op.KB(sf.schur(b)) * op.U(sf.schur(a))
-    rhs = op.zero_op()
-    for nu, f in _kbu_terms(a, b):
-        rhs = rhs + op.U(f) * op.KB(sf.schur(nu))
-    return _ops_equal(prm, [lhs, rhs], prm["vector_bound"])
+def _indexed(pairs):
+    """Terms (1, f, s_lam) from a builder of (lam, f) pairs."""
+    return lambda a, b: [(1, f, sf.schur(lam)) for lam, f in pairs(a, b)]
 
-
-def _chk_thm_main_6(prm):
-    a, b = prm["alpha"], prm["beta"]
-    lhs = op.D(sf.schur(a)) * op.KB(sf.schur(b))
-    rhs = op.zero_op()
-    for nu, f in _kbu_terms(a, b):
-        rhs = rhs + op.KB(sf.schur(nu)) * op.D(f)
-    return _ops_equal(prm, [lhs, rhs], prm["vector_bound"])
-
-
-# ---------------------------------------------------------------------------
-# the same six relations in structure-constant form
 
 def _cor_coeffs_du(alpha, beta, twisted):
     """(mu, nu) -> sum_lam c^alpha_{lam,mu} c^beta_{lam,nu}, with lam
@@ -208,24 +152,6 @@ def _cor_coeffs_du(alpha, beta, twisted):
     return acc
 
 
-def _chk_thm_main_cor_1(prm):
-    a, b = prm["alpha"], prm["beta"]
-    lhs = op.D(sf.schur(b)) * op.U(sf.schur(a))
-    rhs = op.zero_op()
-    for (mu, nu), c in _cor_coeffs_du(a, b, False).items():
-        rhs = rhs + c * (op.U(sf.schur(mu)) * op.D(sf.schur(nu)))
-    return _ops_equal(prm, [lhs, rhs], prm["vector_bound"])
-
-
-def _chk_thm_main_cor_2(prm):
-    a, b = prm["alpha"], prm["beta"]
-    lhs = op.U(sf.schur(a)) * op.D(sf.schur(b))
-    rhs = op.zero_op()
-    for (mu, nu), c in _cor_coeffs_du(a, b, True).items():
-        rhs = rhs + c * (op.D(sf.schur(nu)) * op.U(sf.schur(mu)))
-    return _ops_equal(prm, [lhs, rhs], prm["vector_bound"])
-
-
 def _cor_coeffs_ku(alpha, beta):
     """(mu, nu) -> sum_lam g_{alpha,lam,mu} c^beta_{lam,nu}."""
     acc = {}
@@ -243,24 +169,6 @@ def _cor_coeffs_ku(alpha, beta):
                     key = (mu, nu)
                     acc[key] = acc.get(key, 0) + g * c
     return acc
-
-
-def _chk_thm_main_cor_3(prm):
-    a, b = prm["alpha"], prm["beta"]
-    lhs = op.K(sf.schur(b)) * op.U(sf.schur(a))
-    rhs = op.zero_op()
-    for (mu, nu), c in _cor_coeffs_ku(a, b).items():
-        rhs = rhs + c * (op.U(sf.schur(mu)) * op.K(sf.schur(nu)))
-    return _ops_equal(prm, [lhs, rhs], prm["vector_bound"])
-
-
-def _chk_thm_main_cor_4(prm):
-    a, b = prm["alpha"], prm["beta"]
-    lhs = op.D(sf.schur(a)) * op.K(sf.schur(b))
-    rhs = op.zero_op()
-    for (mu, nu), c in _cor_coeffs_ku(a, b).items():
-        rhs = rhs + c * (op.K(sf.schur(nu)) * op.D(sf.schur(mu)))
-    return _ops_equal(prm, [lhs, rhs], prm["vector_bound"])
 
 
 def _cor_coeffs_kbu(alpha, beta):
@@ -291,22 +199,51 @@ def _cor_coeffs_kbu(alpha, beta):
     return acc
 
 
-def _chk_thm_main_cor_5(prm):
-    a, b = prm["alpha"], prm["beta"]
-    lhs = op.KB(sf.schur(b)) * op.U(sf.schur(a))
-    rhs = op.zero_op()
-    for (mu, nu), c in _cor_coeffs_kbu(a, b).items():
-        rhs = rhs + c * (op.U(sf.schur(mu)) * op.KB(sf.schur(nu)))
-    return _ops_equal(prm, [lhs, rhs], prm["vector_bound"])
+def _relation(lhs, word, skew_terms, coef_table):
+    """One row of the relation table: (lhs, skew_rhs, coef_rhs), where lhs
+    builds the left side from (s_a, s_b) and each right side is built from
+    (alpha, beta)."""
+
+    def word_sum(terms):
+        total = op.zero_op()
+        for c, x, y in terms:
+            total = total + c * word(x, y)
+        return total
+
+    def skew_rhs(alpha, beta):
+        return word_sum(skew_terms(alpha, beta))
+
+    def coef_rhs(alpha, beta):
+        return word_sum(
+            (c, sf.schur(mu), sf.schur(nu))
+            for (mu, nu), c in coef_table(alpha, beta).items()
+        )
+
+    return lhs, skew_rhs, coef_rhs
 
 
-def _chk_thm_main_cor_6(prm):
-    a, b = prm["alpha"], prm["beta"]
-    lhs = op.D(sf.schur(a)) * op.KB(sf.schur(b))
-    rhs = op.zero_op()
-    for (mu, nu), c in _cor_coeffs_kbu(a, b).items():
-        rhs = rhs + c * (op.KB(sf.schur(nu)) * op.D(sf.schur(mu)))
-    return _ops_equal(prm, [lhs, rhs], prm["vector_bound"])
+_RELATIONS = {
+    1: _relation(lambda sa, sb: op.D(sb) * op.U(sa),
+                 lambda x, y: op.U(x) * op.D(y),
+                 partial(_du_terms, twisted=False),
+                 partial(_cor_coeffs_du, twisted=False)),
+    2: _relation(lambda sa, sb: op.U(sa) * op.D(sb),
+                 lambda x, y: op.D(y) * op.U(x),
+                 partial(_du_terms, twisted=True),
+                 partial(_cor_coeffs_du, twisted=True)),
+    3: _relation(lambda sa, sb: op.K(sb) * op.U(sa),
+                 lambda x, y: op.U(x) * op.K(y),
+                 _indexed(_skew_kron_terms), _cor_coeffs_ku),
+    4: _relation(lambda sa, sb: op.D(sa) * op.K(sb),
+                 lambda x, y: op.K(y) * op.D(x),
+                 _indexed(_skew_kron_terms), _cor_coeffs_ku),
+    5: _relation(lambda sa, sb: op.KB(sb) * op.U(sa),
+                 lambda x, y: op.U(x) * op.KB(y),
+                 _indexed(_kbu_terms), _cor_coeffs_kbu),
+    6: _relation(lambda sa, sb: op.D(sa) * op.KB(sb),
+                 lambda x, y: op.KB(y) * op.D(x),
+                 _indexed(_kbu_terms), _cor_coeffs_kbu),
+}
 
 
 def normal_order_forms(i, alpha, beta):
@@ -316,52 +253,25 @@ def normal_order_forms(i, alpha, beta):
     so the two stated right-hand sides can be compared instance by
     instance.
     """
+    if i not in _RELATIONS:
+        raise ValueError(f"relation index {i} not in 1..6")
+    lhs, skew_rhs, coef_rhs = _RELATIONS[i]
     a = pt.make_partition(alpha)
     b = pt.make_partition(beta)
-    sa, sb = sf.schur(a), sf.schur(b)
-    if i == 1:
-        lhs = op.D(sb) * op.U(sa)
-        skew_rhs = _rhs_du(a, b)
-        coef_rhs = op.zero_op()
-        for (mu, nu), c in _cor_coeffs_du(a, b, False).items():
-            coef_rhs = coef_rhs + c * (op.U(sf.schur(mu)) * op.D(sf.schur(nu)))
-    elif i == 2:
-        lhs = op.U(sa) * op.D(sb)
-        skew_rhs = _rhs_ud(a, b)
-        coef_rhs = op.zero_op()
-        for (mu, nu), c in _cor_coeffs_du(a, b, True).items():
-            coef_rhs = coef_rhs + c * (op.D(sf.schur(nu)) * op.U(sf.schur(mu)))
-    elif i == 3:
-        lhs = op.K(sb) * op.U(sa)
-        skew_rhs = _rhs_ku(a, b)
-        coef_rhs = op.zero_op()
-        for (mu, nu), c in _cor_coeffs_ku(a, b).items():
-            coef_rhs = coef_rhs + c * (op.U(sf.schur(mu)) * op.K(sf.schur(nu)))
-    elif i == 4:
-        lhs = op.D(sa) * op.K(sb)
-        skew_rhs = _rhs_dk(a, b)
-        coef_rhs = op.zero_op()
-        for (mu, nu), c in _cor_coeffs_ku(a, b).items():
-            coef_rhs = coef_rhs + c * (op.K(sf.schur(nu)) * op.D(sf.schur(mu)))
-    elif i == 5:
-        lhs = op.KB(sb) * op.U(sa)
-        skew_rhs = op.zero_op()
-        for nu, f in _kbu_terms(a, b):
-            skew_rhs = skew_rhs + op.U(f) * op.KB(sf.schur(nu))
-        coef_rhs = op.zero_op()
-        for (mu, nu), c in _cor_coeffs_kbu(a, b).items():
-            coef_rhs = coef_rhs + c * (op.U(sf.schur(mu)) * op.KB(sf.schur(nu)))
-    elif i == 6:
-        lhs = op.D(sa) * op.KB(sb)
-        skew_rhs = op.zero_op()
-        for nu, f in _kbu_terms(a, b):
-            skew_rhs = skew_rhs + op.KB(sf.schur(nu)) * op.D(f)
-        coef_rhs = op.zero_op()
-        for (mu, nu), c in _cor_coeffs_kbu(a, b).items():
-            coef_rhs = coef_rhs + c * (op.KB(sf.schur(nu)) * op.D(sf.schur(mu)))
-    else:
-        raise ValueError(f"relation index {i} not in 1..6")
-    return lhs, skew_rhs, coef_rhs
+    return lhs(sf.schur(a), sf.schur(b)), skew_rhs(a, b), coef_rhs(a, b)
+
+
+def _normal_order_check(i, form):
+    """Catalog check of relation i against its skew form (form 1) or its
+    structure-constant form (form 2); builds only that right side."""
+    lhs, rhs = _RELATIONS[i][0], _RELATIONS[i][form]
+
+    def check(prm):
+        a, b = prm["alpha"], prm["beta"]
+        exprs = [lhs(sf.schur(a), sf.schur(b)), rhs(a, b)]
+        return _ops_equal(prm, exprs, prm["vector_bound"])
+
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -389,21 +299,16 @@ def _chk_commutators_1(prm):
     return _ops_equal(prm, [comm, first, second], prm["vector_bound"])
 
 
+# The KB/U commutators drop the nu = b term of _kbu_terms: its only tau is
+# the empty one, so it is the swapped word with f = s_a.
+
 def _chk_commutators_2(prm):
     a, b = prm["alpha"], prm["beta"]
     sa, sb = sf.schur(a), sf.schur(b)
     comm = op.KB(sb) * op.U(sa) - op.U(sa) * op.KB(sb)
     rhs = op.zero_op()
-    for nu in pt.sub_partitions(b):
-        f = sf.zero()
-        for tau in pt.sub_partitions(a):
-            if (tau, nu) == ((), b) or sum(tau) != sum(b) - sum(nu):
-                continue
-            kr = sf.kronecker(sf.skew_schur(b, nu), sf.schur(tau))
-            if kr.is_zero():
-                continue
-            f = sf.add(f, sf.mul(kr, sf.skew_schur(a, tau)))
-        if not f.is_zero():
+    for nu, f in _kbu_terms(a, b):
+        if nu != b:
             rhs = rhs + op.U(f) * op.KB(sf.schur(nu))
     return _ops_equal(prm, [comm, rhs], prm["vector_bound"])
 
@@ -413,16 +318,8 @@ def _chk_commutators_3(prm):
     sa, sb = sf.schur(a), sf.schur(b)
     comm = op.D(sa) * op.KB(sb) - op.KB(sb) * op.D(sa)
     rhs = op.zero_op()
-    for nu in pt.sub_partitions(b):
-        f = sf.zero()
-        for tau in pt.sub_partitions(a):
-            if (tau, nu) == ((), b) or sum(tau) != sum(b) - sum(nu):
-                continue
-            kr = sf.kronecker(sf.skew_schur(b, nu), sf.schur(tau))
-            if kr.is_zero():
-                continue
-            f = sf.add(f, sf.mul(kr, sf.skew_schur(a, tau)))
-        if not f.is_zero():
+    for nu, f in _kbu_terms(a, b):
+        if nu != b:
             rhs = rhs + op.KB(sf.schur(nu)) * op.D(f)
     return _ops_equal(prm, [comm, rhs], prm["vector_bound"])
 
@@ -592,64 +489,35 @@ def _chk_kbk_ud(prm):
 
 
 def _chk_kbf_ud(prm):
-    lam, vb = prm["lam"], prm["vector_bound"]
-    f = sf.schur(lam)
-    expr = op.kb_as_UD(f, vb)
-    checked = 0
-    failures = []
-    for gamma in pt.partitions_upto(vb):
-        g = sf.schur(gamma)
-        checked += 1
-        lhs = expr.apply(g)
-        rhs = op.apply_KB(f, g)
-        if lhs != rhs:
-            failures.append(Failure({**prm, "gamma": gamma}, lhs, rhs))
-    return checked, failures
+    f, vb = sf.schur(prm["lam"]), prm["vector_bound"]
+    return _ops_equal(prm, [op.kb_as_UD(f, vb), op.KB(f)], vb)
 
 
 def _chk_tworow_hook(prm):
     a, k, vb = prm["alpha"], prm["k"], prm["vector_bound"]
     sa = sf.schur(a)
-    checked = 0
-    failures = []
-
-    def row_sum(q, conj):
-        total = sf.zero()
-        for rho in pt.partitions_of(q):
-            fac = sf.schur(pt.conjugate(rho)) if conj else sf.schur(rho)
-            total = sf.add(total, sf.mul(sf.skew_schur(a, rho), fac))
-        return total
-
-    # operator forms, two-row and hook index
+    forms = []
     for conj, idx in ((False, _row), (True, _col)):
         lhs = op.KB(idx(k)) * op.U(sa)
         rhs = op.zero_op()
         for j in range(k + 1):
-            f = row_sum(k - j, conj)
+            f = sf.zero()
+            for rho in pt.partitions_of(k - j):
+                fac = sf.schur(pt.conjugate(rho)) if conj else sf.schur(rho)
+                f = sf.add(f, sf.mul(sf.skew_schur(a, rho), fac))
             if not f.is_zero():
                 rhs = rhs + op.U(f) * op.KB(idx(j))
-        c, fl = _ops_equal({**prm, "index": "hook" if conj else "two-row"},
-                           [lhs, rhs], vb)
-        checked += c
-        failures += fl
-    # straightened product forms on s_gamma
-    for conj, idx in ((False, _row), (True, _col)):
-        for gamma in pt.partitions_upto(vb):
-            g = sf.schur(gamma)
-            lhs = op.apply_KB(idx(k), sf.mul(sa, g))
-            rhs = sf.zero()
-            for j in range(k + 1):
-                f = row_sum(k - j, conj)
-                if f.is_zero():
-                    continue
-                rhs = sf.add(rhs, sf.mul(f, op.apply_KB(idx(j), g)))
-            checked += 1
-            if lhs != rhs:
-                failures.append(
-                    Failure({**prm, "gamma": gamma,
-                             "index": "hook" if conj else "two-row"},
-                            lhs, rhs)
-                )
+        forms.append(({**prm, "index": "hook" if conj else "two-row"}, [lhs, rhs]))
+    # The operator form and the straightened product form
+    # KB_k(s_a g) = sum_j f_j KB_j(g) evaluate the same words on s_gamma;
+    # each is checked and counted.
+    checked = 0
+    failures = []
+    for _pass in ("operator", "product"):
+        for params, exprs in forms:
+            c, fl = _ops_equal(params, exprs, vb)
+            checked += c
+            failures += fl
     return checked, failures
 
 
@@ -775,38 +643,27 @@ def _register(ident, formula, instances, check):
     CATALOG[ident] = Entry(ident, formula, instances, check)
 
 
-_register("thm_main_1", "D_b U_a = sum_l U_{a/l} D_{b/l}",
-          _ab_instances, _chk_thm_main_1)
-_register("thm_main_2", "U_a D_b = sum_l (-1)^|l| D_{b/l'} U_{a/l}",
-          _ab_instances, _chk_thm_main_2)
-_register("thm_main_3", "K_b U_a = sum_l U_{s_{b/l} * s_a} K_l",
-          _ab_instances, _chk_thm_main_3)
-_register("thm_main_4", "D_a K_b = sum_l K_l D_{s_{b/l} * s_a}",
-          _ab_instances, _chk_thm_main_4)
-_register("thm_main_5",
-          "KB_b U_a = sum_{t,n} U_{(s_{b/n} * s_t) s_{a/t}} KB_n",
-          _ab_instances, _chk_thm_main_5)
-_register("thm_main_6",
-          "D_a KB_b = sum_{t,n} KB_n D_{(s_{b/n} * s_t) s_{a/t}}",
-          _ab_instances, _chk_thm_main_6)
-_register("thm_main_cor_1",
-          "D_b U_a = sum_{m,n} (sum_l c^a_{l,m} c^b_{l,n}) U_m D_n",
-          _ab_instances, _chk_thm_main_cor_1)
-_register("thm_main_cor_2",
-          "U_a D_b = sum_{m,n} (sum_l (-1)^|l| c^a_{l,m} c^b_{l',n}) D_n U_m",
-          _ab_instances, _chk_thm_main_cor_2)
-_register("thm_main_cor_3",
-          "K_b U_a = sum_{m,n} (sum_l g_{a,l,m} c^b_{l,n}) U_m K_n",
-          _ab_instances, _chk_thm_main_cor_3)
-_register("thm_main_cor_4",
-          "D_a K_b = sum_{m,n} (sum_l g_{a,l,m} c^b_{l,n}) K_n D_m",
-          _ab_instances, _chk_thm_main_cor_4)
-_register("thm_main_cor_5",
-          "KB_b U_a expanded with g and three c coefficients",
-          _ab_instances, _chk_thm_main_cor_5)
-_register("thm_main_cor_6",
-          "D_a KB_b expanded with g and three c coefficients",
-          _ab_instances, _chk_thm_main_cor_6)
+for _form, (_prefix, _formulas) in enumerate((
+    ("thm_main", (
+        "D_b U_a = sum_l U_{a/l} D_{b/l}",
+        "U_a D_b = sum_l (-1)^|l| D_{b/l'} U_{a/l}",
+        "K_b U_a = sum_l U_{s_{b/l} * s_a} K_l",
+        "D_a K_b = sum_l K_l D_{s_{b/l} * s_a}",
+        "KB_b U_a = sum_{t,n} U_{(s_{b/n} * s_t) s_{a/t}} KB_n",
+        "D_a KB_b = sum_{t,n} KB_n D_{(s_{b/n} * s_t) s_{a/t}}",
+    )),
+    ("thm_main_cor", (
+        "D_b U_a = sum_{m,n} (sum_l c^a_{l,m} c^b_{l,n}) U_m D_n",
+        "U_a D_b = sum_{m,n} (sum_l (-1)^|l| c^a_{l,m} c^b_{l',n}) D_n U_m",
+        "K_b U_a = sum_{m,n} (sum_l g_{a,l,m} c^b_{l,n}) U_m K_n",
+        "D_a K_b = sum_{m,n} (sum_l g_{a,l,m} c^b_{l,n}) K_n D_m",
+        "KB_b U_a expanded with g and three c coefficients",
+        "D_a KB_b expanded with g and three c coefficients",
+    )),
+), start=1):
+    for _i, _formula in enumerate(_formulas, start=1):
+        _register(f"{_prefix}_{_i}", _formula, _ab_instances,
+                  _normal_order_check(_i, _form))
 _register("commutators_1",
           "[D_b, U_a] = sum_{l != 0} U_{a/l} D_{b/l} "
           "= sum_{l != 0} (-1)^{|l|-1} D_{b/l'} U_{a/l}",
@@ -899,9 +756,8 @@ def _run_entry(entry, bounds):
 def run_suite(bounds=Bounds(), ids=None):
     """Run catalog entries over all parameter instances within bounds.
 
-    Entries run independently (optionally in parallel, capped by the
-    SYMOP_THREADS environment variable); reports come back in catalog
-    order regardless.
+    Entries run one after another; reports come back in the order the
+    entries were requested (catalog order when ids is None).
     """
     if bounds.max_ab < 0 or bounds.max_g < 0:
         raise ValueError("bounds must be nonnegative")
@@ -912,8 +768,4 @@ def run_suite(bounds=Bounds(), ids=None):
         if unknown:
             raise ValueError(f"unknown identities {unknown}")
         entries = [CATALOG[i] for i in ids]
-    workers = int(os.environ.get("SYMOP_THREADS", "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda e: _run_entry(e, bounds), entries))
     return [_run_entry(e, bounds) for e in entries]

@@ -1,9 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import symop
 from symop import cli, identities as idn, partitions as pt, symfunc as sf
 from symop.reporting import Failure
 
@@ -63,6 +67,21 @@ def test_cmd_expand(capsys):
     assert capsys.readouterr().out.strip() == "s[3,1] + s[2,2] + s[2,1,1]"
     assert cli.main(["expand", "s[0]"]) == 0
     assert capsys.readouterr().out.strip() == "s[0]"
+
+
+def test_module_run_prints_nothing_on_stderr():
+    # runpy warns when `python -m symop.cli` finds symop.cli already
+    # imported by the package
+    src = os.path.dirname(os.path.dirname(symop.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "symop.cli", "expand", "s[2,1]*s[1]"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "s[3,1] + s[2,2] + s[2,1,1]\n"
+    assert proc.stderr == ""
 
 
 def test_cmd_expand_json_round_trip(capsys):

@@ -1,6 +1,7 @@
 import pytest
 
-from symop import identities as idn, operators as op, partitions as pt, symfunc as sf
+from symop import coeffs, identities as idn, operators as op, partitions as pt
+from symop import symfunc as sf
 from symop.reporting import Failure
 
 
@@ -41,6 +42,9 @@ def test_unknown_identity_rejected():
         idn.verify_instance("nonsense", {})
     with pytest.raises(ValueError):
         idn.run_suite(idn.Bounds(1, 1), ids=["nonsense"])
+    for i in (0, 7):
+        with pytest.raises(ValueError):
+            idn.normal_order_forms(i, (1,), (1,))
 
 
 def test_malformed_params_rejected():
@@ -90,13 +94,26 @@ def test_run_suite_subset_and_order():
     assert all(r.passed for r in reports)
 
 
-def test_run_suite_threaded_matches_sequential(monkeypatch):
-    seq = idn.run_suite(idn.Bounds(1, 2), ids=["kb1", "straightcorners"])
-    monkeypatch.setenv("SYMOP_THREADS", "2")
-    par = idn.run_suite(idn.Bounds(1, 2), ids=["kb1", "straightcorners"])
-    assert [r.identity for r in par] == [r.identity for r in seq]
-    assert [r.instances for r in par] == [r.instances for r in seq]
-    assert all(r.passed for r in par)
+def test_run_suite_pinned_instance_counts():
+    # every entry's work at (2,3), in catalog order: a checker that silently
+    # drops instances changes its count
+    ab = dict.fromkeys(
+        [f"thm_main_{i}" for i in range(1, 7)]
+        + [f"thm_main_cor_{i}" for i in range(1, 7)]
+        + ["commutators_1", "commutators_2", "commutators_3"],
+        112,
+    )
+    want = {
+        **ab, "foulkes": 72, "littlewood": 72, "similar": 72,
+        "reverse_foulkes": 112, "gessel_1": 63, "gessel_2": 28,
+        "gessel_3": 28, "kb1": 7, "straightcorners": 7, "kbk_ud": 14,
+        "kbf_ud": 28, "tworow_hook": 224, "littlewood_sum": 36,
+        "skew_corners": 8, "nokronecker": 8, "tabmanip2": 210,
+    }
+    reports = idn.run_suite(idn.Bounds(2, 3))
+    assert all(r.passed for r in reports)
+    got = {r.identity: r.instances for r in reports}
+    assert list(got.items()) == list(want.items())
 
 
 def test_main_and_coefficient_forms_agree():
@@ -109,6 +126,17 @@ def test_main_and_coefficient_forms_agree():
                     val = lhs.apply(g)
                     assert skew_rhs.apply(g) == val
                     assert coef_rhs.apply(g) == val
+
+
+def test_cor_entries_check_the_structure_constant_forms(monkeypatch):
+    # Kronecker coefficients enter only the structure-constant sides of
+    # relations 3-6 (sf.kronecker goes through the p basis): zeroing them
+    # must break the thm_main_cor entries and leave the thm_main ones intact
+    monkeypatch.setattr(coeffs, "kron_coeff", lambda *args: 0)
+    prm = {"alpha": (1,), "beta": (1,), "vector_bound": 2}
+    for i in range(3, 7):
+        assert idn.verify_instance(f"thm_main_{i}", prm).passed
+        assert not idn.verify_instance(f"thm_main_cor_{i}", prm).passed
 
 
 def test_reverse_foulkes_matches_second_relation():
