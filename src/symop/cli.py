@@ -376,35 +376,33 @@ def _cmd_verify(args):
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _signed_terms_output(args, terms, collapsed):
-    if args.terms:
-        text = "\n".join(
-            f"{'+' if sign > 0 else '-'} sk[{shape}]" for sign, shape in terms
-        )
-        _emit(
-            args,
-            text if terms else "0",
-            [{"sign": sign, "shape": str(shape)} for sign, shape in terms],
-        )
-    else:
-        _emit_symfunc(args, collapsed)
+def _emit_signed_terms(args, terms):
+    text = "\n".join(
+        f"{'+' if sign > 0 else '-'} sk[{shape}]" for sign, shape in terms
+    )
+    _emit(
+        args,
+        text if terms else "0",
+        [{"sign": sign, "shape": str(shape)} for sign, shape in terms],
+    )
 
 
 def _cmd_skewlr(args):
     a = pt.parse_skew(args.left)
     b = pt.parse_skew(args.right)
-    terms = tb.skew_lr_terms(a, b)
-    total = sf.zero()
-    for sign, shape in terms:
-        total = sf.add(total, sf.scale(sign, sf.skew_schur(shape)))
-    _signed_terms_output(args, terms, total)
+    if args.terms:
+        _emit_signed_terms(args, tb.skew_lr_terms(a, b))
+    else:
+        _emit_symfunc(args, tb.skew_lr_product(a, b))
     return 0
 
 
 def _cmd_skewpieri(args):
     shape = pt.parse_skew(args.shape)
-    terms = tb.skew_pieri_terms(args.k, shape)
-    _signed_terms_output(args, terms, tb.skew_pieri(args.k, shape))
+    if args.terms:
+        _emit_signed_terms(args, tb.skew_pieri_terms(args.k, shape))
+    else:
+        _emit_symfunc(args, tb.skew_pieri(args.k, shape))
     return 0
 
 
@@ -484,6 +482,19 @@ def _cmd_jdt(args):
                 f"shape {step['shape']}"
             )
     return 0
+
+
+def _degree_bound(text):
+    """argparse type of --max-deg: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative integer, got {text!r}"
+        )
+    return value
 
 
 def build_parser():
@@ -574,14 +585,14 @@ def build_parser():
     cmd = sub.add_parser("matrix", parents=[common],
                          help="exact truncated matrix of an operator")
     cmd.add_argument("op")
-    cmd.add_argument("--max-deg", type=int, default=3)
+    cmd.add_argument("--max-deg", type=_degree_bound, default=3)
     cmd.set_defaults(func=_cmd_matrix)
 
     cmd = sub.add_parser("rank", parents=[common],
                          help="rank of semicolon-separated operator "
                          "expressions on a truncation")
     cmd.add_argument("ops")
-    cmd.add_argument("--max-deg", type=int, default=3)
+    cmd.add_argument("--max-deg", type=_degree_bound, default=3)
     cmd.set_defaults(func=_cmd_rank)
 
     cmd = sub.add_parser("apply", parents=[common],
@@ -612,6 +623,10 @@ def main(argv=None):
         return args.func(args)
     except (ParseError, ValueError) as exc:
         print(f"symop: error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # the parser and evaluate recurse once per nesting level of the input
+        print("symop: error: expression nested too deeply", file=sys.stderr)
         return 2
 
 

@@ -113,14 +113,12 @@ def _kbu_terms(alpha, beta):
     over tau; used by both orders of the KB/U relation and commutator."""
     out = []
     for nu in pt.sub_partitions(beta):
-        f = sf.zero()
-        for tau in pt.sub_partitions(alpha):
-            if sum(tau) != sum(beta) - sum(nu):
-                continue
-            kr = sf.kronecker(sf.skew_schur(beta, nu), sf.schur(tau))
-            if kr.is_zero():
-                continue
-            f = sf.add(f, sf.mul(kr, sf.skew_schur(alpha, tau)))
+        f = sf.linear_combination(
+            (1, sf.mul(sf.kronecker(sf.skew_schur(beta, nu), sf.schur(tau)),
+                       sf.skew_schur(alpha, tau)))
+            for tau in pt.sub_partitions(alpha)
+            if sum(tau) == sum(beta) - sum(nu)
+        )
         if not f.is_zero():
             out.append((nu, f))
     return out
@@ -199,25 +197,27 @@ def _cor_coeffs_kbu(alpha, beta):
     return acc
 
 
+def _word_sum(word, terms):
+    """The operator sum of c * word(x, y) over the (c, x, y) terms."""
+    total = op.zero_op()
+    for c, x, y in terms:
+        total = total + c * word(x, y)
+    return total
+
+
 def _relation(lhs, word, skew_terms, coef_table):
     """One row of the relation table: (lhs, skew_rhs, coef_rhs), where lhs
     builds the left side from (s_a, s_b) and each right side is built from
     (alpha, beta)."""
 
-    def word_sum(terms):
-        total = op.zero_op()
-        for c, x, y in terms:
-            total = total + c * word(x, y)
-        return total
-
     def skew_rhs(alpha, beta):
-        return word_sum(skew_terms(alpha, beta))
+        return _word_sum(word, skew_terms(alpha, beta))
 
     def coef_rhs(alpha, beta):
-        return word_sum(
+        return _word_sum(word, [
             (c, sf.schur(mu), sf.schur(nu))
             for (mu, nu), c in coef_table(alpha, beta).items()
-        )
+        ])
 
     return lhs, skew_rhs, coef_rhs
 
@@ -281,21 +281,11 @@ def _chk_commutators_1(prm):
     a, b = prm["alpha"], prm["beta"]
     sa, sb = sf.schur(a), sf.schur(b)
     comm = op.D(sb) * op.U(sa) - op.U(sa) * op.D(sb)
-    first = op.zero_op()
-    second = op.zero_op()
-    for lam in pt.sub_partitions(a):
-        if not lam:
-            continue
-        if pt.contains(lam, b):
-            first = first + op.U(sf.skew_schur(a, lam)) * op.D(
-                sf.skew_schur(b, lam)
-            )
-        lamc = pt.conjugate(lam)
-        if pt.contains(lamc, b):
-            sign = 1 if (sum(lam) - 1) % 2 == 0 else -1
-            second = second + sign * (
-                op.D(sf.skew_schur(b, lamc)) * op.U(sf.skew_schur(a, lam))
-            )
+    # _du_terms lists the l = () term, (1, s_a, s_b), first
+    first = _word_sum(lambda x, y: op.U(x) * op.D(y),
+                      _du_terms(a, b, twisted=False)[1:])
+    second = -_word_sum(lambda x, y: op.D(y) * op.U(x),
+                        _du_terms(a, b, twisted=True)[1:])
     return _ops_equal(prm, [comm, first, second], prm["vector_bound"])
 
 
@@ -336,21 +326,23 @@ def _fg_instances(bounds):
     return out
 
 
+def _lr_splits(b):
+    """Triples (lam, mu, c^b_{lam,mu}) with a nonzero coefficient."""
+    for lam in pt.sub_partitions(b):
+        for mu in pt.partitions_of(sum(b) - sum(lam)):
+            c = coeffs.lr_coeff(b, lam, mu)
+            if c:
+                yield lam, mu, c
+
+
 def _chk_foulkes(prm):
     b, x, y = prm["beta"], prm["f"], prm["g"]
     fx, gy, sb = sf.schur(x), sf.schur(y), sf.schur(b)
     lhs = sf.skew(sf.mul(fx, gy), sb)
-    rhs = sf.zero()
-    for lam in pt.sub_partitions(b):
-        for mu in pt.partitions_of(sum(b) - sum(lam)):
-            c = coeffs.lr_coeff(b, lam, mu)
-            if not c:
-                continue
-            rhs = sf.add(
-                rhs,
-                sf.scale(c, sf.mul(sf.skew(fx, sf.schur(lam)),
-                                   sf.skew(gy, sf.schur(mu)))),
-            )
+    rhs = sf.linear_combination(
+        (c, sf.mul(sf.skew(fx, sf.schur(lam)), sf.skew(gy, sf.schur(mu))))
+        for lam, mu, c in _lr_splits(b)
+    )
     return _sym_equal(prm, lhs, rhs)
 
 
@@ -358,17 +350,11 @@ def _chk_littlewood(prm):
     b, x, y = prm["beta"], prm["f"], prm["g"]
     fx, gy, sb = sf.schur(x), sf.schur(y), sf.schur(b)
     lhs = sf.kronecker(sb, sf.mul(fx, gy))
-    rhs = sf.zero()
-    for lam in pt.sub_partitions(b):
-        for mu in pt.partitions_of(sum(b) - sum(lam)):
-            c = coeffs.lr_coeff(b, lam, mu)
-            if not c:
-                continue
-            rhs = sf.add(
-                rhs,
-                sf.scale(c, sf.mul(sf.kronecker(sf.schur(mu), fx),
-                                   sf.kronecker(sf.schur(lam), gy))),
-            )
+    rhs = sf.linear_combination(
+        (c, sf.mul(sf.kronecker(sf.schur(mu), fx),
+                   sf.kronecker(sf.schur(lam), gy)))
+        for lam, mu, c in _lr_splits(b)
+    )
     return _sym_equal(prm, lhs, rhs)
 
 
@@ -376,18 +362,13 @@ def _chk_similar(prm):
     b, x, y = prm["beta"], prm["f"], prm["g"]
     fx, gy, sb = sf.schur(x), sf.schur(y), sf.schur(b)
     lhs = sf.skew(sf.kronecker(fx, gy), sb)
-    rhs = sf.zero()
     k = sum(b)
-    for lam in pt.partitions_of(k):
-        for mu in pt.partitions_of(k):
-            g = coeffs.kron_coeff(b, lam, mu)
-            if not g:
-                continue
-            rhs = sf.add(
-                rhs,
-                sf.scale(g, sf.kronecker(sf.skew(fx, sf.schur(lam)),
-                                         sf.skew(gy, sf.schur(mu)))),
-            )
+    rhs = sf.linear_combination(
+        (g, sf.kronecker(sf.skew(fx, sf.schur(lam)), sf.skew(gy, sf.schur(mu))))
+        for lam in pt.partitions_of(k)
+        for mu in pt.partitions_of(k)
+        if (g := coeffs.kron_coeff(b, lam, mu))
+    )
     return _sym_equal(prm, lhs, rhs)
 
 
@@ -402,14 +383,10 @@ def _rf_instances(bounds):
 def _chk_reverse_foulkes(prm):
     a, b, g = prm["alpha"], prm["beta"], prm["gamma"]
     lhs = sf.mul(sf.schur(a), sf.skew_schur(g, b))
-    rhs = sf.zero()
-    for lam in pt.sub_partitions(a):
-        lamc = pt.conjugate(lam)
-        if not pt.contains(lamc, b):
-            continue
-        sign = -1 if sum(lam) % 2 else 1
-        inner = sf.mul(sf.skew_schur(a, lam), sf.schur(g))
-        rhs = sf.add(rhs, sf.scale(sign, sf.skew(inner, sf.skew_schur(b, lamc))))
+    rhs = sf.linear_combination(
+        (sign, sf.skew(sf.mul(x, sf.schur(g)), y))
+        for sign, x, y in _du_terms(a, b, twisted=True)
+    )
     return _sym_equal(prm, lhs, rhs)
 
 
@@ -471,9 +448,9 @@ def _chk_straightcorners(prm):
     a = prm["alpha"]
     sa = sf.schur(a)
     lhs = op.apply_KB(sf.schur((1,)), sa)
-    rhs = sf.scale(pt.noc(a) - 1, sa)
-    for b in pt.addremove_set(a):
-        rhs = sf.add(rhs, sf.schur(b))
+    rhs = sf.linear_combination(
+        [(pt.noc(a) - 1, sa)] + [(1, sf.schur(b)) for b in pt.addremove_set(a)]
+    )
     return _sym_equal(prm, lhs, rhs)
 
 
@@ -501,10 +478,11 @@ def _chk_tworow_hook(prm):
         lhs = op.KB(idx(k)) * op.U(sa)
         rhs = op.zero_op()
         for j in range(k + 1):
-            f = sf.zero()
-            for rho in pt.partitions_of(k - j):
-                fac = sf.schur(pt.conjugate(rho)) if conj else sf.schur(rho)
-                f = sf.add(f, sf.mul(sf.skew_schur(a, rho), fac))
+            f = sf.linear_combination(
+                (1, sf.mul(sf.skew_schur(a, rho),
+                           sf.schur(pt.conjugate(rho) if conj else rho)))
+                for rho in pt.partitions_of(k - j)
+            )
             if not f.is_zero():
                 rhs = rhs + op.U(f) * op.KB(idx(j))
         forms.append(({**prm, "index": "hook" if conj else "two-row"}, [lhs, rhs]))
@@ -527,12 +505,13 @@ def _chk_littlewood_sum(prm):
     sa = sf.schur(a)
     checked = 0
     failures = []
-    lhs_h = sf.zero()
-    lhs_e = sf.zero()
-    for rho in pt.partitions_of(q):
-        piece = sf.skew_schur(a, rho)
-        lhs_h = sf.add(lhs_h, sf.mul(piece, sf.schur(rho)))
-        lhs_e = sf.add(lhs_e, sf.mul(piece, sf.schur(pt.conjugate(rho))))
+    pieces = [(rho, sf.skew_schur(a, rho)) for rho in pt.partitions_of(q)]
+    lhs_h = sf.linear_combination(
+        (1, sf.mul(piece, sf.schur(rho))) for rho, piece in pieces
+    )
+    lhs_e = sf.linear_combination(
+        (1, sf.mul(piece, sf.schur(pt.conjugate(rho)))) for rho, piece in pieces
+    )
     rhs_h = sf.kronecker(sa, sf.mul(sf.h(n - q), sf.h(q)))
     rhs_e = sf.kronecker(sa, sf.mul(sf.h(n - q), sf.e(q)))
     for tag, lhs, rhs in (("h", lhs_h, rhs_h), ("e", lhs_e, rhs_e)):
@@ -566,23 +545,23 @@ def _chk_skew_corners(prm):
 
 def _chk_nokronecker(prm):
     a, t = prm["alpha"], prm["theta"]
-    rhs = sf.zero()
-    for d in pt.add_set(t):
-        rhs = sf.add(rhs, sf.skew_schur(a, d))
-    rhs = sf.add(sf.mul(sf.schur((1,)), rhs), sf.scale(-1, sf.skew_schur(a, t)))
+    added = sf.linear_combination((1, sf.skew_schur(a, d)) for d in pt.add_set(t))
+    rhs = sf.mul(sf.schur((1,)), added) - sf.skew_schur(a, t)
     return _sym_equal(prm, _skew_kron_lhs(a, t), rhs)
 
 
 def _chk_tabmanip2(prm):
     a, t = prm["alpha"], prm["theta"]
-    lhs = sf.zero()
-    for gamma in pt.add_set(a):
-        for delta in pt.add_restrict(t, a):
-            lhs = sf.add(lhs, sf.skew_schur(gamma, delta))
+    lhs = sf.linear_combination(
+        (1, sf.skew_schur(gamma, delta))
+        for gamma in pt.add_set(a)
+        for delta in pt.add_restrict(t, a)
+    )
     coef = len(pt.add_set(a)) - len(pt.add_complement(t, a))
-    rhs = sf.scale(coef, sf.skew_schur(a, t))
-    for beta in pt.addremove_set(a):
-        rhs = sf.add(rhs, sf.skew_schur(beta, t))
+    rhs = sf.linear_combination(
+        [(coef, sf.skew_schur(a, t))]
+        + [(1, sf.skew_schur(beta, t)) for beta in pt.addremove_set(a)]
+    )
     checked, failures = _sym_equal(prm, lhs, rhs)
     bij = tb.verify_jdt_bijection(a, t)
     checked += bij.instances

@@ -67,24 +67,9 @@ class OperatorExpr:
     def apply(self, g):
         """Evaluate on a symmetric function; linear in the expression and
         in g.  The rightmost generator of each word acts first."""
-        total = sf.zero()
-        for coef, word in self.words:
-            cur = g
-            for kind, f in reversed(word):
-                if kind == "U":
-                    cur = sf.mul(f, cur)
-                elif kind == "D":
-                    cur = sf.skew(cur, f)
-                elif kind == "K":
-                    cur = sf.kronecker(f, cur)
-                elif kind == "KB":
-                    cur = apply_KB(f, cur)
-                else:
-                    raise ValueError(f"unknown generator {kind!r}")
-                if cur.is_zero():
-                    break
-            total = sf.add(total, sf.scale(coef, cur))
-        return total
+        return sf.linear_combination(
+            (coef, _apply_word(word, g)) for coef, word in self.words
+        )
 
     def max_degree_shift(self):
         """Largest possible degree raise over all words; 0 for the zero
@@ -109,6 +94,23 @@ class OperatorExpr:
             gens = "".join(f"{k}({f})" for k, f in word) or "Id"
             parts.append(f"{coef}*{gens}")
         return "<OperatorExpr " + " + ".join(parts) + ">"
+
+
+def _apply_word(word, g):
+    for kind, f in reversed(word):
+        if kind == "U":
+            g = sf.mul(f, g)
+        elif kind == "D":
+            g = sf.skew(g, f)
+        elif kind == "K":
+            g = sf.kronecker(f, g)
+        elif kind == "KB":
+            g = apply_KB(f, g)
+        else:
+            raise ValueError(f"unknown generator {kind!r}")
+        if g.is_zero():
+            break
+    return g
 
 
 def identity_op():
@@ -147,16 +149,14 @@ def apply_KB(f, g):
     never an error, even when n < |lam|."""
     fs = sf.to_basis(f, "s")
     gs = sf.to_basis(g, "s")
-    total = sf.zero()
+    terms = []
     for n in gs.degrees():
         comp = gs.homogeneous_component(n)
         for lam, c in fs.terms.items():
             sg, shape = sf.jacobi_trudi((n - sum(lam),) + lam)
-            if sg == 0:
-                continue
-            term = sf.kronecker(sf.schur(shape), comp)
-            total = sf.add(total, sf.scale(c * sg, term))
-    return total
+            if sg:
+                terms.append((c * sg, sf.kronecker(sf.schur(shape), comp)))
+    return sf.linear_combination(terms)
 
 
 def kb_via_gamma(f, g):
@@ -164,11 +164,10 @@ def kb_via_gamma(f, g):
     component of sigma[X] f[X-1], Kronecker-multiplied into the degree-n
     component of g.  Cross-check for apply_KB."""
     gs = sf.to_basis(g, "s")
-    total = sf.zero()
-    for n in gs.degrees():
-        comp = gs.homogeneous_component(n)
-        total = sf.add(total, sf.kronecker(sf.gamma1_component(f, n), comp))
-    return total
+    return sf.linear_combination(
+        (1, sf.kronecker(sf.gamma1_component(f, n), gs.homogeneous_component(n)))
+        for n in gs.degrees()
+    )
 
 
 def kb_as_UD(f, max_deg):

@@ -15,7 +15,6 @@ delta_{lam,mu} z_lam p_lam.
 import itertools
 from fractions import Fraction
 from functools import cache
-from math import comb
 from typing import NamedTuple, Optional
 
 from . import coeffs
@@ -150,6 +149,45 @@ def scale(c, f):
     return SymFunc(f.basis, {k: c * v for k, v in f.terms.items()})
 
 
+def linear_combination(terms):
+    """Schur-basis sum of c * f over the (c, f) pairs of terms, built as
+    one dict; f may be in any basis."""
+    out = {}
+    for c, f in terms:
+        _add_into(out, to_basis(f, "s").terms.items(), Fraction(c))
+    return SymFunc("s", out)
+
+
+def _add_into(out, pairs, c):
+    """out[k] += c * w for every (k, w) in pairs."""
+    for k, w in pairs:
+        out[k] = out.get(k, Fraction(0)) + c * w
+
+
+def _union_product(*factors):
+    """Product, as a dict, of (partition, coef) sequences in a basis whose
+    elements multiply by the multiset union of their parts (h, e and p)."""
+    prod = {(): Fraction(1)}
+    for ys in factors:
+        nxt = {}
+        for lam, a in prod.items():
+            _add_into(
+                nxt, ((tuple(sorted(lam + mu, reverse=True)), b) for mu, b in ys), a
+            )
+        prod = nxt
+    return prod
+
+
+def _bilinear(f, g, table):
+    """Schur sum of a * b * table(lam, mu) over the terms a s_lam of f and
+    b s_mu of g."""
+    out = {}
+    for lam, a in f.terms.items():
+        for mu, b in g.terms.items():
+            _add_into(out, table(lam, mu), a * b)
+    return SymFunc("s", out)
+
+
 # ---------------------------------------------------------------------------
 # memoized structure-constant tables (all keyed by canonical partitions)
 
@@ -228,48 +266,31 @@ def _schur_kron_terms(lam, mu):
     acc = {}
     for rho, b in _schur_to_p(mu):
         ca = a.get(rho)
-        if ca is None:
-            continue
-        w = ca * b * pt.z_factor(rho)
-        for nu, chi in _p_to_schur(rho):
-            acc[nu] = acc.get(nu, Fraction(0)) + w * chi
+        if ca is not None:
+            _add_into(acc, _p_to_schur(rho), ca * b * pt.z_factor(rho))
     return tuple((nu, c) for nu, c in acc.items() if c)
 
 
 def _to_p_dict(f):
     """Expansion of f in the p basis, as a dict partition -> Fraction."""
-    out = {}
-
-    def accumulate(items, c):
-        for rho, w in items:
-            out[rho] = out.get(rho, Fraction(0)) + c * w
-
     if f.basis == "p":
         return dict(f.terms)
+    out = {}
     if f.basis == "s":
         for lam, c in f.terms.items():
-            accumulate(_schur_to_p(lam), c)
+            _add_into(out, _schur_to_p(lam), c)
         return {k: v for k, v in out.items() if v}
     # h and e basis elements are products of one-part generators
     table = _h_to_p if f.basis == "h" else _e_to_p
     for lam, c in f.terms.items():
-        prod = {(): Fraction(1)}
-        for k in lam:
-            nxt = {}
-            for rho0, c0 in prod.items():
-                for rho1, c1 in table(k):
-                    key = tuple(sorted(rho0 + rho1, reverse=True))
-                    nxt[key] = nxt.get(key, Fraction(0)) + c0 * c1
-            prod = nxt
-        accumulate(prod.items(), c)
+        _add_into(out, _union_product(*map(table, lam)).items(), c)
     return {k: v for k, v in out.items() if v}
 
 
 def _p_dict_to_schur(d):
     out = {}
     for rho, c in d.items():
-        for lam, chi in _p_to_schur(rho):
-            out[lam] = out.get(lam, Fraction(0)) + c * chi
+        _add_into(out, _p_to_schur(rho), c)
     return SymFunc("s", out)
 
 
@@ -324,8 +345,7 @@ def to_basis(f, target):
     table = _schur_to_h if target == "h" else _schur_to_e
     out = {}
     for lam, c in fs.terms.items():
-        for mu, w in table(lam):
-            out[mu] = out.get(mu, Fraction(0)) + c * w
+        _add_into(out, table(lam), c)
     return SymFunc(target, out)
 
 
@@ -335,19 +355,8 @@ def mul(f, g):
     if f.basis != g.basis:
         return mul(to_basis(f, "s"), to_basis(g, "s"))
     if f.basis == "s":
-        out = {}
-        for lam, a in f.terms.items():
-            for mu, b in g.terms.items():
-                ab = a * b
-                for nu, c in _schur_mul_terms(lam, mu):
-                    out[nu] = out.get(nu, Fraction(0)) + ab * c
-        return SymFunc("s", out)
-    out = {}
-    for lam, a in f.terms.items():
-        for mu, b in g.terms.items():
-            key = tuple(sorted(lam + mu, reverse=True))
-            out[key] = out.get(key, Fraction(0)) + a * b
-    return SymFunc(f.basis, out)
+        return _bilinear(f, g, _schur_mul_terms)
+    return SymFunc(f.basis, _union_product(f.terms.items(), g.terms.items()))
 
 
 def hall_inner(f, g):
@@ -371,31 +380,13 @@ def kronecker(f, g):
     Components of different degree annihilate; s_{(n)} is the unit in
     degree n.
     """
-    fs = to_basis(f, "s")
-    gs = to_basis(g, "s")
-    out = {}
-    for lam, a in fs.terms.items():
-        for mu, b in gs.terms.items():
-            if sum(lam) != sum(mu):
-                continue
-            ab = a * b
-            for nu, c in _schur_kron_terms(lam, mu):
-                out[nu] = out.get(nu, Fraction(0)) + ab * c
-    return SymFunc("s", out)
+    return _bilinear(to_basis(f, "s"), to_basis(g, "s"), _schur_kron_terms)
 
 
 def skew(f, by):
     """The skewing operator D_by applied to f: the adjoint of multiplication
     by `by` with respect to the Hall inner product."""
-    fs = to_basis(f, "s")
-    bs = to_basis(by, "s")
-    out = {}
-    for lam, a in fs.terms.items():
-        for mu, b in bs.terms.items():
-            ab = a * b
-            for nu, c in _schur_skew_terms(lam, mu):
-                out[nu] = out.get(nu, Fraction(0)) + ab * c
-    return SymFunc("s", out)
+    return _bilinear(to_basis(f, "s"), to_basis(by, "s"), _schur_skew_terms)
 
 
 def skew_schur(shape, inner=None):
@@ -454,20 +445,8 @@ def shift_minus_one(f):
     p_k - 1.  The result is inhomogeneous of degree <= deg f."""
     out = {}
     for rho, c in _to_p_dict(f).items():
-        mult = {}
-        for k in rho:
-            mult[k] = mult.get(k, 0) + 1
-        partial = {(): Fraction(1)}
-        for k, m in mult.items():
-            nxt = {}
-            for kept, c0 in partial.items():
-                for j in range(m + 1):
-                    w = comb(m, j) * (-1) ** (m - j)
-                    key = tuple(sorted(kept + (k,) * j, reverse=True))
-                    nxt[key] = nxt.get(key, Fraction(0)) + c0 * w
-            partial = nxt
-        for key, w in partial.items():
-            out[key] = out.get(key, Fraction(0)) + c * w
+        minus_one = [(((k,), 1), ((), -1)) for k in rho]
+        _add_into(out, _union_product(*minus_one).items(), c)
     return _p_dict_to_schur({k: v for k, v in out.items() if v})
 
 
@@ -475,13 +454,9 @@ def gamma1_component(f, n):
     """Degree-n component of the vertex operator image sigma[X] f[X-1],
     computed as sum_j h_j (f[X-1])_{n-j}."""
     g = shift_minus_one(f)
-    total = zero()
-    for j in range(n + 1):
-        comp = g.homogeneous_component(n - j)
-        if comp.is_zero():
-            continue
-        total = add(total, mul(schur((j,)), comp) if j else comp)
-    return total
+    return linear_combination(
+        (1, mul(schur(j), g.homogeneous_component(n - j))) for j in range(n + 1)
+    )
 
 
 # ---------------------------------------------------------------------------

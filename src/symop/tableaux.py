@@ -421,10 +421,9 @@ def skew_pieri_terms(k, shape):
 
 def skew_pieri(k, shape):
     """s_(k) * skew Schur function of the shape, Schur-expanded."""
-    total = sf.zero()
-    for sign, sh in skew_pieri_terms(k, shape):
-        total = sf.add(total, sf.scale(sign, sf.skew_schur(sh)))
-    return total
+    return sf.linear_combination(
+        (sign, sf.skew_schur(sh)) for sign, sh in skew_pieri_terms(k, shape)
+    )
 
 
 def skew_lr_pairs(a, b):
@@ -479,10 +478,9 @@ def skew_lr_terms(a, b):
 def skew_lr_product(a, b):
     """Product of two skew Schur functions via the skew LR rule, collapsed
     to the Schur basis."""
-    total = sf.zero()
-    for sign, shape in skew_lr_terms(a, b):
-        total = sf.add(total, sf.scale(sign, sf.skew_schur(shape)))
-    return total
+    return sf.linear_combination(
+        (sign, sf.skew_schur(shape)) for sign, shape in skew_lr_terms(a, b)
+    )
 
 
 def skew_corners_rhs(alpha, theta):
@@ -497,12 +495,11 @@ def skew_corners_rhs(alpha, theta):
     if not pt.contains(theta, alpha):
         raise ValueError(f"{theta} not contained in {alpha}")
     coef = pt.noc(alpha) - pt.noc(theta) - 1
-    total = sf.scale(coef, sf.skew_schur(alpha, theta))
-    for beta in pt.addremove_set(alpha):
-        total = sf.add(total, sf.skew_schur(beta, theta))
-    for phi in pt.addremove_set(theta):
-        total = sf.add(total, sf.scale(-1, sf.skew_schur(alpha, phi)))
-    return total
+    return sf.linear_combination(
+        [(coef, sf.skew_schur(alpha, theta))]
+        + [(1, sf.skew_schur(beta, theta)) for beta in pt.addremove_set(alpha)]
+        + [(-1, sf.skew_schur(alpha, phi)) for phi in pt.addremove_set(theta)]
+    )
 
 
 def _added_cell(small, big):

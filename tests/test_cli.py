@@ -209,6 +209,24 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_deep_nesting_exits_2(capsys):
+    nested = "(" * 3000 + "1" + ")" * 3000
+    for argv in (["expand", nested], ["apply", "Id", nested],
+                 ["apply", "(" * 3000 + "Id" + ")" * 3000, "s[1]"]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "symop: error: expression nested too deeply\n"
+
+
+def test_negative_max_deg_rejected(capsys):
+    for argv in (["matrix", "U[1]"], ["rank", "U[1]"]):
+        assert cli.main(argv + ["--max-deg", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --max-deg" in captured.err
+        assert cli.main(argv + ["--max-deg", "0"]) == 0
+        capsys.readouterr()
+
+
 def _random_symfunc(rng):
     basis = rng.choice("shep")
     terms = {}

@@ -12,6 +12,42 @@ def test_add_and_scale():
     assert sf.add(sf.h(2), sf.schur((2,))) == sf.scale(2, sf.schur((2,)))
 
 
+def _fold(terms):
+    total = sf.zero()
+    for c, f in terms:
+        total = sf.add(total, sf.scale(c, f))
+    return total
+
+
+def test_linear_combination_matches_add_scale_fold():
+    terms = [
+        (Fraction(3, 2), sf.schur((2, 1))),
+        (-2, sf.h((2, 1))),
+        (1, sf.e((3,))),
+        (Fraction(-1, 3), sf.p((2, 1))),
+        (4, sf.SymFunc("p", {(1, 1): 1, (2,): -1})),
+        (0, sf.h((1,))),
+    ]
+    got = sf.linear_combination(terms)
+    want = _fold(terms)
+    assert got.basis == want.basis == "s"
+    assert got.terms == want.terms
+    for basis in "hep":
+        one_basis = [(c, sf.to_basis(f, basis)) for c, f in terms]
+        assert sf.linear_combination(one_basis).terms == _fold(one_basis).terms
+
+
+def test_linear_combination_cancels_empty_and_generator():
+    s21 = sf.schur((2, 1))
+    zero = sf.linear_combination([(1, s21), (1, sf.h((3,))), (-1, s21),
+                                  (-1, sf.schur((3,)))])
+    assert zero.is_zero() and zero.basis == "s"
+    empty = sf.linear_combination([])
+    assert empty.is_zero() and empty.basis == sf.zero().basis
+    gen = sf.linear_combination((k, sf.p(k)) for k in range(1, 4))
+    assert gen == sf.add(sf.p(1), sf.add(sf.scale(2, sf.p(2)), sf.scale(3, sf.p(3))))
+
+
 def test_jacobi_trudi_examples():
     assert sf.jacobi_trudi((2, 1)) == (1, (2, 1))
     assert sf.jacobi_trudi((0, 2)) == (-1, (1, 1))
