@@ -264,6 +264,10 @@ def parse(text):
 
 _ATOM_BUILDERS = {"s": sf.schur, "h": sf.h, "e": sf.e, "p": sf.p}
 
+# Highest degree a power f^n may reach.  Multiplying out costs about twice
+# as much per extra degree; s[1]^20 takes 1.5 s on a 2-core machine.
+MAX_POWER_DEGREE = 20
+
 
 def evaluate(node):
     """Evaluate a parse tree to a SymFunc in the Schur basis."""
@@ -283,9 +287,15 @@ def evaluate(node):
     if kind == "mul":
         return sf.mul(evaluate(node[1]), evaluate(node[2]))
     if kind == "pow":
+        base, exponent = evaluate(node[1]), node[2]
+        degree = exponent * base.max_degree()
+        if degree > MAX_POWER_DEGREE:
+            raise ValueError(
+                f"power of degree {degree} exceeds the limit {MAX_POWER_DEGREE}"
+            )
         out = sf.one()
-        for _ in range(node[2]):
-            out = sf.mul(out, evaluate(node[1]))
+        for _ in range(exponent):
+            out = sf.mul(out, base)
         return out
     if kind == "kron":
         return sf.kronecker(evaluate(node[1]), evaluate(node[2]))
@@ -455,8 +465,13 @@ def _cmd_jdt(args):
     try:
         blob = json.loads(args.tableau)
         shape = pt.parse_skew(blob["shape"])
-        entries = {(int(r), int(c)): int(v) for r, c, v in blob["entries"]}
-        holes = [(int(r), int(c)) for r, c in blob.get("holes", [])]
+        entries = {
+            (pt._as_integer(r), pt._as_integer(c)): pt._as_integer(v)
+            for r, c, v in blob["entries"]
+        }
+        holes = [
+            (pt._as_integer(r), pt._as_integer(c)) for r, c in blob.get("holes", [])
+        ]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ValueError(f"bad tableau JSON: {exc}") from None
     t = tb.SSYT(shape, entries)

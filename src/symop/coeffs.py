@@ -54,13 +54,19 @@ def lr_coeff(nu, lam, mu):
     is a lattice permutation.  Zero when the sizes do not add up or when
     lam is not contained in nu.
     """
-    nu = pt.make_partition(nu)
-    lam = pt.make_partition(lam)
-    mu = pt.make_partition(mu)
+    # Only canonical keys are stored, so a hit needs no validation; on a
+    # miss, or an unhashable argument such as a list, validate and retry.
     key = (nu, lam, mu)
-    hit = _LR_CACHE.get(key)
+    try:
+        hit = _LR_CACHE.get(key)
+    except TypeError:
+        hit = None
+    if hit is None:
+        key = tuple(map(pt.make_partition, key))
+        hit = _LR_CACHE.get(key)
     if hit is not None:
         return hit
+    nu, lam, mu = key
     if sum(nu) != sum(lam) + sum(mu) or not pt.contains(lam, nu):
         val = 0
     else:

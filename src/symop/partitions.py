@@ -19,18 +19,42 @@ class Cell(NamedTuple):
     col: int
 
 
+def _as_integer(x):
+    """x as an int; ValueError when x is not an integral number, so 2.5 or
+    Fraction(7, 2) is rejected rather than truncated."""
+    try:
+        n = int(x)
+    except OverflowError:
+        raise ValueError(f"{x!r} is not an integer") from None
+    if n != x and not isinstance(x, str):
+        raise ValueError(f"{x!r} is not an integer")
+    return n
+
+
 def make_partition(parts):
     """Canonicalize a part sequence: validate and strip zeros.
 
     Zeros are accepted on input but never stored, so equal partitions
-    always have equal tuples.
+    always have equal tuples.  A tuple of ints without trailing zeros is
+    returned as it is.  A negative part is reported before a break in the
+    weakly decreasing order.
     """
-    parts = tuple(int(x) for x in parts)
-    if any(x < 0 for x in parts):
-        raise ValueError(f"negative part in {parts!r}")
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+    parts = tuple(parts)
+    prev = None
+    ordered = True
+    for x in parts:
+        if type(x) is not int:
+            return make_partition(tuple(map(_as_integer, parts)))
+        if x < 0:
+            raise ValueError(f"negative part in {parts!r}")
+        if prev is not None and prev < x:
+            ordered = False
+        prev = x
+    if not ordered:
         raise ValueError(f"parts not weakly decreasing: {parts!r}")
-    return tuple(x for x in parts if x)
+    if parts and not parts[-1]:
+        parts = parts[: parts.index(0)]
+    return parts
 
 
 def is_partition(parts):
@@ -280,6 +304,15 @@ class SkewShape:
             raise ValueError(f"{inner} not contained in {outer}")
         object.__setattr__(self, "outer", outer)
         object.__setattr__(self, "inner", inner)
+
+    @classmethod
+    def _trusted(cls, outer, inner):
+        """Build from canonical partitions already known to nest, without
+        checking them again."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "outer", outer)
+        object.__setattr__(self, "inner", inner)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewShape is immutable")

@@ -43,6 +43,16 @@ class SymFunc:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "terms", {k: v for k, v in data.items() if v})
 
+    @classmethod
+    def _trusted(cls, basis, terms):
+        """Build from a dict of canonical partition -> Fraction without
+        checking it again; only zero coefficients are dropped.  For internal
+        code whose keys come from other SymFuncs or the memo tables."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "terms", {k: v for k, v in terms.items() if v})
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("SymFunc is immutable")
 
@@ -59,7 +69,9 @@ class SymFunc:
         return min((sum(k) for k in self.terms), default=0)
 
     def homogeneous_component(self, n):
-        return SymFunc(self.basis, {k: v for k, v in self.terms.items() if sum(k) == n})
+        return SymFunc._trusted(
+            self.basis, {k: v for k, v in self.terms.items() if sum(k) == n}
+        )
 
     def coeff(self, parts):
         """Coefficient of s_parts in the Schur expansion."""
@@ -141,12 +153,12 @@ def add(f, g):
     data = dict(f.terms)
     for k, v in g.terms.items():
         data[k] = data.get(k, Fraction(0)) + v
-    return SymFunc(f.basis, data)
+    return SymFunc._trusted(f.basis, data)
 
 
 def scale(c, f):
     c = Fraction(c)
-    return SymFunc(f.basis, {k: c * v for k, v in f.terms.items()})
+    return SymFunc._trusted(f.basis, {k: c * v for k, v in f.terms.items()})
 
 
 def linear_combination(terms):
@@ -155,7 +167,7 @@ def linear_combination(terms):
     out = {}
     for c, f in terms:
         _add_into(out, to_basis(f, "s").terms.items(), Fraction(c))
-    return SymFunc("s", out)
+    return SymFunc._trusted("s", out)
 
 
 def _add_into(out, pairs, c):
@@ -185,7 +197,7 @@ def _bilinear(f, g, table):
     for lam, a in f.terms.items():
         for mu, b in g.terms.items():
             _add_into(out, table(lam, mu), a * b)
-    return SymFunc("s", out)
+    return SymFunc._trusted("s", out)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +303,7 @@ def _p_dict_to_schur(d):
     out = {}
     for rho, c in d.items():
         _add_into(out, _p_to_schur(rho), c)
-    return SymFunc("s", out)
+    return SymFunc._trusted("s", out)
 
 
 @cache
@@ -338,7 +350,7 @@ def to_basis(f, target):
     if f.basis == target:
         return f
     if target == "p":
-        return SymFunc("p", _to_p_dict(f))
+        return SymFunc._trusted("p", _to_p_dict(f))
     fs = f if f.basis == "s" else _p_dict_to_schur(_to_p_dict(f))
     if target == "s":
         return fs
@@ -346,7 +358,7 @@ def to_basis(f, target):
     out = {}
     for lam, c in fs.terms.items():
         _add_into(out, table(lam), c)
-    return SymFunc(target, out)
+    return SymFunc._trusted(target, out)
 
 
 def mul(f, g):
@@ -356,7 +368,9 @@ def mul(f, g):
         return mul(to_basis(f, "s"), to_basis(g, "s"))
     if f.basis == "s":
         return _bilinear(f, g, _schur_mul_terms)
-    return SymFunc(f.basis, _union_product(f.terms.items(), g.terms.items()))
+    return SymFunc._trusted(
+        f.basis, _union_product(f.terms.items(), g.terms.items())
+    )
 
 
 def hall_inner(f, g):
@@ -400,7 +414,7 @@ def skew_schur(shape, inner=None):
     else:
         outer = pt.make_partition(shape)
         inner = pt.make_partition(inner if inner is not None else ())
-    return SymFunc("s", _schur_skew_terms(outer, inner))
+    return SymFunc._trusted("s", dict(_schur_skew_terms(outer, inner)))
 
 
 class SignedSchur(NamedTuple):

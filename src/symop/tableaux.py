@@ -16,18 +16,29 @@ from .partitions import Cell, SkewShape
 from .reporting import Failure, VerificationReport
 
 
+def _checked_entries(shape, entries):
+    """Entries keyed by Cell, after checking that they are positive
+    integers covering the shape exactly."""
+    out = {
+        Cell(*c): v if type(v) is int else pt._as_integer(v)
+        for c, v in entries.items()
+    }
+    if set(out) != set(shape.cells()):
+        raise ValueError("entries do not cover the shape exactly")
+    for cell, v in out.items():
+        if v < 1:
+            raise ValueError(f"entry {v} at {cell} not positive")
+    return out
+
+
 class SSYT:
     """Semistandard filling of a skew shape."""
 
     __slots__ = ("shape", "entries")
 
     def __init__(self, shape, entries):
-        entries = {Cell(*c): int(v) for c, v in entries.items()}
-        if set(entries) != set(shape.cells()):
-            raise ValueError("entries do not cover the shape exactly")
+        entries = _checked_entries(shape, entries)
         for cell, v in entries.items():
-            if v < 1:
-                raise ValueError(f"entry {v} at {cell} not positive")
             right = entries.get(Cell(cell.row, cell.col + 1))
             if right is not None and v > right:
                 raise ValueError(f"row not weakly increasing at {cell}")
@@ -82,12 +93,8 @@ class ASSYT:
     __slots__ = ("shape", "entries")
 
     def __init__(self, shape, entries):
-        entries = {Cell(*c): int(v) for c, v in entries.items()}
-        if set(entries) != set(shape.cells()):
-            raise ValueError("entries do not cover the shape exactly")
+        entries = _checked_entries(shape, entries)
         for cell, v in entries.items():
-            if v < 1:
-                raise ValueError(f"entry {v} at {cell} not positive")
             right = entries.get(Cell(cell.row, cell.col + 1))
             if right is not None and v <= right:
                 raise ValueError(f"row not strictly decreasing at {cell}")
@@ -256,7 +263,7 @@ def _fill(shape, cells, is_ssyt, content=None, max_entry=None, budget=None,
 
 def enumerate_ssyt(shape, content):
     """All SSYT of the shape with the given content."""
-    content = tuple(int(x) for x in content)
+    content = tuple(map(pt._as_integer, content))
     cells = _ssyt_reading_cells(shape)
     return [SSYT(shape, d) for d in _fill(shape, cells, True, content=content)]
 
@@ -269,7 +276,7 @@ def enumerate_ssyt_bounded(shape, max_entry):
 
 def enumerate_assyt(shape, content):
     """All ASSYT of the shape with the given content."""
-    content = tuple(int(x) for x in content)
+    content = tuple(map(pt._as_integer, content))
     cells = _assyt_reading_cells(shape)
     return [ASSYT(shape, d) for d in _fill(shape, cells, False, content=content)]
 
@@ -281,7 +288,7 @@ def enumerate_assyt_bounded(shape, max_entry):
 
 def enumerate_lr_fillings(shape, content):
     """SSYT of the shape and content whose reverse reading word is lattice."""
-    content = tuple(int(x) for x in content)
+    content = tuple(map(pt._as_integer, content))
     cells = _ssyt_reading_cells(shape)
     return [
         SSYT(shape, d)
@@ -290,7 +297,7 @@ def enumerate_lr_fillings(shape, content):
 
 
 def count_lr_fillings(shape, content):
-    content = tuple(int(x) for x in content)
+    content = tuple(map(pt._as_integer, content))
     cells = _ssyt_reading_cells(shape)
     return sum(
         1 for _ in _fill(shape, cells, True, content=content, init_counts={})
@@ -415,7 +422,8 @@ def skew_pieri_terms(k, shape):
         sign = -1 if i % 2 else 1
         for bm in pt.vertical_strips_below(beta, i):
             for gp in pt.horizontal_strips_above(gamma, k - i):
-                out.append((sign, SkewShape(gp, bm)))
+                # bm <= beta <= gamma <= gp, all canonical
+                out.append((sign, SkewShape._trusted(gp, bm)))
     return out
 
 
@@ -445,8 +453,10 @@ def skew_lr_pairs(a, b):
         return
     total = sum(target)
     init_counts = {i: part for i, part in enumerate(delta, start=1)}
+    # every shape below nests by construction: beta_minus <= beta <= gamma
+    # <= gamma_plus, all canonical
     for beta_minus in pt.sub_partitions(beta):
-        shape1 = SkewShape(beta, beta_minus)
+        shape1 = SkewShape._trusted(beta, beta_minus)
         size1 = shape1.size
         if size1 > total:
             continue
@@ -463,11 +473,12 @@ def skew_lr_pairs(a, b):
             for gamma_plus in pt.partitions_of(sum(gamma) + total - size1):
                 if not pt.contains(gamma, gamma_plus):
                     continue
-                shape2 = SkewShape(gamma_plus, gamma)
+                shape2 = SkewShape._trusted(gamma_plus, gamma)
+                shape = SkewShape._trusted(gamma_plus, beta_minus)
                 cells2 = _ssyt_reading_cells(shape2)
                 for d2 in _fill(shape2, cells2, True, content=remaining,
                                 init_counts=counts1):
-                    yield sign, t1, SSYT(shape2, d2), SkewShape(gamma_plus, beta_minus)
+                    yield sign, t1, SSYT(shape2, d2), shape
 
 
 def skew_lr_terms(a, b):

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -196,6 +198,51 @@ def test_cmd_jdt_text(capsys):
     )
     assert cli.main(["jdt", blob]) == 0
     assert "vacated [1, 1]" in capsys.readouterr().out
+
+
+def test_jdt_rejects_non_integral_values(capsys):
+    for entries, holes, bad in (
+        ([[1, 0, 5.9], [1, 1, 5]], [[0, 1]], "5.9"),
+        ([[1, 0, 5], [1, 1, 5]], [[0, 1.5]], "1.5"),
+        ([[1, 0, 5], [1, 1.0, 5]], [[0, 1]], None),
+    ):
+        blob = json.dumps({"shape": "2,2/2", "entries": entries, "holes": holes})
+        code = cli.main(["jdt", blob])
+        captured = capsys.readouterr()
+        if bad is None:
+            assert code == 0 and "vacated [1, 1]" in captured.out
+        else:
+            assert code == 2
+            assert captured.err == f"symop: error: {bad} is not an integer\n"
+
+
+def test_power_degree_limit(capsys):
+    start = time.monotonic()
+    assert cli.main(["expand", "s[1]^5000"]) == 2
+    assert time.monotonic() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"symop: error: power of degree 5000 exceeds the limit "
+        f"{cli.MAX_POWER_DEGREE}\n"
+    )
+    top = cli.MAX_POWER_DEGREE
+    assert cli.main(["expand", f"s[{top}]^1"]) == 0
+    assert cli.main(["expand", f"(s[{top}] + 1)^1"]) == 0
+    assert cli.main(["expand", f"s[{top + 1}]^1"]) == 2
+    assert cli.main(["expand", "(s[1]-s[1])^5000"]) == 0
+    capsys.readouterr()
+
+
+def test_power_matches_product_through_p_basis(capsys):
+    assert cli.main(["expand", "(s[2,1]+s[3])^4"]) == 0
+    base = sf.to_basis(sf.add(sf.schur((2, 1)), sf.schur((3,))), "p")
+    want = sf.to_basis(sf.mul(sf.mul(base, base), sf.mul(base, base)), "s")
+    out = capsys.readouterr().out
+    assert out == sf.render(want) + "\n"
+    assert out.startswith("s[12] + 7*s[11,1] + 24*s[10,2] + 21*s[10,1,1] + ")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "0671af1c6a5fd729a5f41c555045ccd1fe646ab15027c390fec7a50fcd5b861b"
 
 
 def test_usage_errors_exit_2(capsys):

@@ -101,3 +101,21 @@ def test_lr_matches_skew_schur_up_to_6():
                 expansion = sf.skew_schur(nu, lam)
                 for mu in pt.partitions_of(n - sum(lam)):
                     assert coeffs.lr_coeff(nu, lam, mu) == expansion.coeff(mu)
+
+
+def test_lr_coeff_hit_skips_validation_and_input_is_still_checked(monkeypatch):
+    assert coeffs.lr_coeff((3, 2, 1), (2, 1), (2, 1)) == 2
+    # non-canonical and unhashable spellings of the same key
+    assert coeffs.lr_coeff([3, 2, 1], [2, 1], (2, 1)) == 2
+    assert coeffs.lr_coeff((3, 2, 1, 0), (2, 1), (2.0, 1)) == 2
+    for bad in (((1, 2), (1,), (1,)), ((2,), (1,), (1, -1)),
+                ((2.5,), (1,), (1,)), ([1, 2], [1], [1])):
+        with pytest.raises(ValueError):
+            coeffs.lr_coeff(*bad)
+    calls = []
+    real = pt.make_partition
+    monkeypatch.setattr(pt, "make_partition", lambda p: calls.append(p) or real(p))
+    assert coeffs.lr_coeff((3, 2, 1), (2, 1), (2, 1)) == 2
+    assert calls == []
+    assert coeffs.lr_coeff([3, 2, 1], [2, 1], [2, 1]) == 2
+    assert len(calls) == 3

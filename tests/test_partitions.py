@@ -1,4 +1,6 @@
 import math
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -19,6 +21,35 @@ def test_make_partition_rejects_bad_input():
         pt.make_partition((3, -1))
     with pytest.raises(ValueError):
         pt.make_partition((3, 0, 1))
+
+
+def test_make_partition_reports_negative_before_order():
+    for parts in ((1, -1, 2), (1, 2, -1), (3, -1)):
+        with pytest.raises(ValueError, match="negative part"):
+            pt.make_partition(parts)
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        pt.make_partition((1, 2))
+
+
+def test_make_partition_rejects_non_integral_parts():
+    for parts, bad in (((2.5, 1), 2.5), ((Fraction(7, 2),), Fraction(7, 2)),
+                       ((3, 1.5), 1.5), ((float("inf"),), float("inf"))):
+        with pytest.raises(ValueError, match=re.escape(f"{bad!r} is not an integer")):
+            pt.make_partition(parts)
+    for parts in ((float("nan"),), (float("-inf"),), ("2.5",)):
+        with pytest.raises(ValueError):
+            pt.make_partition(parts)
+    # integral values of other types are converted, not rejected
+    got = pt.make_partition((2.0, "2", Fraction(1), True, 0))
+    assert got == (2, 2, 1, 1) and all(type(x) is int for x in got)
+    assert pt.make_partition([3, 1]) == (3, 1)
+    assert pt.make_partition(iter((2, 2, 0))) == (2, 2)
+
+
+def test_make_partition_returns_canonical_tuple_itself():
+    lam = (4, 2, 2, 1)
+    assert pt.make_partition(lam) is lam
+    assert pt.make_partition((4, 2, 0, 0)) == (4, 2)
 
 
 def test_parse_render_round_trip():

@@ -1,6 +1,8 @@
 import itertools
 from fractions import Fraction
 
+import pytest
+
 from symop import partitions as pt, symfunc as sf
 
 
@@ -251,3 +253,61 @@ def test_homogeneous_components():
     assert f.degrees() == [1, 2]
     assert f.homogeneous_component(2) == sf.schur((2,))
     assert f.homogeneous_component(5).is_zero()
+
+
+def _assert_canonical(f):
+    """The invariants the public constructor establishes."""
+    for k, c in f.terms.items():
+        assert type(k) is tuple and k == pt.make_partition(k)
+        assert type(c) is Fraction and c != 0
+    assert sf.SymFunc(f.basis, f.terms).terms == f.terms
+
+
+def test_internal_results_keep_public_invariants():
+    small = pt.partitions_upto(5)
+    mixed = sf.linear_combination(
+        (Fraction(k % 5 - 2, k % 3 + 1), sf.schur(lam)) for k, lam in enumerate(small)
+    )
+    _assert_canonical(mixed)
+    for n in range(7):
+        _assert_canonical(mixed.homogeneous_component(n))
+    for lam in small:
+        s_lam = sf.schur(lam)
+        for basis in "hep":
+            there = sf.to_basis(s_lam, basis)
+            assert there.basis == basis
+            _assert_canonical(there)
+            _assert_canonical(sf.to_basis(there, "s"))
+            gen = getattr(sf, basis)(lam)
+            _assert_canonical(sf.mul(gen, gen))
+        _assert_canonical(sf.linear_combination([(2, s_lam), (-1, sf.h(lam))]))
+        for mu in small:
+            s_mu = sf.schur(mu)
+            _assert_canonical(sf.mul(s_lam, s_mu))
+            _assert_canonical(sf.kronecker(s_lam, s_mu))
+            _assert_canonical(sf.skew(s_lam, s_mu))
+            _assert_canonical(sf.skew_schur(lam, mu))
+            if pt.contains(mu, lam):
+                _assert_canonical(sf.skew_schur(pt.SkewShape(lam, mu)))
+    # sums that cancel drop the zero coefficients
+    _assert_canonical(sf.add(mixed, sf.scale(-1, mixed.homogeneous_component(3))))
+    _assert_canonical(sf.scale(0, mixed))
+
+
+def test_public_constructors_still_validate():
+    for terms in ({(1, 2): 1}, {(2, -1): 1}, {(2.5,): 1}):
+        with pytest.raises(ValueError):
+            sf.SymFunc("s", terms)
+    with pytest.raises(ValueError):
+        sf.SymFunc("x")
+    with pytest.raises(ValueError, match="2.9 is not an integer"):
+        sf.schur((2.9,))
+    with pytest.raises(ValueError):
+        sf.from_json({"basis": "s", "terms": [{"part": [1, 2], "coef": "1"}]})
+    with pytest.raises(ValueError):
+        sf.skew_schur((2, 1), (1, 2))
+    with pytest.raises(ValueError, match="negative part"):
+        pt.make_partition((1, -1, 2))
+    # the public constructor still sums repeated keys and drops zeros
+    f = sf.SymFunc("s", [((2, 1, 0), 1), ((2, 1), 1), ((1,), 0)])
+    assert f.terms == {(2, 1): 2}

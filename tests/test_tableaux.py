@@ -43,6 +43,35 @@ def test_assyt_validation():
         tb.ASSYT(sh, {(0, 0): 2, (0, 1): 1, (1, 0): 3})  # column increasing
 
 
+def test_tableau_entries_must_be_integral():
+    sh = SkewShape((2,))
+    with pytest.raises(ValueError, match="1.7 is not an integer"):
+        tb.SSYT(sh, {(0, 0): 1.7, (0, 1): 2})
+    with pytest.raises(ValueError, match="1.7 is not an integer"):
+        tb.ASSYT(sh, {(0, 0): 2, (0, 1): 1.7})
+    t = tb.SSYT(sh, {(0, 0): 1.0, (0, 1): 2})
+    assert t.entries == {Cell(0, 0): 1, Cell(0, 1): 2}
+    assert all(type(v) is int for v in t.entries.values())
+    with pytest.raises(ValueError, match="1.5 is not an integer"):
+        tb.enumerate_ssyt(sh, (1.5, 0.5))
+
+
+def test_rule_shapes_equal_validated_shapes():
+    shapes = [SkewShape(outer, inner)
+              for outer in pt.partitions_upto(4)
+              for inner in pt.sub_partitions(outer, max_size=2)]
+    lr = [t for a in shapes[::3] for b in shapes[::2] for t in tb.skew_lr_terms(a, b)]
+    pieri = [t for k in range(4) for a in shapes for t in tb.skew_pieri_terms(k, a)]
+    assert len(lr) > 1000 and len(pieri) > 500
+    for _sign, sh in lr + pieri:
+        # the public constructor canonicalizes, so equality means canonical
+        assert sh == SkewShape(sh.outer, sh.inner)
+    with pytest.raises(ValueError):
+        SkewShape((1,), (2,))
+    with pytest.raises(ValueError):
+        SkewShape((2, 1), (1, 1, 1))
+
+
 def test_reverse_reading_word_examples():
     one = tb.SSYT(SkewShape((1,)), {(0, 0): 3})
     assert tb.reverse_reading_word(one) == (3,)
