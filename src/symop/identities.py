@@ -193,7 +193,7 @@ def _cor_coeffs_kbu(alpha, beta):
                         w = g * c_bn * c_as
                         for mu, cm in sf._schur_mul_terms(theta, sigma):
                             key = (mu, nu)
-                            acc[key] = acc.get(key, 0) + w * int(cm)
+                            acc[key] = acc.get(key, 0) + w * cm
     return acc
 
 

@@ -11,7 +11,7 @@ vectors).
 """
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from . import partitions as pt
 from . import symfunc as sf
@@ -281,9 +281,7 @@ def _integer_rank(rows):
         return 0
     mat = []
     for row in rows:
-        denom = 1
-        for x in row:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
+        denom = lcm(*[x.denominator for x in row])
         mat.append([int(x * denom) for x in row])
     n, m = len(mat), len(mat[0])
     rank = 0

@@ -3,8 +3,13 @@
 Values are sparse linear combinations of basis elements indexed by
 partitions, in one of four bases: Schur (s), complete homogeneous (h),
 elementary (e), power sum (p).  The Schur basis is the canonical internal
-form; other bases are views converted on demand.  All coefficients are
-fractions.Fraction, all computations exact.
+form; other bases are views converted on demand.  All computations are
+exact.  Every coefficient a SymFunc holds is a nonzero fractions.Fraction,
+but sums do not run on Fractions: the coefficients of an input are put
+over their least common denominator d, the integer numerators are summed
+against the integer structure constants (characters, LR and Kronecker
+coefficients), and each result coefficient becomes a Fraction once, as its
+integer sum over d.
 
 Conversions route through characters: s_lam = sum_rho chi^lam(rho)/z_rho
 p_rho and back.  Schur products use Littlewood-Richardson coefficients;
@@ -15,6 +20,7 @@ delta_{lam,mu} z_lam p_lam.
 import itertools
 from fractions import Fraction
 from functools import cache
+from math import factorial, gcd, lcm, prod
 from typing import NamedTuple, Optional
 
 from . import coeffs
@@ -45,12 +51,13 @@ class SymFunc:
 
     @classmethod
     def _trusted(cls, basis, terms):
-        """Build from a dict of canonical partition -> Fraction without
-        checking it again; only zero coefficients are dropped.  For internal
-        code whose keys come from other SymFuncs or the memo tables."""
+        """Build from a fresh dict of canonical partition -> nonzero
+        Fraction, which is kept as it is.  For internal code whose keys come
+        from other SymFuncs or the memo tables and whose zeros are already
+        dropped."""
         self = object.__new__(cls)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "terms", {k: v for k, v in terms.items() if v})
+        object.__setattr__(self, "terms", terms)
         return self
 
     def __setattr__(self, name, value):
@@ -153,64 +160,96 @@ def add(f, g):
     data = dict(f.terms)
     for k, v in g.terms.items():
         data[k] = data.get(k, Fraction(0)) + v
-    return SymFunc._trusted(f.basis, data)
+    return SymFunc._trusted(f.basis, {k: v for k, v in data.items() if v})
 
 
 def scale(c, f):
     c = Fraction(c)
+    if not c:
+        return zero(f.basis)
     return SymFunc._trusted(f.basis, {k: c * v for k, v in f.terms.items()})
 
 
 def linear_combination(terms):
     """Schur-basis sum of c * f over the (c, f) pairs of terms, built as
     one dict; f may be in any basis."""
-    out = {}
+    out, d = {}, 1
     for c, f in terms:
-        _add_into(out, to_basis(f, "s").terms.items(), Fraction(c))
-    return SymFunc._trusted("s", out)
+        cn, cd = Fraction(c).as_integer_ratio()
+        df, pairs = _int_terms(to_basis(f, "s").terms)
+        q = cd * df
+        if d % q:
+            # a new denominator: put the running sum over lcm(d, q)
+            m = q // gcd(d, q)
+            for k in out:
+                out[k] *= m
+            d *= m
+        _add_into(out, pairs, cn * (d // q))
+    return SymFunc._trusted("s", _frac_terms(out, d))
+
+
+def _int_terms(terms):
+    """(d, pairs): the coefficients of a terms dict as integers over their
+    least common denominator d, so that terms[k] == n / d for (k, n) in
+    pairs."""
+    d, ratios = 1, []
+    for k, c in terms.items():
+        n, q = c.as_integer_ratio()
+        d = lcm(d, q)
+        ratios.append((k, n, q))
+    return d, [(k, n * (d // q)) for k, n, q in ratios]
+
+
+def _frac_terms(out, d):
+    """The nonzero out[k] / d as Fractions, for an integer dict out."""
+    return {k: Fraction(n, d) for k, n in out.items() if n}
 
 
 def _add_into(out, pairs, c):
     """out[k] += c * w for every (k, w) in pairs."""
     for k, w in pairs:
-        out[k] = out.get(k, Fraction(0)) + c * w
+        out[k] = out.get(k, 0) + c * w
 
 
 def _union_product(*factors):
     """Product, as a dict, of (partition, coef) sequences in a basis whose
     elements multiply by the multiset union of their parts (h, e and p)."""
-    prod = {(): Fraction(1)}
+    acc = {(): 1}
     for ys in factors:
         nxt = {}
-        for lam, a in prod.items():
+        for lam, a in acc.items():
             _add_into(
                 nxt, ((tuple(sorted(lam + mu, reverse=True)), b) for mu, b in ys), a
             )
-        prod = nxt
-    return prod
+        acc = nxt
+    return acc
 
 
 def _bilinear(f, g, table):
     """Schur sum of a * b * table(lam, mu) over the terms a s_lam of f and
     b s_mu of g."""
+    da, fa = _int_terms(f.terms)
+    db, gb = _int_terms(g.terms)
     out = {}
-    for lam, a in f.terms.items():
-        for mu, b in g.terms.items():
+    for lam, a in fa:
+        for mu, b in gb:
             _add_into(out, table(lam, mu), a * b)
-    return SymFunc._trusted("s", out)
+    return SymFunc._trusted("s", _frac_terms(out, da * db))
 
 
 # ---------------------------------------------------------------------------
-# memoized structure-constant tables (all keyed by canonical partitions)
+# memoized structure-constant tables (all keyed by canonical partitions,
+# all with int coefficients)
 
 @cache
 def _schur_to_p(lam):
-    """s_lam as a p-combination: sum_rho chi^lam(rho)/z_rho p_rho."""
+    """The character table row (rho, chi^lam(rho)) over rho |- |lam|, so
+    that s_lam = sum_rho chi^lam(rho)/z_rho p_rho."""
     out = []
     for rho in pt.partitions_of(sum(lam)):
         c = coeffs.mn_character(lam, rho)
         if c:
-            out.append((rho, Fraction(c, pt.z_factor(rho))))
+            out.append((rho, c))
     return tuple(out)
 
 
@@ -221,24 +260,25 @@ def _p_to_schur(rho):
     for lam in pt.partitions_of(sum(rho)):
         c = coeffs.mn_character(lam, rho)
         if c:
-            out.append((lam, Fraction(c)))
+            out.append((lam, c))
     return tuple(out)
 
 
 @cache
 def _h_to_p(k):
+    """(rho, k!/z_rho) over rho |- k, so that h_k = 1/k! sum_rho
+    k!/z_rho p_rho; k!/z_rho is the size of the class of cycle type rho."""
     return tuple(
-        (rho, Fraction(1, pt.z_factor(rho))) for rho in pt.partitions_of(k)
+        (rho, factorial(k) // pt.z_factor(rho)) for rho in pt.partitions_of(k)
     )
 
 
 @cache
 def _e_to_p(k):
-    out = []
-    for rho in pt.partitions_of(k):
-        sign = -1 if (k - len(rho)) % 2 else 1
-        out.append((rho, Fraction(sign, pt.z_factor(rho))))
-    return tuple(out)
+    """As _h_to_p, with the sign of a permutation of cycle type rho."""
+    return tuple(
+        (rho, -c if (k - len(rho)) % 2 else c) for rho, c in _h_to_p(k)
+    )
 
 
 @cache
@@ -250,7 +290,7 @@ def _schur_mul_terms(lam, mu):
             continue
         c = coeffs.lr_coeff(nu, lam, mu)
         if c:
-            out.append((nu, Fraction(c)))
+            out.append((nu, c))
     return tuple(out)
 
 
@@ -265,45 +305,65 @@ def _schur_skew_terms(lam, mu):
             continue
         c = coeffs.lr_coeff(lam, mu, nu)
         if c:
-            out.append((nu, Fraction(c)))
+            out.append((nu, c))
     return tuple(out)
 
 
 @cache
 def _schur_kron_terms(lam, mu):
-    """Schur expansion of s_lam * s_mu (Kronecker), via the p basis."""
+    """Schur expansion of s_lam * s_mu (Kronecker), via the p basis:
+    g_{lam,mu,nu} = sum_rho chi^lam(rho) chi^mu(rho) chi^nu(rho) / z_rho,
+    summed over n! and checked to be integral."""
     if sum(lam) != sum(mu):
         return ()
+    n_fact = factorial(sum(lam))
     a = dict(_schur_to_p(lam))
     acc = {}
     for rho, b in _schur_to_p(mu):
         ca = a.get(rho)
         if ca is not None:
-            _add_into(acc, _p_to_schur(rho), ca * b * pt.z_factor(rho))
-    return tuple((nu, c) for nu, c in acc.items() if c)
+            _add_into(acc, _p_to_schur(rho), ca * b * (n_fact // pt.z_factor(rho)))
+    out = []
+    for nu, c in acc.items():
+        g, rem = divmod(c, n_fact)
+        if rem or g < 0:
+            raise ValueError(
+                f"non-integral character sum for {lam},{mu},{nu}: "
+                f"{Fraction(c, n_fact)}"
+            )
+        if g:
+            out.append((nu, g))
+    return tuple(out)
 
 
 def _to_p_dict(f):
     """Expansion of f in the p basis, as a dict partition -> Fraction."""
     if f.basis == "p":
         return dict(f.terms)
+    d, pairs = _int_terms(f.terms)
     out = {}
     if f.basis == "s":
-        for lam, c in f.terms.items():
+        for lam, c in pairs:
             _add_into(out, _schur_to_p(lam), c)
-        return {k: v for k, v in out.items() if v}
-    # h and e basis elements are products of one-part generators
+        return {rho: Fraction(c, d * pt.z_factor(rho))
+                for rho, c in out.items() if c}
+    # h_lam and e_lam are products of one-part generators; the product of
+    # the class-size tables is prod_i lam_i! h_lam, and the multinomial
+    # puts it over |lam|!
     table = _h_to_p if f.basis == "h" else _e_to_p
-    for lam, c in f.terms.items():
-        _add_into(out, _union_product(*map(table, lam)).items(), c)
-    return {k: v for k, v in out.items() if v}
+    for lam, c in pairs:
+        m = factorial(sum(lam)) // prod(map(factorial, lam))
+        _add_into(out, _union_product(*map(table, lam)).items(), c * m)
+    return {rho: Fraction(c, d * factorial(sum(rho)))
+            for rho, c in out.items() if c}
 
 
-def _p_dict_to_schur(d):
+def _p_dict_to_schur(terms):
+    d, pairs = _int_terms(terms)
     out = {}
-    for rho, c in d.items():
+    for rho, c in pairs:
         _add_into(out, _p_to_schur(rho), c)
-    return SymFunc._trusted("s", out)
+    return SymFunc._trusted("s", _frac_terms(out, d))
 
 
 @cache
@@ -311,13 +371,13 @@ def _schur_to_h(lam):
     """h-expansion of s_lam by expanding the determinant det(h_{lam_i+j-i})."""
     n = len(lam)
     if n == 0:
-        return (((), Fraction(1)),)
+        return (((), 1),)
     out = {}
 
     def expand(row, used_cols, indices, sign):
         if row == n:
             key = tuple(sorted((x for x in indices if x), reverse=True))
-            out[key] = out.get(key, Fraction(0)) + sign
+            out[key] = out.get(key, 0) + sign
             return
         for col in range(n):
             if used_cols & (1 << col):
@@ -333,7 +393,7 @@ def _schur_to_h(lam):
                 sign * (-1 if swaps % 2 else 1),
             )
 
-    expand(0, 0, (), Fraction(1))
+    expand(0, 0, (), 1)
     return tuple((k, v) for k, v in out.items() if v)
 
 
@@ -355,10 +415,11 @@ def to_basis(f, target):
     if target == "s":
         return fs
     table = _schur_to_h if target == "h" else _schur_to_e
+    d, pairs = _int_terms(fs.terms)
     out = {}
-    for lam, c in fs.terms.items():
+    for lam, c in pairs:
         _add_into(out, table(lam), c)
-    return SymFunc._trusted(target, out)
+    return SymFunc._trusted(target, _frac_terms(out, d))
 
 
 def mul(f, g):
@@ -368,9 +429,9 @@ def mul(f, g):
         return mul(to_basis(f, "s"), to_basis(g, "s"))
     if f.basis == "s":
         return _bilinear(f, g, _schur_mul_terms)
-    return SymFunc._trusted(
-        f.basis, _union_product(f.terms.items(), g.terms.items())
-    )
+    da, fa = _int_terms(f.terms)
+    db, gb = _int_terms(g.terms)
+    return SymFunc._trusted(f.basis, _frac_terms(_union_product(fa, gb), da * db))
 
 
 def hall_inner(f, g):
@@ -414,7 +475,9 @@ def skew_schur(shape, inner=None):
     else:
         outer = pt.make_partition(shape)
         inner = pt.make_partition(inner if inner is not None else ())
-    return SymFunc._trusted("s", dict(_schur_skew_terms(outer, inner)))
+    return SymFunc._trusted(
+        "s", {nu: Fraction(c) for nu, c in _schur_skew_terms(outer, inner)}
+    )
 
 
 class SignedSchur(NamedTuple):
@@ -431,7 +494,7 @@ def jacobi_trudi(seq):
     determinant vanishes) or sorting them is a signed permutation onto a
     partition.  A negative part after sorting also kills the determinant.
     """
-    seq = tuple(int(x) for x in seq)
+    seq = tuple(map(pt._as_integer, seq))
     b = [seq[i] - (i + 1) for i in range(len(seq))]
     if len(set(b)) != len(b):
         return SignedSchur(0, None)
@@ -457,11 +520,12 @@ def jacobi_trudi_func(seq):
 def shift_minus_one(f):
     """The substitution f[X-1]: expand in the p basis and send every p_k to
     p_k - 1.  The result is inhomogeneous of degree <= deg f."""
+    d, pairs = _int_terms(_to_p_dict(f))
     out = {}
-    for rho, c in _to_p_dict(f).items():
+    for rho, c in pairs:
         minus_one = [(((k,), 1), ((), -1)) for k in rho]
         _add_into(out, _union_product(*minus_one).items(), c)
-    return _p_dict_to_schur({k: v for k, v in out.items() if v})
+    return _p_dict_to_schur(_frac_terms(out, d))
 
 
 def gamma1_component(f, n):

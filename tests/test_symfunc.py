@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,33 @@ def test_linear_combination_cancels_empty_and_generator():
     assert empty.is_zero() and empty.basis == sf.zero().basis
     gen = sf.linear_combination((k, sf.p(k)) for k in range(1, 4))
     assert gen == sf.add(sf.p(1), sf.add(sf.scale(2, sf.p(2)), sf.scale(3, sf.p(3))))
+
+
+def test_linear_combination_cancels_over_mixed_denominators():
+    s21, s3 = sf.schur((2, 1)), sf.schur((3,))
+    zero = sf.linear_combination([(Fraction(1, 2), s21), (Fraction(1, 3), s21),
+                                  (Fraction(-5, 6), s21)])
+    assert zero.is_zero() and zero.basis == "s"
+    # the denominators also come from the operands, here 1/z_rho of h_3 in p
+    h3 = sf.to_basis(sf.h(3), "p")
+    zero = sf.linear_combination([(Fraction(1, 2), h3), (Fraction(1, 3), sf.h(3)),
+                                  (Fraction(-5, 6), s3)])
+    assert zero.is_zero() and zero.basis == "s"
+    left = sf.linear_combination([(Fraction(1, 2), s21), (Fraction(2, 3), s3),
+                                  (Fraction(-1, 6), s21), (Fraction(-1, 3), s21)])
+    assert left.terms == {(3,): Fraction(2, 3)}
+    _assert_canonical(left)
+
+
+def test_jacobi_trudi_rejects_non_integral_entries():
+    with pytest.raises(ValueError, match="2.5 is not an integer"):
+        sf.jacobi_trudi((2.5, 1))
+    with pytest.raises(ValueError, match="2.7 is not an integer"):
+        sf.jacobi_trudi_func((2.7, 1))
+    with pytest.raises(ValueError):
+        sf.jacobi_trudi((Fraction(3, 2),))
+    assert sf.jacobi_trudi((2.0, Fraction(1))) == (1, (2, 1))
+    assert sf.jacobi_trudi_func((Fraction(2), 1.0)) == sf.schur((2, 1))
 
 
 def test_jacobi_trudi_examples():
@@ -204,6 +232,77 @@ def test_skew_adjoint_to_mul_up_to_5():
                 assert sf.hall_inner(sf.mul(smu, su), sv) == sf.hall_inner(
                     su, sf.skew(sv, smu)
                 )
+
+
+# rational operands: a sum of basis elements with denominators 2, 3 and 7
+_F = sf.SymFunc("s", {(2, 1): Fraction(1, 2), (3,): Fraction(-2, 3), (1,): 1})
+_G = sf.SymFunc("s", {(1, 1): Fraction(3, 7), (2,): Fraction(-2, 3),
+                      (2, 1): Fraction(5, 2)})
+
+
+def _integral_parts(f):
+    """f as (c, F) with F integral: c is 1 over the lcm of the
+    denominators."""
+    d = math.lcm(*(c.denominator for c in f.terms.values()))
+    return Fraction(1, d), sf.scale(d, f)
+
+
+def _p_route_kronecker(f, g):
+    """The Kronecker product through p_rho * p_sigma = delta z_rho p_rho."""
+    a, b = sf.to_basis(f, "p").terms, sf.to_basis(g, "p").terms
+    return sf.to_basis(
+        sf.SymFunc("p", {rho: c * b[rho] * pt.z_factor(rho)
+                         for rho, c in a.items() if rho in b}),
+        "s",
+    )
+
+
+def test_rational_products_scale_the_integral_product():
+    for f, g in ((_F, _G), (_G, _F), (_F, _F), (sf.scale(Fraction(1, 6), _F), _G)):
+        cf, fi = _integral_parts(f)
+        cg, gi = _integral_parts(g)
+        assert all(c.denominator == 1 for c in fi.terms.values())
+        for op in (sf.mul, sf.kronecker, sf.skew):
+            got = op(f, g)
+            _assert_canonical(got)
+            assert got == sf.scale(cf * cg, op(fi, gi))
+        # independent routes: the p basis for the two products, and skewing
+        # as the adjoint of multiplication under the Hall inner product
+        via_p = sf.to_basis(sf.mul(sf.to_basis(f, "p"), sf.to_basis(g, "p")), "s")
+        assert sf.mul(f, g) == via_p
+        assert sf.kronecker(f, g) == _p_route_kronecker(f, g)
+        skewed = sf.skew(f, g)
+        for nu in pt.partitions_upto(3):
+            s_nu = sf.schur(nu)
+            assert sf.hall_inner(skewed, s_nu) == sf.hall_inner(f, sf.mul(g, s_nu))
+
+
+def test_round_trips_of_p_inputs_with_inverse_z_coefficients():
+    for n in range(6):
+        # sum_rho p_rho / z_rho = h_n and sum_rho sign(rho) p_rho / z_rho = e_n
+        h_n = sf.SymFunc("p", {rho: Fraction(1, pt.z_factor(rho))
+                               for rho in pt.partitions_of(n)})
+        e_n = sf.SymFunc("p", {rho: Fraction((-1) ** (n - len(rho)), pt.z_factor(rho))
+                               for rho in pt.partitions_of(n)})
+        assert sf.to_basis(h_n, "s") == sf.schur((n,))
+        assert sf.to_basis(e_n, "s") == sf.schur((1,) * n)
+        for f in (h_n, e_n, sf.add(h_n, sf.scale(Fraction(-3, 4), e_n))):
+            in_s = sf.to_basis(f, "s")
+            _assert_canonical(in_s)
+            assert sf.to_basis(in_s, "p").terms == f.terms
+            for basis in "he":
+                there = sf.to_basis(in_s, basis)
+                _assert_canonical(there)
+                assert sf.to_basis(there, "s").terms == in_s.terms
+                assert sf.to_basis(there, "p").terms == f.terms
+
+
+def test_kronecker_table_rejects_a_non_integral_character_sum(monkeypatch):
+    # a character table row with the class (1, 1) dropped makes
+    # sum_rho chi chi chi / z_rho equal to 1/2 for s_2 * s_2
+    monkeypatch.setattr(sf, "_schur_to_p", lambda lam: (((2,), 1),))
+    with pytest.raises(ValueError, match="non-integral"):
+        sf._schur_kron_terms.__wrapped__((2,), (2,))
 
 
 def test_skew_schur_examples():
