@@ -216,14 +216,6 @@ class TruncatedMatrix:
     def is_zero(self):
         return all(all(x == 0 for x in row) for row in self.entries)
 
-    def column_vector(self):
-        """All entries flattened column by column (for rank stacking)."""
-        return [
-            self.entries[i][j]
-            for j in range(len(self.cols))
-            for i in range(len(self.rows))
-        ]
-
     def __eq__(self, other):
         return (
             isinstance(other, TruncatedMatrix)
@@ -251,6 +243,20 @@ class TruncatedMatrix:
         )
 
 
+def _images(expr, dom, cod):
+    """(lam, mu, c) for every Schur coefficient c of s_mu in expr(s_lam),
+    over the partitions lam of size <= dom in (degree, reverse-lex) order.
+    An image of degree above cod is an AssertionError."""
+    for lam in pt.partitions_upto(dom):
+        image = sf.to_basis(expr.apply(sf.schur(lam)), "s")
+        for mu, c in image.terms.items():
+            if sum(mu) > cod:
+                raise AssertionError(
+                    f"image degree {sum(mu)} exceeds codomain bound {cod}"
+                )
+            yield lam, mu, c
+
+
 def matrix_of(expr, dom_max_degree, cod_max_degree=None):
     """Exact truncated matrix: column lam holds the Schur coordinates of
     expr(s_lam).  The codomain bound defaults to the domain bound plus the
@@ -259,18 +265,11 @@ def matrix_of(expr, dom_max_degree, cod_max_degree=None):
         cod_max_degree = dom_max_degree + max(0, expr.max_degree_shift())
     cols = pt.partitions_upto(dom_max_degree)
     rows = pt.partitions_upto(cod_max_degree)
-    row_index = {lam: i for i, lam in enumerate(rows)}
+    col_index = {lam: j for j, lam in enumerate(cols)}
+    row_index = {mu: i for i, mu in enumerate(rows)}
     entries = [[Fraction(0)] * len(cols) for _ in rows]
-    for j, lam in enumerate(cols):
-        image = expr.apply(sf.schur(lam))
-        for mu, c in sf.to_basis(image, "s").terms.items():
-            i = row_index.get(mu)
-            if i is None:
-                raise AssertionError(
-                    f"image degree {sum(mu)} exceeds codomain bound "
-                    f"{cod_max_degree}"
-                )
-            entries[i][j] = c
+    for lam, mu, c in _images(expr, dom_max_degree, cod_max_degree):
+        entries[row_index[mu]][col_index[lam]] = c
     return TruncatedMatrix(dom_max_degree, cod_max_degree, cols, rows, entries)
 
 
@@ -291,15 +290,17 @@ def _integer_rank(rows):
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        p = mat[rank][col]
+        prow = mat[rank]
+        p = prow[col]
         for r in range(rank + 1, n):
+            row = mat[r]
+            a = row[col]
             for c in range(col + 1, m):
-                num = mat[r][c] * p - mat[r][col] * mat[rank][c]
-                q, rem = divmod(num, prev)
+                q, rem = divmod(row[c] * p - a * prow[c], prev)
                 if rem:
                     raise AssertionError("fraction-free elimination broke")
-                mat[r][c] = q
-            mat[r][col] = 0
+                row[c] = q
+            row[col] = 0
         prev = p
         rank += 1
         if rank == n:
@@ -309,16 +310,21 @@ def _integer_rank(rows):
 
 def stacked_rank(exprs, dom_max_degree):
     """Rank of the vectorized truncated matrices of the expressions, all
-    sharing one codomain bound."""
+    sharing one codomain bound.
+
+    The stacked matrix has one row per entry (mu, lam) and one column per
+    expression.  Zero rows and repeated rows do not change its row space,
+    so only the distinct nonzero rows are eliminated and the rank is
+    exact."""
     exprs = list(exprs)
     if not exprs:
         return 0
     cod = dom_max_degree + max(max(0, e.max_degree_shift()) for e in exprs)
-    vectors = [
-        matrix_of(e, dom_max_degree, cod).column_vector() for e in exprs
-    ]
-    rows = [[vec[i] for vec in vectors] for i in range(len(vectors[0]))]
-    return _integer_rank(rows)
+    rows = {}
+    for k, e in enumerate(exprs):
+        for lam, mu, c in _images(e, dom_max_degree, cod):
+            rows.setdefault((lam, mu), [0] * len(exprs))[k] = c
+    return _integer_rank(list(dict.fromkeys(map(tuple, rows.values()))))
 
 
 def independent(exprs, dom_max_degree):

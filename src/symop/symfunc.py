@@ -336,6 +336,19 @@ def _schur_kron_terms(lam, mu):
     return tuple(out)
 
 
+@cache
+def _he_to_p(basis, lam):
+    """h_lam (basis "h") or e_lam (basis "e") in p, as (rho, n) with
+    h_lam = sum n / |lam|! p_rho.  h_lam and e_lam are products of one-part
+    generators; the product of the class-size tables is prod_i lam_i! h_lam,
+    and the multinomial puts it over |lam|!."""
+    table = _h_to_p if basis == "h" else _e_to_p
+    m = factorial(sum(lam)) // prod(map(factorial, lam))
+    return tuple(
+        (rho, c * m) for rho, c in _union_product(*map(table, lam)).items()
+    )
+
+
 def _to_p_dict(f):
     """Expansion of f in the p basis, as a dict partition -> Fraction."""
     if f.basis == "p":
@@ -347,13 +360,8 @@ def _to_p_dict(f):
             _add_into(out, _schur_to_p(lam), c)
         return {rho: Fraction(c, d * pt.z_factor(rho))
                 for rho, c in out.items() if c}
-    # h_lam and e_lam are products of one-part generators; the product of
-    # the class-size tables is prod_i lam_i! h_lam, and the multinomial
-    # puts it over |lam|!
-    table = _h_to_p if f.basis == "h" else _e_to_p
     for lam, c in pairs:
-        m = factorial(sum(lam)) // prod(map(factorial, lam))
-        _add_into(out, _union_product(*map(table, lam)).items(), c * m)
+        _add_into(out, _he_to_p(f.basis, lam), c)
     return {rho: Fraction(c, d * factorial(sum(rho)))
             for rho, c in out.items() if c}
 

@@ -274,6 +274,22 @@ def test_negative_max_deg_rejected(capsys):
         capsys.readouterr()
 
 
+def test_truncation_degree_capped(capsys):
+    # rejected before any image is computed: the codomain degree is the
+    # domain bound plus the largest degree raise
+    limit = cli.MAX_TRUNCATION_DEGREE
+    for argv in (["matrix", "U[1]", "--max-deg", "40"],
+                 ["rank", "U[1]", "--max-deg", "40"],
+                 ["rank", "Id;U[2]", "--max-deg", str(limit - 1)],
+                 ["matrix", "U[1]", "--max-deg", str(limit)]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"exceeds the limit {limit}" in captured.err
+    assert cli.main(["rank", "Id;D[1]U[1]", "--max-deg", str(limit - 1)]) == 0
+    assert capsys.readouterr().out == "rank 2 of 2: independent\n"
+
+
 def _random_symfunc(rng):
     basis = rng.choice("shep")
     terms = {}

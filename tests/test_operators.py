@@ -1,7 +1,11 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
-from symop import operators as op, partitions as pt, symfunc as sf
+import pytest
+
+from symop import cli, operators as op, partitions as pt, symfunc as sf
 
 
 def test_apply_examples():
@@ -122,6 +126,23 @@ def test_matrix_entries_and_json():
     assert m.cod_bound == 3
 
 
+def test_matrix_image_beyond_codomain_raises():
+    with pytest.raises(AssertionError, match="image degree 3 exceeds codomain bound 2"):
+        op.matrix_of(op.U(sf.schur((1,))), 2, 2)
+
+
+def test_matrix_json_pinned():
+    want = {
+        "K(p[2])U(p[1])": "421a864620d018e777dc8a3d7a9df73428d6674cb86b86d955b4147a3162d574",
+        "U[2,1]D[1]": "17bc49b955895af27da375874325a0217c6cca3bc4ecf2031bce676fb111ec03",
+        "K(p[2])": "f0c56074191984d47f888a6b64699a377cf5d40c76831cb182894ef937fd7965",
+        "KB[1]": "d6b8d1f17efab65a3dbccc60cc47c621e9cb50edf1abcab77232dc5e7acb8572",
+    }
+    for text, digest in want.items():
+        blob = json.dumps(op.matrix_of(cli.parse_operator(text), 3).to_json())
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest, text
+
+
 def test_independent_families():
     us = [
         op.U(sf.schur(a)) * op.D(sf.schur(b))
@@ -228,4 +249,9 @@ def test_integer_rank_against_fraction_elimination():
             [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m)]
             for _ in range(n)
         ]
+        # all-zero rows and repeated rows, at random places
+        for _ in range(rng.randint(0, 2)):
+            rows.insert(rng.randint(0, len(rows)), [Fraction(0)] * m)
+        for _ in range(rng.randint(0, 2)):
+            rows.insert(rng.randint(0, len(rows)), list(rng.choice(rows)))
         assert op._integer_rank(rows) == _fraction_rank(rows)

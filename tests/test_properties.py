@@ -1,11 +1,14 @@
 """Property tests that pit independent routes against each other on random
-sums with rational coefficients, at degree <= 5."""
+sums with rational coefficients, at degree <= 5, and on random operator
+words at domain degree <= 4."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from symop import coeffs, partitions as pt, symfunc as sf
+from symop import coeffs, operators as op, partitions as pt, symfunc as sf
+
+from test_operators import _fraction_rank
 
 PROPERTY = settings(max_examples=40, derandomize=True, database=None, deadline=None)
 
@@ -52,3 +55,43 @@ def test_kronecker_matches_kron_coeff(f, g):
                     lam, mu, nu
                 )
     assert sf.kronecker(f, g).terms == {nu: c for nu, c in want.items() if c}
+
+
+def operator_sums():
+    """A sum of up to two scaled words of up to two U/D/K/KB generators,
+    each generator taking a random s/p/h sum of degree <= 2."""
+    generators = st.tuples(
+        st.sampled_from(("U", "D", "K", "KB")), sums("sph", max_degree=2)
+    )
+    words = st.lists(generators, max_size=2).map(tuple)
+    return st.lists(st.tuples(coefficients, words), min_size=1, max_size=2).map(
+        op.OperatorExpr
+    )
+
+
+ONE = sf.schur((1,))
+# DU - UD - Id = 0, so these three are dependent
+DEPENDENT = [op.U(ONE) * op.D(ONE), op.D(ONE) * op.U(ONE), op.identity_op()]
+# images vanish on degree < 2, or everywhere
+KILLERS = [op.D(sf.p((2,))), op.K(sf.p((2,))) * op.U(sf.p((1,)))]
+
+
+@st.composite
+def word_lists(draw):
+    exprs = draw(st.lists(operator_sums(), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        exprs.append(draw(coefficients | st.just(1)) * draw(st.sampled_from(exprs)))
+    if draw(st.booleans()):
+        exprs += DEPENDENT
+    exprs += draw(st.lists(st.sampled_from(KILLERS), max_size=2))
+    return exprs
+
+
+@PROPERTY
+@given(word_lists(), st.integers(0, 4))
+def test_stacked_rank_matches_dense_reference(exprs, n):
+    cod = n + max(max(0, e.max_degree_shift()) for e in exprs)
+    vectors = [
+        [x for row in op.matrix_of(e, n, cod).entries for x in row] for e in exprs
+    ]
+    assert op.stacked_rank(exprs, n) == _fraction_rank(vectors)
