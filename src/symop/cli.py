@@ -268,6 +268,47 @@ _ATOM_BUILDERS = {"s": sf.schur, "h": sf.h, "e": sf.e, "p": sf.p}
 # as much per extra degree; s[1]^20 takes 1.5 s on a 2-core machine.
 MAX_POWER_DEGREE = 20
 
+# Most work a product f*g may take, in units of one Schur term pair times
+# one partition of the result degree: each pair of terms scans those
+# partitions for Littlewood-Richardson coefficients.  On a 2-core machine
+# a unit costs up to about 25 us: s[1]^8*s[1]^8 (111,804 units) takes
+# 2.2 s and s[1]^9*s[1]^9 (346,500) 8.6 s.
+MAX_PRODUCT_WORK = 120_000
+
+
+def _partition_count(n, cap):
+    """The number of partitions of n by Euler's pentagonal recurrence, or
+    cap + 1 as soon as the count of some m <= n exceeds cap (the count
+    grows with m, so a huge n costs no more than a small one)."""
+    counts = [1]
+    for m in range(1, n + 1):
+        total, k = 0, 1
+        # the generalized pentagonal numbers g = k(3k-1)/2 and g + k
+        while (g := k * (3 * k - 1) // 2) <= m:
+            sign = 1 if k % 2 else -1
+            total += sign * counts[m - g]
+            if g + k <= m:
+                total += sign * counts[m - g - k]
+            k += 1
+        if total > cap:
+            return cap + 1
+        counts.append(total)
+    return counts[n]
+
+
+def _check_product_work(f, g):
+    """Refuse a product whose estimated work exceeds MAX_PRODUCT_WORK,
+    before any of it is done."""
+    pairs = len(f.terms) * len(g.terms)
+    if not pairs:
+        return
+    degree = f.max_degree() + g.max_degree()
+    if pairs * _partition_count(degree, MAX_PRODUCT_WORK // pairs) > MAX_PRODUCT_WORK:
+        raise ValueError(
+            f"product of {len(f.terms)} by {len(g.terms)} terms at degree "
+            f"{degree} exceeds the work limit {MAX_PRODUCT_WORK}"
+        )
+
 
 def evaluate(node):
     """Evaluate a parse tree to a SymFunc in the Schur basis."""
@@ -285,7 +326,9 @@ def evaluate(node):
     if kind == "neg":
         return sf.scale(-1, evaluate(node[1]))
     if kind == "mul":
-        return sf.mul(evaluate(node[1]), evaluate(node[2]))
+        f, g = evaluate(node[1]), evaluate(node[2])
+        _check_product_work(f, g)
+        return sf.mul(f, g)
     if kind == "pow":
         base, exponent = evaluate(node[1]), node[2]
         degree = exponent * base.max_degree()

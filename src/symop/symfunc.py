@@ -4,12 +4,13 @@ Values are sparse linear combinations of basis elements indexed by
 partitions, in one of four bases: Schur (s), complete homogeneous (h),
 elementary (e), power sum (p).  The Schur basis is the canonical internal
 form; other bases are views converted on demand.  All computations are
-exact.  Every coefficient a SymFunc holds is a nonzero fractions.Fraction,
-but sums do not run on Fractions: the coefficients of an input are put
-over their least common denominator d, the integer numerators are summed
-against the integer structure constants (characters, LR and Kronecker
-coefficients), and each result coefficient becomes a Fraction once, as its
-integer sum over d.
+exact.  A SymFunc holds its coefficients as nonzero integer numerators
+over one denominator d > 0, the least one (d and the numerators have no
+common factor), so sums, products and basis changes run on ints against
+the integer structure constants (characters, LR and Kronecker
+coefficients).  The public view `terms` maps each partition to its
+coefficient as a fractions.Fraction; it is read-only and is built on first
+access.
 
 Conversions route through characters: s_lam = sum_rho chi^lam(rho)/z_rho
 p_rho and back.  Schur products use Littlewood-Richardson coefficients;
@@ -18,9 +19,11 @@ delta_{lam,mu} z_lam p_lam.
 """
 
 import itertools
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
 from math import factorial, gcd, lcm, prod
+from types import MappingProxyType
 from typing import NamedTuple, Optional
 
 from . import coeffs
@@ -30,15 +33,17 @@ BASES = ("s", "h", "e", "p")
 
 
 class SymFunc:
-    """A sparse combination of basis elements with rational coefficients."""
+    """A sparse combination of basis elements with rational coefficients,
+    stored as the integer numerators `_num` (partition -> nonzero int) over
+    the least common denominator `_d`."""
 
-    __slots__ = ("basis", "terms")
+    __slots__ = ("basis", "_d", "_num", "_terms")
 
     def __init__(self, basis, terms=()):
         if basis not in BASES:
             raise ValueError(f"unknown basis {basis!r}")
         data = {}
-        items = terms.items() if isinstance(terms, dict) else terms
+        items = terms.items() if isinstance(terms, Mapping) else terms
         for parts, c in items:
             key = pt.make_partition(parts)
             c = Fraction(c)
@@ -46,38 +51,57 @@ class SymFunc:
                 data[key] += c
             else:
                 data[key] = c
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "terms", {k: v for k, v in data.items() if v})
+        data = {k: c for k, c in data.items() if c}
+        # reduced Fractions over the lcm of their denominators leave
+        # numerators with no factor common to all of them and d
+        d = lcm(*(c.denominator for c in data.values()))
+        _init(self, basis, {k: c.numerator * (d // c.denominator)
+                            for k, c in data.items()}, d)
 
     @classmethod
-    def _trusted(cls, basis, terms):
-        """Build from a fresh dict of canonical partition -> nonzero
-        Fraction, which is kept as it is.  For internal code whose keys come
-        from other SymFuncs or the memo tables and whose zeros are already
-        dropped."""
+    def _trusted(cls, basis, num, d=1):
+        """Build from a fresh dict of canonical partition -> nonzero int
+        numerator, over any common denominator d > 0; the dict is kept, and
+        divided through only when d and the numerators share a factor.  For
+        internal code whose keys come from other SymFuncs or the memo tables
+        and whose zeros are already dropped."""
+        if d != 1:
+            g = gcd(d, *num.values())
+            if g != 1:
+                d //= g
+                num = {k: n // g for k, n in num.items()}
         self = object.__new__(cls)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "terms", terms)
+        _init(self, basis, num, d)
         return self
 
     def __setattr__(self, name, value):
         raise AttributeError("SymFunc is immutable")
 
+    @property
+    def terms(self):
+        """Read-only mapping partition -> nonzero Fraction coefficient."""
+        terms = self._terms
+        if terms is None:
+            d = self._d
+            terms = MappingProxyType({k: Fraction(n, d) for k, n in self._num.items()})
+            object.__setattr__(self, "_terms", terms)
+        return terms
+
     def is_zero(self):
-        return not self.terms
+        return not self._num
 
     def degrees(self):
-        return sorted({sum(k) for k in self.terms})
+        return sorted({sum(k) for k in self._num})
 
     def max_degree(self):
-        return max((sum(k) for k in self.terms), default=0)
+        return max((sum(k) for k in self._num), default=0)
 
     def min_degree(self):
-        return min((sum(k) for k in self.terms), default=0)
+        return min((sum(k) for k in self._num), default=0)
 
     def homogeneous_component(self, n):
         return SymFunc._trusted(
-            self.basis, {k: v for k, v in self.terms.items() if sum(k) == n}
+            self.basis, {k: c for k, c in self._num.items() if sum(k) == n}, self._d
         )
 
     def coeff(self, parts):
@@ -110,9 +134,9 @@ class SymFunc:
     def __eq__(self, other):
         if not isinstance(other, SymFunc):
             return NotImplemented
-        if self.basis == other.basis:
-            return self.terms == other.terms
-        return to_basis(self, "s").terms == to_basis(other, "s").terms
+        if self.basis != other.basis:
+            self, other = to_basis(self, "s"), to_basis(other, "s")
+        return self._d == other._d and self._num == other._num
 
     __hash__ = None
 
@@ -123,26 +147,47 @@ class SymFunc:
         return f"<SymFunc {render(self)}>"
 
 
+def _init(f, basis, num, d):
+    """Fill the slots of a new SymFunc, bypassing its __setattr__."""
+    setattr_ = object.__setattr__
+    setattr_(f, "basis", basis)
+    setattr_(f, "_num", num)
+    setattr_(f, "_d", d)
+    setattr_(f, "_terms", None)
+
+
+def _ratio(c):
+    """The rational c (an int, a Fraction, or anything Fraction accepts)
+    as (numerator, denominator) in lowest terms, denominator > 0."""
+    if isinstance(c, (int, Fraction)):
+        return c.as_integer_ratio()
+    return Fraction(c).as_integer_ratio()
+
+
 def _as_parts(parts):
     if isinstance(parts, int):
         return (parts,) if parts else ()
     return tuple(parts)
 
 
+def _basis_element(basis, parts):
+    return SymFunc._trusted(basis, {pt.make_partition(_as_parts(parts)): 1})
+
+
 def schur(parts=()):
-    return SymFunc("s", [(_as_parts(parts), 1)])
+    return _basis_element("s", parts)
 
 
 def h(parts):
-    return SymFunc("h", [(_as_parts(parts), 1)])
+    return _basis_element("h", parts)
 
 
 def e(parts):
-    return SymFunc("e", [(_as_parts(parts), 1)])
+    return _basis_element("e", parts)
 
 
 def p(parts):
-    return SymFunc("p", [(_as_parts(parts), 1)])
+    return _basis_element("p", parts)
 
 
 def one():
@@ -157,17 +202,20 @@ def add(f, g):
     """Sum; operands in different bases are converted to Schur first."""
     if f.basis != g.basis:
         f, g = to_basis(f, "s"), to_basis(g, "s")
-    data = dict(f.terms)
-    for k, v in g.terms.items():
-        data[k] = data.get(k, Fraction(0)) + v
-    return SymFunc._trusted(f.basis, {k: v for k, v in data.items() if v})
+    d = lcm(f._d, g._d)
+    out = {}
+    _add_into(out, f._num.items(), d // f._d)
+    _add_into(out, g._num.items(), d // g._d)
+    return _from_ints(f.basis, out, d)
 
 
 def scale(c, f):
-    c = Fraction(c)
-    if not c:
-        return zero(f.basis)
-    return SymFunc._trusted(f.basis, {k: c * v for k, v in f.terms.items()})
+    cn, cd = _ratio(c)
+    if not cn:
+        return SymFunc._trusted(f.basis, {})
+    return SymFunc._trusted(
+        f.basis, {k: cn * n for k, n in f._num.items()}, cd * f._d
+    )
 
 
 def linear_combination(terms):
@@ -175,34 +223,23 @@ def linear_combination(terms):
     one dict; f may be in any basis."""
     out, d = {}, 1
     for c, f in terms:
-        cn, cd = Fraction(c).as_integer_ratio()
-        df, pairs = _int_terms(to_basis(f, "s").terms)
-        q = cd * df
+        cn, cd = _ratio(c)
+        fs = to_basis(f, "s")
+        q = cd * fs._d
         if d % q:
             # a new denominator: put the running sum over lcm(d, q)
             m = q // gcd(d, q)
             for k in out:
                 out[k] *= m
             d *= m
-        _add_into(out, pairs, cn * (d // q))
-    return SymFunc._trusted("s", _frac_terms(out, d))
+        _add_into(out, fs._num.items(), cn * (d // q))
+    return _from_ints("s", out, d)
 
 
-def _int_terms(terms):
-    """(d, pairs): the coefficients of a terms dict as integers over their
-    least common denominator d, so that terms[k] == n / d for (k, n) in
-    pairs."""
-    d, ratios = 1, []
-    for k, c in terms.items():
-        n, q = c.as_integer_ratio()
-        d = lcm(d, q)
-        ratios.append((k, n, q))
-    return d, [(k, n * (d // q)) for k, n, q in ratios]
-
-
-def _frac_terms(out, d):
-    """The nonzero out[k] / d as Fractions, for an integer dict out."""
-    return {k: Fraction(n, d) for k, n in out.items() if n}
+def _from_ints(basis, out, d=1):
+    """The SymFunc with coefficients out[k] / d, for an integer dict out
+    that may hold zeros."""
+    return SymFunc._trusted(basis, {k: n for k, n in out.items() if n}, d)
 
 
 def _add_into(out, pairs, c):
@@ -228,13 +265,12 @@ def _union_product(*factors):
 def _bilinear(f, g, table):
     """Schur sum of a * b * table(lam, mu) over the terms a s_lam of f and
     b s_mu of g."""
-    da, fa = _int_terms(f.terms)
-    db, gb = _int_terms(g.terms)
     out = {}
-    for lam, a in fa:
+    gb = g._num.items()
+    for lam, a in f._num.items():
         for mu, b in gb:
             _add_into(out, table(lam, mu), a * b)
-    return SymFunc._trusted("s", _frac_terms(out, da * db))
+    return _from_ints("s", out, f._d * g._d)
 
 
 # ---------------------------------------------------------------------------
@@ -349,29 +385,35 @@ def _he_to_p(basis, lam):
     )
 
 
-def _to_p_dict(f):
-    """Expansion of f in the p basis, as a dict partition -> Fraction."""
+def _to_p(f):
+    """f in the p basis.  The coefficient of p_rho is a sum of terms over
+    z_rho (from s) or over |rho|! (from h and e); both divide N! for the
+    top degree N of f, so the numerators are put over d * N!."""
     if f.basis == "p":
-        return dict(f.terms)
-    d, pairs = _int_terms(f.terms)
+        return f
+    n_fact = factorial(f.max_degree())
     out = {}
     if f.basis == "s":
-        for lam, c in pairs:
+        for lam, c in f._num.items():
             _add_into(out, _schur_to_p(lam), c)
-        return {rho: Fraction(c, d * pt.z_factor(rho))
-                for rho, c in out.items() if c}
-    for lam, c in pairs:
+        return _from_ints(
+            "p", {rho: c * (n_fact // pt.z_factor(rho)) for rho, c in out.items()},
+            f._d * n_fact,
+        )
+    for lam, c in f._num.items():
         _add_into(out, _he_to_p(f.basis, lam), c)
-    return {rho: Fraction(c, d * factorial(sum(rho)))
-            for rho, c in out.items() if c}
+    return _from_ints(
+        "p", {rho: c * (n_fact // factorial(sum(rho))) for rho, c in out.items()},
+        f._d * n_fact,
+    )
 
 
-def _p_dict_to_schur(terms):
-    d, pairs = _int_terms(terms)
+def _p_to_s(num, d):
+    """The Schur expansion of sum_rho num[rho] / d p_rho."""
     out = {}
-    for rho, c in pairs:
+    for rho, c in num.items():
         _add_into(out, _p_to_schur(rho), c)
-    return SymFunc._trusted("s", _frac_terms(out, d))
+    return _from_ints("s", out, d)
 
 
 @cache
@@ -418,16 +460,19 @@ def to_basis(f, target):
     if f.basis == target:
         return f
     if target == "p":
-        return SymFunc._trusted("p", _to_p_dict(f))
-    fs = f if f.basis == "s" else _p_dict_to_schur(_to_p_dict(f))
+        return _to_p(f)
+    if f.basis == "s":
+        fs = f
+    else:
+        fp = _to_p(f)
+        fs = _p_to_s(fp._num, fp._d)
     if target == "s":
         return fs
     table = _schur_to_h if target == "h" else _schur_to_e
-    d, pairs = _int_terms(fs.terms)
     out = {}
-    for lam, c in pairs:
+    for lam, c in fs._num.items():
         _add_into(out, table(lam), c)
-    return SymFunc._trusted(target, _frac_terms(out, d))
+    return _from_ints(target, out, fs._d)
 
 
 def mul(f, g):
@@ -437,24 +482,24 @@ def mul(f, g):
         return mul(to_basis(f, "s"), to_basis(g, "s"))
     if f.basis == "s":
         return _bilinear(f, g, _schur_mul_terms)
-    da, fa = _int_terms(f.terms)
-    db, gb = _int_terms(g.terms)
-    return SymFunc._trusted(f.basis, _frac_terms(_union_product(fa, gb), da * db))
+    return _from_ints(
+        f.basis, _union_product(f._num.items(), g._num.items()), f._d * g._d
+    )
 
 
 def hall_inner(f, g):
     """Hall inner product; Schur functions are orthonormal, <p_lam, p_mu> =
     z_lam delta."""
-    a = _to_p_dict(f)
-    b = _to_p_dict(g)
-    if len(b) < len(a):
+    a, b = _to_p(f), _to_p(g)
+    if len(b._num) < len(a._num):
         a, b = b, a
-    total = Fraction(0)
-    for rho, ca in a.items():
-        cb = b.get(rho)
+    bn = b._num
+    total = 0
+    for rho, ca in a._num.items():
+        cb = bn.get(rho)
         if cb is not None:
             total += ca * cb * pt.z_factor(rho)
-    return total
+    return Fraction(total, a._d * b._d)
 
 
 def kronecker(f, g):
@@ -483,9 +528,7 @@ def skew_schur(shape, inner=None):
     else:
         outer = pt.make_partition(shape)
         inner = pt.make_partition(inner if inner is not None else ())
-    return SymFunc._trusted(
-        "s", {nu: Fraction(c) for nu, c in _schur_skew_terms(outer, inner)}
-    )
+    return SymFunc._trusted("s", dict(_schur_skew_terms(outer, inner)))
 
 
 class SignedSchur(NamedTuple):
@@ -522,18 +565,18 @@ def jacobi_trudi_func(seq):
     sg, shape = jacobi_trudi(seq)
     if sg == 0:
         return zero()
-    return SymFunc("s", [(shape, sg)])
+    return SymFunc._trusted("s", {shape: sg})
 
 
 def shift_minus_one(f):
     """The substitution f[X-1]: expand in the p basis and send every p_k to
     p_k - 1.  The result is inhomogeneous of degree <= deg f."""
-    d, pairs = _int_terms(_to_p_dict(f))
+    fp = _to_p(f)
     out = {}
-    for rho, c in pairs:
+    for rho, c in fp._num.items():
         minus_one = [(((k,), 1), ((), -1)) for k in rho]
         _add_into(out, _union_product(*minus_one).items(), c)
-    return _p_dict_to_schur(_frac_terms(out, d))
+    return _p_to_s(out, fp._d)
 
 
 def gamma1_component(f, n):

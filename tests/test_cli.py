@@ -234,6 +234,39 @@ def test_power_degree_limit(capsys):
     capsys.readouterr()
 
 
+def test_product_work_limit(capsys, monkeypatch):
+    # every rejected input is refused before its product is multiplied out
+    start = time.monotonic()
+    assert cli.main(["expand", "s[1]^10*s[1]^10"]) == 2
+    assert cli.main(["expand", "s[500]*s[500]"]) == 2
+    assert time.monotonic() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"symop: error: product of 42 by 42 terms at degree 20 exceeds the "
+        f"work limit {cli.MAX_PRODUCT_WORK}",
+        f"symop: error: product of 1 by 1 terms at degree 1000 exceeds the "
+        f"work limit {cli.MAX_PRODUCT_WORK}",
+    ]
+    # s[15]*s[10] is 1 * 1 * p(25) = 1,958 units of work
+    monkeypatch.setattr(cli, "MAX_PRODUCT_WORK", 1958)
+    assert cli.main(["expand", "s[15]*s[10]"]) == 0
+    assert cli.main(["expand", "(s[2,1]-s[2,1])*s[1]^6"]) == 0
+    monkeypatch.setattr(cli, "MAX_PRODUCT_WORK", 1957)
+    assert cli.main(["expand", "s[15]*s[10]"]) == 2
+    capsys.readouterr()
+
+
+def test_partition_count():
+    for n in range(30):
+        assert cli._partition_count(n, 10**9) == len(pt.partitions_of(n))
+    assert cli._partition_count(100, 10**30) == 190569292
+    # past the cap the count stops early, however large n is
+    assert cli._partition_count(10**9, 1000) == 1001
+    assert cli._partition_count(12, 77) == 77
+    assert cli._partition_count(12, 76) == 77
+
+
 def test_power_matches_product_through_p_basis(capsys):
     assert cli.main(["expand", "(s[2,1]+s[3])^4"]) == 0
     base = sf.to_basis(sf.add(sf.schur((2, 1)), sf.schur((3,))), "p")

@@ -95,3 +95,14 @@ def test_stacked_rank_matches_dense_reference(exprs, n):
         [x for row in op.matrix_of(e, n, cod).entries for x in row] for e in exprs
     ]
     assert op.stacked_rank(exprs, n) == _fraction_rank(vectors)
+
+
+@PROPERTY
+@given(sums(max_degree=3), sums(max_degree=4), st.integers(0, 1))
+def test_kb_three_routes_agree(f, g, extra):
+    # straightening, the vertex operator sigma[X] f[X-1], and the expansion
+    # in U and D, which is exact on inputs of degree <= m
+    m = g.max_degree() + extra
+    want = op.apply_KB(f, g)
+    assert op.kb_via_gamma(f, g) == want
+    assert op.kb_as_UD(f, m).apply(g) == want

@@ -1,5 +1,8 @@
+import hashlib
 import itertools
+import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -355,10 +358,15 @@ def test_homogeneous_components():
 
 
 def _assert_canonical(f):
-    """The invariants the public constructor establishes."""
+    """The invariants the public constructor establishes: canonical keys,
+    nonzero int numerators over the least denominator, and a terms view
+    that agrees with them."""
     for k, c in f.terms.items():
         assert type(k) is tuple and k == pt.make_partition(k)
         assert type(c) is Fraction and c != 0
+        assert type(f._num[k]) is int and c == Fraction(f._num[k], f._d)
+    assert f.terms.keys() == f._num.keys()
+    assert f._d > 0 and math.gcd(f._d, *f._num.values()) == 1
     assert sf.SymFunc(f.basis, f.terms).terms == f.terms
 
 
@@ -393,6 +401,48 @@ def test_internal_results_keep_public_invariants():
     _assert_canonical(sf.scale(0, mixed))
 
 
+def test_terms_is_a_read_only_view():
+    f = sf.SymFunc("s", {(2, 1): Fraction(1, 2), (3,): 1})
+    with pytest.raises(TypeError):
+        f.terms[(2, 1)] = 1
+    with pytest.raises(TypeError):
+        f.terms[(1,)] = 1
+    with pytest.raises(AttributeError):
+        f.terms = {}
+    assert f.terms == {(2, 1): Fraction(1, 2), (3,): 1}
+    assert f.terms is f.terms
+
+
+def test_one_least_denominator():
+    f = sf.SymFunc._trusted("s", {(2,): 2, (1, 1): 4}, 6)
+    assert f._d == 3 and f._num == {(2,): 1, (1, 1): 2}
+    assert f == sf.SymFunc("s", {(2,): Fraction(1, 3), (1, 1): Fraction(2, 3)})
+    _assert_canonical(f)
+    public = sf.SymFunc("s", {(2,): Fraction(1, 4), (1,): Fraction(5, 6), (): 3})
+    assert public._d == 12 and public._num == {(2,): 3, (1,): 10, (): 36}
+    _assert_canonical(public)
+    # zero, and sums that cancel, sit over 1
+    assert sf.zero()._d == 1 and sf.zero("p")._d == 1
+    assert sf.SymFunc("h", {(1,): Fraction(1, 2), (2,): 0})._d == 2
+    half = sf.scale(Fraction(1, 2), sf.schur((2, 1)))
+    cancelled = sf.add(half, sf.scale(Fraction(-1, 2), sf.schur((2, 1))))
+    assert cancelled.is_zero() and cancelled._d == 1
+    # halves that add up to integers drop the denominator
+    whole = sf.add(half, half)
+    assert whole._d == 1 and whole == sf.schur((2, 1))
+    assert sf.scale(0, public)._d == 1
+    assert sf.linear_combination([(Fraction(1, 3), public), (Fraction(-1, 3), public)])._d == 1
+
+
+def test_equality_across_bases():
+    f = sf.SymFunc("p", {(1, 1): Fraction(1, 2), (2,): Fraction(-1, 2), (3,): Fraction(2, 3)})
+    in_s = sf.to_basis(f, "s")
+    assert f == in_s and in_s == f
+    assert f != sf.add(in_s, sf.schur((1,)))
+    for basis in "he":
+        assert sf.to_basis(f, basis) == f
+
+
 def test_public_constructors_still_validate():
     for terms in ({(1, 2): 1}, {(2, -1): 1}, {(2.5,): 1}):
         with pytest.raises(ValueError):
@@ -410,3 +460,42 @@ def test_public_constructors_still_validate():
     # the public constructor still sums repeated keys and drops zeros
     f = sf.SymFunc("s", [((2, 1, 0), 1), ((2, 1), 1), ((1,), 0)])
     assert f.terms == {(2, 1): 2}
+
+
+def _digest_pairs(count, seed):
+    """`count` seeded pairs of SymFuncs in random bases: up to three terms
+    of degree <= 4 with small rational coefficients."""
+    rng = random.Random(seed)
+    parts = pt.partitions_upto(4)
+
+    def operand():
+        terms = {
+            rng.choice(parts): Fraction(rng.randrange(1, 7) * rng.choice((-1, 1)),
+                                        rng.choice((1, 1, 2, 3, 4, 6)))
+            for _ in range(rng.randrange(1, 4))
+        }
+        return sf.SymFunc(rng.choice(sf.BASES), terms)
+
+    return [(operand(), operand(), Fraction(rng.randrange(-5, 6), rng.randrange(1, 5)))
+            for _ in range(count)]
+
+
+def test_mixed_basis_outputs_pinned():
+    # every byte that to_json and render print, and every hall_inner and ==
+    # result, on seeded rational operands in all four bases
+    digest = hashlib.sha256()
+    for f, g, c in _digest_pairs(150, 2015):
+        outs = [
+            sf.mul(f, g), sf.kronecker(f, g), sf.skew(f, g), sf.add(f, g),
+            sf.scale(c, f), sf.linear_combination([(c, f), (1, g), (-c, f)]),
+            sf.shift_minus_one(f),
+        ] + [sf.to_basis(f, b) for b in sf.BASES]
+        for out in outs:
+            digest.update(json.dumps(sf.to_json(out)).encode())
+            digest.update(f"\n{sf.render(out)}\n".encode())
+        digest.update(
+            f"{sf.hall_inner(f, g)} {f == g} {sf.to_basis(f, 'h') == f}\n".encode()
+        )
+    assert digest.hexdigest() == (
+        "a60e2deb74d17c38bb72b4c78055f562609da01d313f4643091a8fa347902d4f"
+    )
