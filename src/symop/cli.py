@@ -6,7 +6,9 @@ schema."""
 import argparse
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
+from math import isqrt
 
 from . import coeffs
 from . import identities as idn
@@ -310,6 +312,41 @@ def _check_product_work(f, g):
         )
 
 
+# Most work a Kronecker product kron(f, g) may take, in units of one pair of
+# Schur terms of equal degree n times p(n)^2, p(n) the number of partitions
+# of n: each pair runs over a character table row of p(n) classes, and each
+# class adds up to p(n) Schur terms.  Building the character table of
+# degree n costs about as much as _KRON_TABLE_PAIRS pairs, so each degree
+# with a pair counts that many more.  On a 2-core machine a unit costs
+# about 0.1 us: kron(s[1]^11,s[1]^11) (10.3M units) takes 1.1 s,
+# kron(s[9,9],s[9,9]) (22.4M) 1.9 s, kron(s[1]^12,s[1]^12) (36.0M) 3.1 s
+# and kron(s[10,10],s[10,10]) (59.4M) 5.7 s.
+MAX_KRON_WORK = 25_000_000
+_KRON_TABLE_PAIRS = 150
+
+
+def _check_kron_work(f, g):
+    """Refuse a Kronecker product whose estimated work exceeds
+    MAX_KRON_WORK, before any of it is done."""
+    g_degrees = Counter(sum(mu) for mu in g.terms)
+    pairs = Counter()
+    for lam in f.terms:
+        n = sum(lam)
+        pairs[n] += g_degrees[n]
+    work = 0
+    for n, count in pairs.items():
+        if not count:
+            continue
+        weight = count + _KRON_TABLE_PAIRS
+        classes = _partition_count(n, isqrt(MAX_KRON_WORK // weight))
+        work += weight * classes * classes
+        if work > MAX_KRON_WORK:
+            raise ValueError(
+                f"Kronecker product of {len(f.terms)} by {len(g.terms)} terms "
+                f"exceeds the work limit {MAX_KRON_WORK}"
+            )
+
+
 def evaluate(node):
     """Evaluate a parse tree to a SymFunc in the Schur basis."""
     kind = node[0]
@@ -341,7 +378,9 @@ def evaluate(node):
             out = sf.mul(out, base)
         return out
     if kind == "kron":
-        return sf.kronecker(evaluate(node[1]), evaluate(node[2]))
+        f, g = evaluate(node[1]), evaluate(node[2])
+        _check_kron_work(f, g)
+        return sf.kronecker(f, g)
     raise ValueError(f"bad node {node!r}")
 
 
@@ -379,6 +418,7 @@ def _cmd_expand(args):
 def _cmd_kron(args):
     f = evaluate_text(args.left)
     g = evaluate_text(args.right)
+    _check_kron_work(f, g)
     _emit_symfunc(args, sf.kronecker(f, g))
     return 0
 

@@ -129,11 +129,17 @@ def addable_cells(lam):
 
 
 def is_corner(lam, cell):
-    return cell in corners(lam)
+    """True iff cell is in corners(lam), tested in constant time."""
+    r, c = cell
+    return 0 <= r < len(lam) and c == lam[r] - 1 and lam[r] > part_at(lam, r + 1)
 
 
 def is_addable(lam, cell):
-    return cell in addable_cells(lam)
+    """True iff cell is in addable_cells(lam), tested in constant time."""
+    r, c = cell
+    if r == len(lam):
+        return c == 0
+    return 0 <= r < len(lam) and c == lam[r] and (r == 0 or lam[r - 1] > lam[r])
 
 
 def remove_cell(lam, cell):
@@ -141,7 +147,7 @@ def remove_cell(lam, cell):
     if not is_corner(lam, cell):
         raise ValueError(f"{cell} is not a corner of {lam}")
     new = list(lam)
-    new[cell.row] -= 1
+    new[cell[0]] -= 1
     return tuple(x for x in new if x)
 
 
@@ -150,7 +156,7 @@ def add_cell(lam, cell):
     if not is_addable(lam, cell):
         raise ValueError(f"{cell} is not addable to {lam}")
     new = list(lam) + [0]
-    new[cell.row] += 1
+    new[cell[0]] += 1
     return tuple(x for x in new if x)
 
 

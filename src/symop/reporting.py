@@ -4,6 +4,18 @@ from dataclasses import dataclass, field
 from typing import Any
 
 
+def _json_value(x):
+    """x as JSON data: tuples and lists become lists, dicts get str keys,
+    and a Fraction or any other non-JSON value becomes its string."""
+    if isinstance(x, dict):
+        return {str(k): _json_value(v) for k, v in x.items()}
+    if isinstance(x, (tuple, list)):
+        return [_json_value(v) for v in x]
+    if x is None or isinstance(x, (str, int, float)):
+        return x
+    return str(x)
+
+
 @dataclass
 class Failure:
     """One concrete counterexample: the parameters and both sides."""
@@ -51,7 +63,7 @@ class VerificationReport:
     def to_json(self):
         return {
             "identity": self.identity,
-            "params": str(self.params),
+            "params": _json_value(self.params),
             "instances": self.instances,
             "passed": self.passed,
             "failures": [f.describe() for f in self.failures],

@@ -6,9 +6,15 @@ weakly increasing left to right and columns strictly increasing bottom to
 top.  An ASSYT (anti-semistandard tableau) has rows strictly decreasing and
 columns weakly decreasing going up; equivalently, transposing and rotating
 by 180 degrees turns it into an SSYT.
+
+Every SSYT and ASSYT is validated when it is built, in O(cells): each key
+must be an integer cell of the shape, there must be as many keys as
+cells, every entry must be a positive integer, and each cell is compared
+with its right and upper neighbours.
 """
 
 from collections import Counter
+from functools import cache
 
 from . import partitions as pt
 from . import symfunc as sf
@@ -18,12 +24,25 @@ from .reporting import Failure, VerificationReport
 
 def _checked_entries(shape, entries):
     """Entries keyed by Cell, after checking that they are positive
-    integers covering the shape exactly."""
-    out = {
-        Cell(*c): v if type(v) is int else pt._as_integer(v)
-        for c, v in entries.items()
-    }
-    if set(out) != set(shape.cells()):
+    integers covering the shape exactly.
+
+    Every key must be a cell of the shape with int coordinates, and there
+    must be as many keys as cells; distinct keys then cover the shape.
+    """
+    outer, inner = shape.outer, shape.inner
+    nrows, ninner = len(outer), len(inner)
+    out = {}
+    for c, v in entries.items():
+        if type(c) is not Cell:
+            c = Cell(*c)
+        r, col = c
+        if not (
+            type(r) is int and type(col) is int and 0 <= r < nrows
+            and (inner[r] if r < ninner else 0) <= col < outer[r]
+        ):
+            raise ValueError("entries do not cover the shape exactly")
+        out[c] = v if type(v) is int else pt._as_integer(v)
+    if len(out) != shape.size:
         raise ValueError("entries do not cover the shape exactly")
     for cell, v in out.items():
         if v < 1:
@@ -38,11 +57,13 @@ class SSYT:
 
     def __init__(self, shape, entries):
         entries = _checked_entries(shape, entries)
+        get = entries.get
         for cell, v in entries.items():
-            right = entries.get(Cell(cell.row, cell.col + 1))
+            r, c = cell
+            right = get((r, c + 1))
             if right is not None and v > right:
                 raise ValueError(f"row not weakly increasing at {cell}")
-            above = entries.get(Cell(cell.row + 1, cell.col))
+            above = get((r + 1, c))
             if above is not None and v >= above:
                 raise ValueError(f"column not strictly increasing at {cell}")
         object.__setattr__(self, "shape", shape)
@@ -94,11 +115,13 @@ class ASSYT:
 
     def __init__(self, shape, entries):
         entries = _checked_entries(shape, entries)
+        get = entries.get
         for cell, v in entries.items():
-            right = entries.get(Cell(cell.row, cell.col + 1))
+            r, c = cell
+            right = get((r, c + 1))
             if right is not None and v <= right:
                 raise ValueError(f"row not strictly decreasing at {cell}")
-            above = entries.get(Cell(cell.row + 1, cell.col))
+            above = get((r + 1, c))
             if above is not None and v < above:
                 raise ValueError(f"column not weakly decreasing at {cell}")
         object.__setattr__(self, "shape", shape)
@@ -133,23 +156,27 @@ class ASSYT:
         return f"<ASSYT {self.shape} {sorted(self.entries.items())}>"
 
 
+# Cells are interned, so all reading orders share one Cell per position.
+_cell = cache(Cell)
+
+
 def _ssyt_reading_cells(shape):
     """Rows bottom to top, right to left within each row."""
     cells = []
     for r in range(len(shape.outer)):
         lo = pt.part_at(shape.inner, r)
-        cells.extend(Cell(r, c) for c in range(shape.outer[r] - 1, lo - 1, -1))
+        cells.extend(_cell(r, c) for c in range(shape.outer[r] - 1, lo - 1, -1))
     return cells
 
 
 def _assyt_reading_cells(shape):
     """Columns right to left, reading up (bottom to top) each column."""
     by_col = {}
-    for cell in shape.cells():
-        by_col.setdefault(cell.col, []).append(cell.row)
+    for r, c in shape.cells():
+        by_col.setdefault(c, []).append(r)
     cells = []
     for c in sorted(by_col, reverse=True):
-        cells.extend(Cell(r, c) for r in sorted(by_col[c]))
+        cells.extend(_cell(r, c) for r in sorted(by_col[c]))
     return cells
 
 
@@ -223,27 +250,26 @@ def _fill(shape, cells, is_ssyt, content=None, max_entry=None, budget=None,
         nvals = max_entry
     counts = dict(init_counts) if init_counts is not None else None
     entries = {}
+    ncells = len(cells)
 
     def rec(k):
-        if k == len(cells):
+        if k == ncells:
             yield dict(entries)
             return
         cell = cells[k]
-        right = entries.get(Cell(cell.row, cell.col + 1))
-        below = entries.get(Cell(cell.row - 1, cell.col))
-        for v in range(1, nvals + 1):
+        r, c = cell
+        right = entries.get((r, c + 1))
+        below = entries.get((r - 1, c))
+        # the row and column conditions bound v to the range lo..hi
+        if is_ssyt:
+            lo = 1 if below is None else below + 1
+            hi = nvals if right is None else min(right, nvals)
+        else:
+            lo = 1 if right is None else right + 1
+            hi = nvals if below is None else min(below, nvals)
+        for v in range(lo, hi + 1):
             if remaining is not None and remaining[v - 1] == 0:
                 continue
-            if is_ssyt:
-                if right is not None and v > right:
-                    continue
-                if below is not None and v <= below:
-                    continue
-            else:
-                if right is not None and v <= right:
-                    continue
-                if below is not None and v > below:
-                    continue
             if counts is not None:
                 if v > 1 and counts.get(v, 0) + 1 > counts.get(v - 1, 0):
                     continue
@@ -355,7 +381,7 @@ def jdt_slide(t, hole):
     that preserves semistandardness and makes forward and reverse slides
     mutually inverse.
     """
-    hole = Cell(*hole)
+    hole = Cell(*map(pt._as_integer, hole))
     if pt.is_corner(t.shape.inner, hole):
         return _jdt_forward(t, hole)
     if pt.is_addable(t.shape.outer, hole):
@@ -367,8 +393,8 @@ def _jdt_forward(t, hole):
     entries = dict(t.entries)
     cur = hole
     while True:
-        right = Cell(cur.row, cur.col + 1)
-        above = Cell(cur.row + 1, cur.col)
+        r, c = cur
+        right, above = (r, c + 1), (r + 1, c)
         has_r, has_a = right in entries, above in entries
         if not (has_r or has_a):
             break
@@ -383,15 +409,15 @@ def _jdt_forward(t, hole):
     shape = SkewShape(
         pt.remove_cell(t.shape.outer, cur), pt.remove_cell(t.shape.inner, hole)
     )
-    return SSYT(shape, entries), cur
+    return SSYT(shape, entries), Cell(*cur)
 
 
 def _jdt_reverse(t, hole):
     entries = dict(t.entries)
     cur = hole
     while True:
-        left = Cell(cur.row, cur.col - 1)
-        below = Cell(cur.row - 1, cur.col)
+        r, c = cur
+        left, below = (r, c - 1), (r - 1, c)
         has_l, has_b = left in entries, below in entries
         if not (has_l or has_b):
             break
@@ -406,7 +432,7 @@ def _jdt_reverse(t, hole):
     shape = SkewShape(
         pt.add_cell(t.shape.outer, hole), pt.add_cell(t.shape.inner, cur)
     )
-    return SSYT(shape, entries), cur
+    return SSYT(shape, entries), Cell(*cur)
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +488,7 @@ def skew_lr_pairs(a, b):
             continue
         sign = -1 if size1 % 2 else 1
         cells1 = _assyt_reading_cells(shape1)
+        growths = _growths(gamma, sum(gamma) + total - size1)
         for d1 in _fill(shape1, cells1, False, budget=target,
                         init_counts=init_counts):
             t1 = ASSYT(shape1, d1)
@@ -470,15 +497,23 @@ def skew_lr_pairs(a, b):
             counts1 = dict(init_counts)
             for v, m in used.items():
                 counts1[v] = counts1.get(v, 0) + m
-            for gamma_plus in pt.partitions_of(sum(gamma) + total - size1):
-                if not pt.contains(gamma, gamma_plus):
-                    continue
-                shape2 = SkewShape._trusted(gamma_plus, gamma)
+            for gamma_plus, shape2, cells2 in growths:
                 shape = SkewShape._trusted(gamma_plus, beta_minus)
-                cells2 = _ssyt_reading_cells(shape2)
                 for d2 in _fill(shape2, cells2, True, content=remaining,
                                 init_counts=counts1):
                     yield sign, t1, SSYT(shape2, d2), shape
+
+
+@cache
+def _growths(gamma, n):
+    """(gamma_plus, gamma_plus/gamma, its SSYT reading order) for every
+    gamma_plus of size n containing gamma, in partitions_of order."""
+    out = []
+    for gamma_plus in pt.partitions_of(n):
+        if pt.contains(gamma, gamma_plus):
+            shape2 = SkewShape._trusted(gamma_plus, gamma)
+            out.append((gamma_plus, shape2, tuple(_ssyt_reading_cells(shape2))))
+    return tuple(out)
 
 
 def skew_lr_terms(a, b):

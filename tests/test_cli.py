@@ -167,6 +167,17 @@ def test_cmd_skewlr(capsys):
     assert cli.main(["skewlr", "1/0", "2,1/1", "--terms"]) == 0
     out = capsys.readouterr().out
     assert "- sk[2,1/0]" in out and "+ sk[3,1/1]" in out
+    # digests of the exact bytes printed before the tableau enumeration
+    # was sped up
+    want = {
+        "text": "7899fd394191071c809efbd8d506c20df9c550d67b9f8fc0a6c75a2dcee5c21a",
+        "json": "38c6a8cfda7d949b79e0c5fa0bab88d3c58b2aea2b38d2d974236f41705ce890",
+    }
+    for fmt, digest in want.items():
+        assert cli.main(["skewlr", "3,2,1/1", "3,1/1", "--terms",
+                         "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cmd_skewpieri(capsys):
@@ -254,6 +265,33 @@ def test_product_work_limit(capsys, monkeypatch):
     assert cli.main(["expand", "(s[2,1]-s[2,1])*s[1]^6"]) == 0
     monkeypatch.setattr(cli, "MAX_PRODUCT_WORK", 1957)
     assert cli.main(["expand", "s[15]*s[10]"]) == 2
+    capsys.readouterr()
+
+
+def test_kron_work_limit(capsys, monkeypatch):
+    # every rejected input is refused before its product is computed
+    start = time.monotonic()
+    assert cli.main(["expand", "kron(s[1]^16,s[1]^16)"]) == 2
+    assert cli.main(["kron", "s[500]", "s[500]"]) == 2
+    assert time.monotonic() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"symop: error: Kronecker product of 231 by 231 terms exceeds the "
+        f"work limit {cli.MAX_KRON_WORK}",
+        f"symop: error: Kronecker product of 1 by 1 terms exceeds the "
+        f"work limit {cli.MAX_KRON_WORK}",
+    ]
+    # one pair at degree 3 is (1 + 150) * p(3)^2 = 1,359 units of work;
+    # terms of unequal degree annihilate and add none
+    monkeypatch.setattr(cli, "MAX_KRON_WORK", 1359)
+    assert cli.main(["expand", "kron(s[3]+s[1],s[2,1]+s[2])"]) == 0
+    assert capsys.readouterr().out.strip() == "s[2,1]"
+    assert cli.main(["kron", "s[3]+s[1]", "s[2,1]+s[2]"]) == 0
+    assert cli.main(["expand", "kron(s[5],s[4])"]) == 0
+    monkeypatch.setattr(cli, "MAX_KRON_WORK", 1358)
+    assert cli.main(["expand", "kron(s[3],s[2,1])"]) == 2
+    assert cli.main(["kron", "s[3]", "s[2,1]"]) == 2
     capsys.readouterr()
 
 

@@ -1,8 +1,11 @@
+import json
+from fractions import Fraction
+
 import pytest
 
 from symop import coeffs, identities as idn, operators as op, partitions as pt
 from symop import symfunc as sf
-from symop.reporting import Failure
+from symop.reporting import Failure, VerificationReport
 
 
 def test_verify_instance_basic():
@@ -179,3 +182,13 @@ def test_report_json_shape():
     assert blob["identity"] == "kb1"
     assert blob["passed"] is True
     assert blob["failures"] == []
+    # params are JSON values: tuples become lists, Fractions strings
+    report = idn.verify_instance("skew_corners", {"alpha": (2, 1), "theta": (1,)})
+    params = json.loads(json.dumps(report.to_json()))["params"]
+    assert params == {"alpha": [2, 1], "theta": [1]}
+    assert {k: tuple(v) for k, v in params.items()} == report.params
+    blob = VerificationReport("x", {"c": Fraction(-1, 2), "lam": ((2, 1), ())}, 0)
+    assert blob.to_json()["params"] == {"c": "-1/2", "lam": [[2, 1], []]}
+    # suite reports keep their text params
+    suite = idn.run_suite(idn.Bounds(1, 1), ["kb1"])[0]
+    assert suite.to_json()["params"] == "bounds max_ab=1 max_g=1"

@@ -178,6 +178,20 @@ def test_vertical_strips():
         assert all(d in (0, 1) for d in drops) and sum(drops) == 2
 
 
+def test_corner_predicates_match_the_lists():
+    # every cell of the diagram's bounding box grown by one on each side,
+    # negative rows and columns included
+    for lam in pt.partitions_upto(8):
+        corners = pt.corners(lam)
+        addable = pt.addable_cells(lam)
+        width = lam[0] if lam else 0
+        for r in range(-1, len(lam) + 1):
+            for c in range(-1, width + 1):
+                for cell in (Cell(r, c), (r, c)):
+                    assert pt.is_corner(lam, cell) == (cell in corners)
+                    assert pt.is_addable(lam, cell) == (cell in addable)
+
+
 def test_cell_edits():
     assert pt.remove_cell((3, 1), Cell(0, 2)) == (2, 1)
     assert pt.add_cell((3, 1), Cell(1, 1)) == (3, 2)

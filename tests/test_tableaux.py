@@ -1,8 +1,10 @@
+import hashlib
+import json
 from collections import Counter
 
 import pytest
 
-from symop import partitions as pt, symfunc as sf, tableaux as tb
+from symop import cli, partitions as pt, symfunc as sf, tableaux as tb
 from symop.partitions import Cell, SkewShape
 
 # the worked ASSYT/SSYT pair used throughout: an ASSYT of shape (3,3)/(1)
@@ -41,6 +43,68 @@ def test_assyt_validation():
         tb.ASSYT(sh, {(0, 0): 2, (0, 1): 2, (1, 0): 1})  # row not strict
     with pytest.raises(ValueError):
         tb.ASSYT(sh, {(0, 0): 2, (0, 1): 1, (1, 0): 3})  # column increasing
+
+
+@pytest.mark.parametrize("cls", [tb.SSYT, tb.ASSYT])
+def test_constructors_keep_every_check(cls):
+    # (2,1)/(1) has the two cells (0,1) and (1,0), which are not adjacent,
+    # so any positive filling of them is both an SSYT and an ASSYT
+    sh = SkewShape((2, 1), (1,))
+    t = cls(sh, {(0, 1): 1, (1, 0): 2})
+    # plain tuple keys are stored as Cells, not merely as equal tuples
+    assert all(type(k) is Cell for k in t.entries)
+    assert t.entries == {Cell(0, 1): 1, Cell(1, 0): 2}
+    bad = [
+        {(0, 1): 1, (0, 2): 1},  # outside the outer shape, count right
+        {(0, 1): 1, (2, 0): 1},  # a row above the shape, count right
+        {(0, 1): 1, (-1, 0): 1},  # a negative row, count right
+        {(0, 1): 1, (1, -1): 1},  # a negative column, count right
+        {(0, 0): 1, (1, 0): 1},  # inside the inner shape, count right
+        {(0, 1): 1},  # a missing cell
+        {(0, 1): 1, (1, 0): 1, (0, 0): 1},  # an extra cell
+        {(0, 1): 0, (1, 0): 1},  # a zero entry
+        {(0, 1): 1, (1, 0): -3},  # a negative entry
+    ]
+    for entries in bad:
+        with pytest.raises(ValueError):
+            cls(sh, entries)
+    # a negative row must not wrap around to the top row of (2,2)/(1)
+    with pytest.raises(ValueError, match="do not cover"):
+        cls(SkewShape((2, 2), (1,)), {(0, 1): 1, (1, 0): 1, (-1, 1): 2})
+    with pytest.raises(ValueError, match="entry -3 at Cell"):
+        cls(sh, {(0, 1): 1, (1, 0): -3})
+    with pytest.raises(ValueError, match="do not cover"):
+        cls(SkewShape((2,)), {(0, 0): 1, (0, 1.5): 2})
+
+
+def test_slides_store_cell_keys():
+    t = tb.SSYT(SkewShape((3, 2), (1,)), {(0, 1): 1, (0, 2): 2, (1, 0): 2, (1, 1): 3})
+    for hole in [(0, 0), Cell(2, 0)]:
+        t2, vacated = tb.jdt_slide(t, hole)
+        assert type(vacated) is Cell
+        assert all(type(k) is Cell for k in t2.entries)
+        back, vac2 = tb.jdt_slide(t2, vacated)
+        assert back == t and vac2 == hole
+
+
+def test_cmd_jdt_rejects_off_shape_input(capsys):
+    def run(entries, holes):
+        blob = json.dumps({"shape": "2,2/2", "entries": entries, "holes": holes})
+        return cli.main(["jdt", blob])
+
+    good = [[1, 0, 5], [1, 1, 5]]
+    assert run(good, [[0, 1]]) == 0
+    # an entry outside the shape, in its inner shape or at a negative row,
+    # or a zero entry
+    for entries in ([[1, 0, 5], [1, 2, 5]], [[1, 0, 5], [0, 1, 5]],
+                    [[1, 0, 5], [-1, 1, 5]], [[1, 0, 5], [1, 1, 0]]):
+        assert run(entries, []) == 2
+    # holes at negative or far-off coordinates are no slide position
+    for hole in ([-1, 0], [0, -1], [-1, -1], [-2, 2], [100, 100], [2, 5]):
+        assert run(good, [hole]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.err.count("symop: error:") == 10
 
 
 def test_tableau_entries_must_be_integral():
@@ -301,6 +365,26 @@ def test_skew_pieri_classical_degeneration():
 def test_skew_pieri_matches_products():
     shape = SkewShape((2,), (1,))
     assert tb.skew_pieri(2, shape) == sf.mul(sf.schur((2,)), sf.schur((1,)))
+
+
+def test_skew_lr_terms_pinned():
+    # the signed shapes of skew_lr_terms, in order, over every ordered pair
+    # of shapes with outer size <= 4 and inner size <= 2; the digest was
+    # taken before the tableau enumeration was sped up
+    shapes = [SkewShape(outer, inner)
+              for outer in pt.partitions_upto(4)
+              for inner in pt.sub_partitions(outer, max_size=2)]
+    digest = hashlib.sha256()
+    count = 0
+    for a in shapes:
+        for b in shapes:
+            for sign, sh in tb.skew_lr_terms(a, b):
+                digest.update(f"{a};{b};{sign};{sh}\n".encode())
+                count += 1
+    assert (len(shapes), count) == (37, 8666)
+    assert digest.hexdigest() == (
+        "acd09d46363b487a8788b266c30b3e2862ce56977efb03301e7fa5e2e7f2a978"
+    )
 
 
 def test_skew_lr_classical_case():
