@@ -333,6 +333,21 @@ def _check_kron_work(f, g):
     for lam in f.terms:
         n = sum(lam)
         pairs[n] += g_degrees[n]
+    _check_kron_pairs(pairs, f, g)
+
+
+def _check_kb_work(f, g):
+    """As _check_kron_work for KB_f(g): each term of f straightens, against
+    each term s_mu of g, to a Kronecker product with s_mu at degree |mu|."""
+    pairs = Counter()
+    for mu in g.terms:
+        pairs[sum(mu)] += len(f.terms)
+    _check_kron_pairs(pairs, f, g)
+
+
+def _check_kron_pairs(pairs, f, g):
+    """Refuse the Kronecker products of f and g whose count of Schur term
+    pairs per degree is `pairs` when their work exceeds MAX_KRON_WORK."""
     work = 0
     for n, count in pairs.items():
         if not count:
@@ -555,9 +570,20 @@ def _cmd_rank(args):
     return 0
 
 
+def _check_step_work(kind, f, g):
+    """Refuse an operator step over the work limits of `expand`: a U step
+    as a product, K and KB steps as Kronecker products."""
+    if kind == "U":
+        _check_product_work(f, g)
+    elif kind == "K":
+        _check_kron_work(f, g)
+    elif kind == "KB":
+        _check_kb_work(f, g)
+
+
 def _cmd_apply(args):
     expr = parse_operator(args.op)
-    _emit_symfunc(args, expr.apply(evaluate_text(args.expr)))
+    _emit_symfunc(args, expr.apply(evaluate_text(args.expr), _check_step_work))
     return 0
 
 

@@ -64,11 +64,13 @@ class OperatorExpr:
     def __rmul__(self, other):
         return self * other
 
-    def apply(self, g):
+    def apply(self, g, check=None):
         """Evaluate on a symmetric function; linear in the expression and
-        in g.  The rightmost generator of each word acts first."""
+        in g.  The rightmost generator of each word acts first.  A given
+        check is called as check(kind, f, h) before each generator (kind, f)
+        acts on the current value h, and may raise to refuse the step."""
         return sf.linear_combination(
-            (coef, _apply_word(word, g)) for coef, word in self.words
+            (coef, _apply_word(word, g, check)) for coef, word in self.words
         )
 
     def max_degree_shift(self):
@@ -96,8 +98,10 @@ class OperatorExpr:
         return "<OperatorExpr " + " + ".join(parts) + ">"
 
 
-def _apply_word(word, g):
+def _apply_word(word, g, check=None):
     for kind, f in reversed(word):
+        if check is not None:
+            check(kind, f, g)
         if kind == "U":
             g = sf.mul(f, g)
         elif kind == "D":
@@ -146,17 +150,11 @@ def apply_KB(f, g):
     sign * (s_shape * g) where (sign, shape) straightens the sequence
     (n - |lam|, lam_1, lam_2, ...); extended bilinearly in f and over the
     homogeneous components of g.  Straightening may yield zero or a sign,
-    never an error, even when n < |lam|."""
-    fs = sf.to_basis(f, "s")
-    gs = sf.to_basis(g, "s")
-    terms = []
-    for n in gs.degrees():
-        comp = gs.homogeneous_component(n)
-        for lam, c in fs.terms.items():
-            sg, shape = sf.jacobi_trudi((n - sum(lam),) + lam)
-            if sg:
-                terms.append((c * sg, sf.kronecker(sf.schur(shape), comp)))
-    return sf.linear_combination(terms)
+    never an error, even when n < |lam|.  Each pair (s_lam, s_mu) is one
+    entry of the memoized table `symfunc._schur_kb_terms`."""
+    return sf._bilinear(
+        sf.to_basis(f, "s"), sf.to_basis(g, "s"), sf._schur_kb_terms
+    )
 
 
 def kb_via_gamma(f, g):

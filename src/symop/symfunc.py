@@ -15,7 +15,10 @@ access.
 Conversions route through characters: s_lam = sum_rho chi^lam(rho)/z_rho
 p_rho and back.  Schur products use Littlewood-Richardson coefficients;
 the Kronecker product is diagonal on power sums, p_lam * p_mu =
-delta_{lam,mu} z_lam p_lam.
+delta_{lam,mu} z_lam p_lam.  Products, skewing, Kronecker products and the
+straightened Kronecker family KB are bilinear lookups in memoized tables of
+Schur structure constants keyed by two partitions (`_schur_mul_terms`,
+`_schur_skew_terms`, `_schur_kron_terms`, `_schur_kb_terms`).
 """
 
 import itertools
@@ -370,6 +373,18 @@ def _schur_kron_terms(lam, mu):
         if g:
             out.append((nu, g))
     return tuple(out)
+
+
+@cache
+def _schur_kb_terms(lam, mu):
+    """Schur expansion of KB_{s_lam}(s_mu) = sign * s_shape * s_mu, where
+    (sign, shape) straightens (|mu| - |lam|, lam_1, lam_2, ...) by
+    Jacobi-Trudi.  A +1 sign returns the Kronecker table's own tuple."""
+    sign, shape = jacobi_trudi((sum(mu) - sum(lam),) + lam)
+    if not sign:
+        return ()
+    terms = _schur_kron_terms(shape, mu)
+    return terms if sign > 0 else tuple((nu, -c) for nu, c in terms)
 
 
 @cache

@@ -563,8 +563,12 @@ def jdt_case(alpha, theta, gamma, delta, t):
     theta, delta contained in alpha.  Returns ('a'|'b'|'c', slid tableau,
     vacated cell).
     """
-    b_cell = _added_cell(theta, delta)
-    c_cell = _added_cell(alpha, gamma)
+    return _jdt_case(t, _added_cell(theta, delta), _added_cell(alpha, gamma))
+
+
+def _jdt_case(t, b_cell, c_cell):
+    """jdt_case given the cells delta/theta, where the slide starts, and
+    gamma/alpha, which only the case (c) slides vacate."""
     t2, vacated = jdt_slide(t, b_cell)
     if vacated is None:
         return "a", t2, None
@@ -591,13 +595,15 @@ def verify_jdt_bijection(alpha, theta):
     got_c = Counter()
     checked = 0
     for gamma in pt.add_set(alpha):
+        c_cell = _added_cell(alpha, gamma)
         for delta in pt.add_restrict(theta, alpha):
+            b_cell = _added_cell(theta, delta)
             shape = SkewShape(gamma, delta)
             for t in enumerate_ssyt_bounded(shape, bound):
                 checked += 1
-                case, t2, vacated = jdt_case(alpha, theta, gamma, delta, t)
+                case, t2, vacated = _jdt_case(t, b_cell, c_cell)
                 if case == "a":
-                    beta = pt.remove_cell(gamma, _added_cell(theta, delta))
+                    beta = pt.remove_cell(gamma, b_cell)
                     got_ab[(beta, frozenset(t.entries.items()))] += 1
                 elif case == "b":
                     beta = pt.remove_cell(gamma, vacated)

@@ -295,6 +295,51 @@ def test_kron_work_limit(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_apply_work_limit(capsys, monkeypatch):
+    # every rejected step is refused before it runs, with the limits and
+    # messages of expand and kron
+    start = time.monotonic()
+    assert cli.main(["apply", "U(s[1]^10)", "s[1]^10"]) == 2
+    assert cli.main(["apply", "K(s[1]^16)", "s[1]^16"]) == 2
+    assert cli.main(["apply", "KB(s[1]^16)", "s[1]^16"]) == 2
+    assert time.monotonic() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"symop: error: product of 42 by 42 terms at degree 20 exceeds the "
+        f"work limit {cli.MAX_PRODUCT_WORK}",
+    ] + [
+        f"symop: error: Kronecker product of 231 by 231 terms exceeds the "
+        f"work limit {cli.MAX_KRON_WORK}",
+    ] * 2
+    # U[15] on s[10] is 1 * 1 * p(25) = 1,958 units of work; K[3] on s[2,1],
+    # and KB[2,1] on s[3], where (0, 2, 1) straightens to -s[1,1,1], are one
+    # pair at degree 3, (1 + 150) * p(3)^2 = 1,359 units
+    monkeypatch.setattr(cli, "MAX_PRODUCT_WORK", 1958)
+    monkeypatch.setattr(cli, "MAX_KRON_WORK", 1359)
+    for argv, want in (
+        (["U[15]", "s[10]"], sf.mul(sf.schur((15,)), sf.schur((10,)))),
+        (["K[3]", "s[2,1]"], sf.schur((2, 1))),
+        (["KB[2,1]", "s[3]"], -sf.schur((1, 1, 1))),
+        (["K[2,1]", "s[2]"], sf.zero()),
+    ):
+        assert cli.main(["apply"] + argv) == 0, argv
+        assert capsys.readouterr().out == sf.render(want) + "\n"
+    # each step is checked on the value it acts on: here K[2,1] meets
+    # U[1](s[2]) = s[3] + s[2,1], two pairs at degree 3 (1,368 units)
+    for argv in (["K[2,1]U[1]", "s[2]"], ["2*Id + K[2,1]U[1]", "s[2]"]):
+        assert cli.main(["apply"] + argv) == 2, argv
+    monkeypatch.setattr(cli, "MAX_PRODUCT_WORK", 1957)
+    monkeypatch.setattr(cli, "MAX_KRON_WORK", 1358)
+    for argv in (["U[15]", "s[10]"], ["K[3]", "s[2,1]"], ["KB[2,1]", "s[3]"]):
+        assert cli.main(["apply"] + argv) == 2, argv
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = captured.err.splitlines()
+    assert len(errors) == 5
+    assert all("exceeds the work limit" in line for line in errors)
+
+
 def test_partition_count():
     for n in range(30):
         assert cli._partition_count(n, 10**9) == len(pt.partitions_of(n))

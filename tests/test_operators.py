@@ -96,6 +96,16 @@ def test_kb_three_way_agreement_small():
             assert a == expr.apply(g)
 
 
+def test_kb_table_matches_vertex_operator_route():
+    # all 469 KB table entries the catalog reads at bounds (3, 5), against the
+    # vertex operator sigma[X] f[X-1], which never reads the table
+    for lam in pt.partitions_upto(3):
+        f = sf.schur(lam)
+        for mu in pt.partitions_upto(8):
+            g = sf.schur(mu)
+            assert op.apply_KB(f, g) == op.kb_via_gamma(f, g), (lam, mu)
+
+
 def test_matrix_identity():
     m = op.matrix_of(op.identity_op(), 3)
     assert m.cols == m.rows
@@ -255,3 +265,39 @@ def test_integer_rank_against_fraction_elimination():
         for _ in range(rng.randint(0, 2)):
             rows.insert(rng.randint(0, len(rows)), list(rng.choice(rows)))
         assert op._integer_rank(rows) == _fraction_rank(rows)
+
+
+def _kb_operands(count, seed):
+    """`count` seeded pairs (f, g) in random bases with small rational
+    coefficients: f has up to three terms of degree <= 4, g up to four
+    terms of degree <= 5, so g is often inhomogeneous and many terms of f
+    are larger than the component of g they meet."""
+    rng = random.Random(seed)
+
+    def operand(max_degree, max_terms):
+        parts = pt.partitions_upto(max_degree)
+        terms = {
+            rng.choice(parts): Fraction(rng.randrange(1, 7) * rng.choice((-1, 1)),
+                                        rng.choice((1, 1, 2, 3, 4, 6)))
+            for _ in range(rng.randrange(1, max_terms + 1))
+        }
+        return sf.SymFunc(rng.choice(sf.BASES), terms)
+
+    return [(operand(4, 3), operand(5, 4)) for _ in range(count)]
+
+
+def test_apply_KB_outputs_pinned():
+    # every byte that to_json and render print for KB_f(g)
+    pairs = _kb_operands(200, 2016)
+    assert any(len(g.degrees()) > 1 for _f, g in pairs)
+    assert any(
+        sum(lam) > sum(mu) for f, g in pairs for lam in f.terms for mu in g.terms
+    )
+    digest = hashlib.sha256()
+    for f, g in pairs:
+        out = op.apply_KB(f, g)
+        digest.update(json.dumps(sf.to_json(out)).encode())
+        digest.update(f"\n{sf.render(out)}\n".encode())
+    assert digest.hexdigest() == (
+        "e6f80bd127773e5a0c7bfb43a98b5f19aba75cc7fbd272633d69c92e37d55705"
+    )

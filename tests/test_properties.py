@@ -1,12 +1,14 @@
 """Property tests that pit independent routes against each other on random
-sums with rational coefficients, at degree <= 5, and on random operator
-words at domain degree <= 4."""
+sums with rational coefficients, at degree <= 5, on random operator words
+at domain degree <= 4, and on random small skew shapes and tableaux."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from symop import coeffs, operators as op, partitions as pt, symfunc as sf
+from symop import tableaux as tb
+from symop.partitions import SkewShape
 
 from test_operators import _fraction_rank
 
@@ -106,3 +108,31 @@ def test_kb_three_routes_agree(f, g, extra):
     want = op.apply_KB(f, g)
     assert op.kb_via_gamma(f, g) == want
     assert op.kb_as_UD(f, m).apply(g) == want
+
+
+@st.composite
+def skew_shapes(draw, max_outer):
+    """A skew shape outer/inner with |outer| <= max_outer."""
+    outer = draw(st.sampled_from(pt.partitions_upto(max_outer)))
+    return SkewShape(outer, draw(st.sampled_from(pt.sub_partitions(outer))))
+
+
+@PROPERTY
+@given(skew_shapes(4), skew_shapes(4))
+def test_skew_lr_product_matches_the_direct_product(a, b):
+    assert tb.skew_lr_product(a, b) == sf.mul(sf.skew_schur(a), sf.skew_schur(b))
+
+
+@PROPERTY
+@given(skew_shapes(6), st.integers(1, 4), st.data())
+def test_jdt_slides_are_mutually_inverse(shape, max_entry, data):
+    # a forward slide from an inner corner, or a reverse slide from an
+    # outer addable cell, is undone by the slide from the vacated cell
+    tableaux = list(tb.enumerate_ssyt_bounded(shape, max_entry))
+    if not tableaux:
+        return
+    t = data.draw(st.sampled_from(tableaux))
+    for hole in pt.corners(shape.inner) + pt.addable_cells(shape.outer):
+        t2, vacated = tb.jdt_slide(t, hole)
+        if vacated is not None:
+            assert tb.jdt_slide(t2, vacated) == (t, hole)
