@@ -211,6 +211,30 @@ def partitions_of(n):
     return tuple(out)
 
 
+def partitions_inside(n, lam):
+    """The partitions of n contained in lam, in reverse-lexicographic order
+    (the order of partitions_of(n)).  A part is tried only when the rows
+    below it can still hold the rest, so no branch comes back empty."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    out = []
+
+    def rec(i, remaining, maxpart, prefix):
+        if remaining == 0:
+            out.append(tuple(prefix))
+            return
+        rest = lam[i + 1:]
+        for k in range(min(maxpart, lam[i] if i < len(lam) else 0, remaining), 0, -1):
+            if k + sum(min(k, x) for x in rest) < remaining:
+                break
+            prefix.append(k)
+            rec(i + 1, remaining - k, k, prefix)
+            prefix.pop()
+
+    rec(0, n, n, [])
+    return tuple(out)
+
+
 def partitions_upto(n):
     """All partitions of size 0..n, ordered by (size, reverse-lex)."""
     out = []

@@ -13,12 +13,14 @@ coefficient as a fractions.Fraction; it is read-only and is built on first
 access.
 
 Conversions route through characters: s_lam = sum_rho chi^lam(rho)/z_rho
-p_rho and back.  Schur products use Littlewood-Richardson coefficients;
-the Kronecker product is diagonal on power sums, p_lam * p_mu =
-delta_{lam,mu} z_lam p_lam.  Products, skewing, Kronecker products and the
-straightened Kronecker family KB are bilinear lookups in memoized tables of
-Schur structure constants keyed by two partitions (`_schur_mul_terms`,
-`_schur_skew_terms`, `_schur_kron_terms`, `_schur_kb_terms`).
+p_rho and back, except s to h and e, which expand the Jacobi-Trudi
+determinant along its first column.  Schur products use
+Littlewood-Richardson coefficients; the Kronecker product is diagonal on
+power sums, p_lam * p_mu = delta_{lam,mu} z_lam p_lam.  Products,
+skewing, Kronecker products and the straightened Kronecker family KB are
+bilinear lookups in memoized tables of Schur structure constants keyed by
+two partitions (`_schur_mul_terms`, `_schur_skew_terms`,
+`_schur_kron_terms`, `_schur_kb_terms`).
 """
 
 import itertools
@@ -335,13 +337,12 @@ def _schur_mul_terms(lam, mu):
 
 @cache
 def _schur_skew_terms(lam, mu):
-    """Schur expansion of the skew function s_{lam/mu}."""
+    """Schur expansion of the skew function s_{lam/mu}, over the nu of size
+    |lam| - |mu| inside lam (c^lam_{mu,nu} vanishes for every other nu)."""
     if not pt.contains(mu, lam):
         return ()
     out = []
-    for nu in pt.partitions_of(sum(lam) - sum(mu)):
-        if not pt.contains(nu, lam):
-            continue
+    for nu in pt.partitions_inside(sum(lam) - sum(mu), lam):
         c = coeffs.lr_coeff(lam, mu, nu)
         if c:
             out.append((nu, c))
@@ -433,33 +434,26 @@ def _p_to_s(num, d):
 
 @cache
 def _schur_to_h(lam):
-    """h-expansion of s_lam by expanding the determinant det(h_{lam_i+j-i})."""
-    n = len(lam)
-    if n == 0:
+    """h-expansion of s_lam, by the Laplace expansion of the Jacobi-Trudi
+    determinant det(h_{lam_i+j-i}) along its first column (0-based rows).
+
+    The minor of row i is again a Jacobi-Trudi determinant, of the
+    partition (lam_0+1, ..., lam_{i-1}+1, lam_{i+1}, ...), so
+    s_lam = sum_i (-1)^i h_{lam_i-i} s_minor with h_0 = 1.  The index
+    lam_i - i strictly decreases, so the sum stops at its first negative
+    one.  Every minor is memoized here like lam itself."""
+    if not lam:
         return (((), 1),)
     out = {}
-
-    def expand(row, used_cols, indices, sign):
-        if row == n:
-            key = tuple(sorted((x for x in indices if x), reverse=True))
-            out[key] = out.get(key, 0) + sign
-            return
-        for col in range(n):
-            if used_cols & (1 << col):
-                continue
-            idx = lam[row] + col - row
-            if idx < 0:
-                continue
-            swaps = bin(used_cols >> (col + 1)).count("1")
-            expand(
-                row + 1,
-                used_cols | (1 << col),
-                indices + (idx,),
-                sign * (-1 if swaps % 2 else 1),
-            )
-
-    expand(0, 0, (), 1)
-    return tuple((k, v) for k, v in out.items() if v)
+    for i, part in enumerate(lam):
+        k = part - i
+        if k < 0:
+            break
+        minor = tuple(x + 1 for x in lam[:i]) + lam[i + 1:]
+        h_k = (((k,) if k else (), 1),)
+        _add_into(out, _union_product(_schur_to_h(minor), h_k).items(),
+                  -1 if i % 2 else 1)
+    return tuple((mu, c) for mu, c in out.items() if c)
 
 
 @cache

@@ -102,6 +102,14 @@ def test_cmd_skew(capsys):
     assert capsys.readouterr().out.strip() == "s[3] + s[2,1]"
 
 
+def test_skew_of_a_large_shape_is_fast(capsys):
+    # the skew table walks the partitions inside the outer shape, not all
+    # p(74) partitions of the skew size
+    for argv in (["skew", "45,30/1"], ["apply", "D[1]", "s[45,30]"]):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.strip() == "s[45,29] + s[44,30]"
+
+
 def test_cmd_lrcoeff(capsys):
     assert cli.main(["lrcoeff", "3,2,1", "2,1", "2,1"]) == 0
     assert capsys.readouterr().out.strip() == "2"

@@ -88,19 +88,25 @@ def test_jacobi_trudi_examples():
     assert sf.jacobi_trudi((-1, 2)) == (-1, (1,))
 
 
-def _jt_determinant(seq):
+def _jt_h(seq):
     """Literal determinant expansion of det(h_{a_i + j - i}) in the h basis,
-    converted to Schur form: the independent oracle for straightening."""
+    one permutation at a time: the independent oracle for the h tables."""
     n = len(seq)
-    total = sf.zero()
+    out = {}
     for perm in itertools.permutations(range(n)):
         inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
         idx = [seq[i] + perm[i] - i for i in range(n)]
         if any(k < 0 for k in idx):
             continue
         parts = tuple(sorted((k for k in idx if k), reverse=True))
-        total = sf.add(total, sf.scale((-1) ** inv, sf.to_basis(sf.h(parts), "s")))
-    return total
+        out[parts] = out.get(parts, 0) + (-1) ** inv
+    return sf.SymFunc("h", out)
+
+
+def _jt_determinant(seq):
+    """_jt_h(seq) converted to Schur form through the p basis: the
+    independent oracle for straightening."""
+    return sf.to_basis(_jt_h(seq), "s")
 
 
 def test_jacobi_trudi_matches_determinant():
@@ -172,6 +178,43 @@ def test_basis_round_trips_up_to_8():
         f = sf.schur(lam)
         for basis in ("h", "e", "p"):
             assert sf.to_basis(sf.to_basis(f, basis), "s") == f
+
+
+def test_h_and_e_round_trips_at_degrees_9_and_10():
+    # to_basis(., "s") from h and e goes through the character tables
+    for n in (9, 10):
+        for lam in pt.partitions_of(n):
+            f = sf.schur(lam)
+            for basis in ("h", "e"):
+                assert sf.to_basis(sf.to_basis(f, basis), "s") == f, (lam, basis)
+
+
+def test_schur_to_h_matches_the_permutation_expansion_up_to_7():
+    for lam in pt.partitions_upto(7):
+        assert sf.to_basis(sf.schur(lam), "h") == _jt_h(lam), lam
+
+
+def test_one_column_and_one_row_closed_forms_up_to_16():
+    # s_{1^n} = e_n = sum_mu (-1)^{n-l(mu)} l(mu)!/prod_i m_i(mu)! h_mu, and
+    # s_{(n)} = h_n has the same expansion in e
+    for n in range(17):
+        want = {}
+        for mu in pt.partitions_of(n):
+            coef = math.factorial(len(mu))
+            for part in set(mu):
+                coef //= math.factorial(mu.count(part))
+            want[mu] = -coef if (n - len(mu)) % 2 else coef
+        assert sf.to_basis(sf.schur((1,) * n), "h") == sf.SymFunc("h", want), n
+        assert sf.to_basis(sf.schur((n,)), "e") == sf.SymFunc("e", want), n
+
+
+def test_schur_to_h_tables_pinned_up_to_10():
+    # digest of the sorted h-expansion of every s_lam, |lam| <= 10, as the
+    # expansion of det(h_{lam_i+j-i}) over permutations computes it
+    rows = [(lam, sorted(sf._schur_to_h(lam))) for lam in pt.partitions_upto(10)]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "5bfc3ca32487df4c6e6c0055f00e2bbeb7ae710144b9eeb9a3a902468b1b6fa2"
+    )
 
 
 def test_kronecker_examples():
