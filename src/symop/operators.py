@@ -69,6 +69,8 @@ class OperatorExpr:
         in g.  The rightmost generator of each word acts first.  A given
         check is called as check(kind, f, h) before each generator (kind, f)
         acts on the current value h, and may raise to refuse the step."""
+        if len(self.words) == 1 and self.words[0][0] == 1:
+            return sf.to_basis(_apply_word(self.words[0][1], g, check), "s")
         return sf.linear_combination(
             (coef, _apply_word(word, g, check)) for coef, word in self.words
         )

@@ -10,7 +10,12 @@ by 180 degrees turns it into an SSYT.
 Every SSYT and ASSYT is validated when it is built, in O(cells): each key
 must be an integer cell of the shape, there must be as many keys as
 cells, every entry must be a positive integer, and each cell is compared
-with its right and upper neighbours.
+with its right and upper neighbours.  The public entry points (the SSYT
+and ASSYT constructors, jdt_slide and jdt_case) validate every input.  The
+internal exhaustive check verify_jdt_bijection trusts the entry dicts that
+_fill yields, which are semistandard by construction: it slides them in
+place with the same _slide as jdt_slide and builds a tableau only to
+report a failure.
 """
 
 from collections import Counter
@@ -374,65 +379,56 @@ def jdt_slide(t, hole):
     migrates up/right and exits at a corner of the outer shape); a hole at
     an addable cell of the outer shape starts a reverse slide.  Returns
     (new tableau, vacated cell); when no neighbour can move at all the
-    tableau is returned unchanged with vacated None.
-
-    Tie rule: when the row and the column neighbour hold equal entries the
-    column neighbour moves, in both directions.  This is the unique choice
-    that preserves semistandardness and makes forward and reverse slides
-    mutually inverse.
+    tableau is returned unchanged with vacated None.  The tie rule is that
+    of `_slide`.
     """
     hole = Cell(*map(pt._as_integer, hole))
-    if pt.is_corner(t.shape.inner, hole):
-        return _jdt_forward(t, hole)
-    if pt.is_addable(t.shape.outer, hole):
-        return _jdt_reverse(t, hole)
-    raise ValueError(f"{hole} is not a legal slide position for {t.shape}")
-
-
-def _jdt_forward(t, hole):
+    outer, inner = t.shape.outer, t.shape.inner
+    if pt.is_corner(inner, hole):
+        step = 1
+    elif pt.is_addable(outer, hole):
+        step = -1
+    else:
+        raise ValueError(f"{hole} is not a legal slide position for {t.shape}")
     entries = dict(t.entries)
-    cur = hole
-    while True:
-        r, c = cur
-        right, above = (r, c + 1), (r + 1, c)
-        has_r, has_a = right in entries, above in entries
-        if not (has_r or has_a):
-            break
-        if has_r and has_a:
-            nb = above if entries[above] <= entries[right] else right
-        else:
-            nb = above if has_a else right
-        entries[cur] = entries.pop(nb)
-        cur = nb
-    if cur == hole:
+    vacated = _slide(entries, hole, step)
+    if vacated is None:
         return t, None
-    shape = SkewShape(
-        pt.remove_cell(t.shape.outer, cur), pt.remove_cell(t.shape.inner, hole)
-    )
-    return SSYT(shape, entries), Cell(*cur)
+    if step == 1:
+        shape = SkewShape(pt.remove_cell(outer, vacated), pt.remove_cell(inner, hole))
+    else:
+        shape = SkewShape(pt.add_cell(outer, hole), pt.add_cell(inner, vacated))
+    return SSYT(shape, entries), vacated
 
 
-def _jdt_reverse(t, hole):
-    entries = dict(t.entries)
-    cur = hole
+def _slide(entries, hole, step):
+    """Slide the hole through a semistandard entry dict, in place, and
+    return the cell it vacates, or None when no neighbour can move.
+
+    Step 1 is a forward slide: the smaller of the right and upper
+    neighbours moves into the hole.  Step -1 is a reverse slide: the larger
+    of the left and lower neighbours moves in.  Tie rule: when the row and
+    the column neighbour hold equal entries the column neighbour moves, in
+    both directions.  This is the unique choice that preserves
+    semistandardness and makes forward and reverse slides mutually inverse.
+    """
+    get = entries.get
+    r, c = hole
     while True:
-        r, c = cur
-        left, below = (r, c - 1), (r - 1, c)
-        has_l, has_b = left in entries, below in entries
-        if not (has_l or has_b):
-            break
-        if has_l and has_b:
-            nb = below if entries[below] >= entries[left] else left
+        row_v = get((r, c + step))
+        col_v = get((r + step, c))
+        if col_v is not None and (row_v is None or step * col_v <= step * row_v):
+            entries[r, c] = col_v
+            r += step
+        elif row_v is not None:
+            entries[r, c] = row_v
+            c += step
         else:
-            nb = below if has_b else left
-        entries[cur] = entries.pop(nb)
-        cur = nb
-    if cur == hole:
-        return t, None
-    shape = SkewShape(
-        pt.add_cell(t.shape.outer, hole), pt.add_cell(t.shape.inner, cur)
-    )
-    return SSYT(shape, entries), Cell(*cur)
+            break
+        del entries[r, c]
+    if (r, c) == hole:
+        return None
+    return _cell(r, c)
 
 
 # ---------------------------------------------------------------------------
@@ -560,21 +556,58 @@ def jdt_case(alpha, theta, gamma, delta, t):
     """Classify one slide of the corner bijection.
 
     t has shape gamma/delta with gamma covering alpha and delta covering
-    theta, delta contained in alpha.  Returns ('a'|'b'|'c', slid tableau,
-    vacated cell).
+    theta, delta contained in alpha.  The slide starts at the cell
+    delta/theta, and only the case (c) slides vacate the cell gamma/alpha.
+    Returns ('a'|'b'|'c', slid tableau, vacated cell).
     """
-    return _jdt_case(t, _added_cell(theta, delta), _added_cell(alpha, gamma))
-
-
-def _jdt_case(t, b_cell, c_cell):
-    """jdt_case given the cells delta/theta, where the slide starts, and
-    gamma/alpha, which only the case (c) slides vacate."""
-    t2, vacated = jdt_slide(t, b_cell)
+    t2, vacated = jdt_slide(t, _added_cell(theta, delta))
     if vacated is None:
         return "a", t2, None
-    if vacated == c_cell:
+    if vacated == _added_cell(alpha, gamma):
         return "c", t2, vacated
     return "b", t2, vacated
+
+
+# Memo tables of the exhaustive bijection check, one entry per shape.
+_remove_cell = cache(pt.remove_cell)
+
+
+@cache
+def _reading_order(outer, inner):
+    """SSYT reading order of outer/inner, for canonical nested partitions."""
+    return tuple(_ssyt_reading_cells(SkewShape._trusted(outer, inner)))
+
+
+def _reading_words(outer, inner, bound):
+    """The values, in SSYT reading order, of every SSYT of outer/inner with
+    entries in 1..bound."""
+    cells = _reading_order(outer, inner)
+    shape = SkewShape._trusted(outer, inner)
+    for entries in _fill(shape, cells, True, max_entry=bound):
+        yield tuple(map(entries.__getitem__, cells))
+
+
+def _tableau_json(outer, inner, values):
+    """The filling of outer/inner with the given values in SSYT reading
+    order, as the JSON tableau that `symop jdt` reads."""
+    # only a failure needs json, so `import symop` does not pay for it
+    import json
+
+    cells = _reading_order(outer, inner)
+    return json.dumps({
+        "shape": str(SkewShape._trusted(outer, inner)),
+        "entries": sorted([r, c, v] for (r, c), v in zip(cells, values)),
+    })
+
+
+def _first_difference(got, want):
+    """A key whose multiplicity differs between the two dicts: the first
+    such key of want (a tableau the slides miss or hit the wrong number of
+    times), else the first key of got alone."""
+    for key, n in want.items():
+        if got.get(key, 0) != n:
+            return key
+    return next(key for key in got if key not in want)
 
 
 def verify_jdt_bijection(alpha, theta):
@@ -585,62 +618,78 @@ def verify_jdt_bijection(alpha, theta):
     beta/theta over beta in addremove(alpha); every case (c) output of
     shape alpha/theta must occur exactly |add(alpha)| - |outside corners of
     theta not in alpha| times.
+
+    SSYT, jdt_slide and jdt_case validate every input; this check trusts
+    its tableaux instead.  It slides the entry dicts that `_fill` yields,
+    which are semistandard by construction, in place with the `_slide` of
+    `jdt_slide`, and keys each outcome by its shape and its values in SSYT
+    reading order.  A slid filling that is not one of the expected SSYT
+    shows up as a mismatch.  A tableau is written out only for a failure:
+    each failure names one from the symmetric difference of the slid and
+    the expected tableaux, under the param "tableau", in the JSON form that
+    `symop jdt` reads.
     """
     alpha = pt.make_partition(alpha)
     theta = pt.make_partition(theta)
     if not pt.contains(theta, alpha):
         raise ValueError(f"{theta} not contained in {alpha}")
     bound = max(sum(alpha), 1)
-    got_ab = Counter()
-    got_c = Counter()
+    # plain dicts of multiplicities: no zeros, so == compares them as
+    # multisets
+    got_ab = {}
+    got_c = {}
     checked = 0
     for gamma in pt.add_set(alpha):
-        c_cell = _added_cell(alpha, gamma)
         for delta in pt.add_restrict(theta, alpha):
             b_cell = _added_cell(theta, delta)
-            shape = SkewShape(gamma, delta)
-            for t in enumerate_ssyt_bounded(shape, bound):
+            cells = _reading_order(gamma, delta)
+            shape = SkewShape._trusted(gamma, delta)
+            for entries in _fill(shape, cells, True, max_entry=bound):
                 checked += 1
-                case, t2, vacated = _jdt_case(t, b_cell, c_cell)
-                if case == "a":
-                    beta = pt.remove_cell(gamma, b_cell)
-                    got_ab[(beta, frozenset(t.entries.items()))] += 1
-                elif case == "b":
-                    beta = pt.remove_cell(gamma, vacated)
-                    got_ab[(beta, frozenset(t2.entries.items()))] += 1
+                # case (a) moves nothing, and b_cell leaves gamma instead
+                vacated = _slide(entries, b_cell, 1) or b_cell
+                beta = _remove_cell(gamma, vacated)
+                values = tuple(map(entries.__getitem__, _reading_order(beta, theta)))
+                # case (c) vacates gamma/alpha, cases (a) and (b) any other cell
+                if beta == alpha:
+                    got_c[values] = got_c.get(values, 0) + 1
                 else:
-                    got_c[frozenset(t2.entries.items())] += 1
-    want_ab = Counter()
-    for beta in pt.addremove_set(alpha):
-        if not pt.contains(theta, beta):
-            continue
-        for t in enumerate_ssyt_bounded(SkewShape(beta, theta), bound):
-            want_ab[(beta, frozenset(t.entries.items()))] += 1
+                    key = beta, values
+                    got_ab[key] = got_ab.get(key, 0) + 1
+    want_ab = {
+        (beta, values): 1
+        for beta in pt.addremove_set(alpha)
+        if pt.contains(theta, beta)
+        for values in _reading_words(beta, theta, bound)
+    }
     k = len(pt.add_set(alpha)) - len(pt.add_complement(theta, alpha))
-    want_c = Counter()
-    for t in enumerate_ssyt_bounded(SkewShape(alpha, theta), bound):
-        want_c[frozenset(t.entries.items())] += k
+    want_c = dict.fromkeys(_reading_words(alpha, theta, bound), k) if k else {}
+    params = {"alpha": alpha, "theta": theta}
     failures = []
     if got_ab != want_ab:
+        beta, values = _first_difference(got_ab, want_ab)
         failures.append(
             Failure(
-                {"alpha": alpha, "theta": theta, "part": "cases a+b"},
+                {**params, "part": "cases a+b",
+                 "tableau": _tableau_json(beta, theta, values)},
                 f"{len(got_ab)} distinct slid tableaux (multiplicities "
                 f"{sorted(got_ab.values())})",
                 f"{len(want_ab)} expected tableaux, each once",
             )
         )
     if got_c != want_c:
+        values = _first_difference(got_c, want_c)
         failures.append(
             Failure(
-                {"alpha": alpha, "theta": theta, "part": "case c"},
+                {**params, "part": "case c",
+                 "tableau": _tableau_json(alpha, theta, values)},
                 f"case c multiset of size {sum(got_c.values())}",
                 f"expected {k} copies of each of {len(want_c)} tableaux",
             )
         )
     return VerificationReport(
         identity="jdt_bijection",
-        params={"alpha": alpha, "theta": theta},
+        params=params,
         instances=checked,
         failures=failures,
     )

@@ -119,6 +119,13 @@ def test_run_suite_pinned_instance_counts():
     assert list(got.items()) == list(want.items())
 
 
+def test_tabmanip2_count_at_the_benchmark_bound():
+    # the bijection check at the bounds of the catalog benchmark
+    [report] = idn.run_suite(idn.Bounds(3, 5), ["tabmanip2"])
+    assert report.passed
+    assert report.instances == 14307
+
+
 def test_main_and_coefficient_forms_agree():
     for i in range(1, 7):
         for alpha in pt.partitions_upto(2):

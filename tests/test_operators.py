@@ -18,6 +18,22 @@ def test_apply_examples():
     assert op.identity_op().apply(s21) == s21
 
 
+def test_single_unit_word_is_checked_and_schur_expanded():
+    # one word with coefficient 1 skips the linear combination, yet every
+    # step is still checked and the value still comes back in the s basis
+    word = op.U(sf.schur((1,))) * op.D(sf.schur((1,))) * op.K(sf.schur((2, 1)))
+    g = sf.to_basis(sf.schur((2, 1)), "p")
+    seen = []
+    got = word.apply(g, lambda kind, f, h: seen.append(kind))
+    assert seen == ["K", "D", "U"]
+    assert not got.is_zero()
+    assert got.basis == "s"
+    twice = sf.scale(Fraction(1, 2), (2 * word).apply(g))
+    assert sf.to_json(got) == sf.to_json(twice)
+    assert op.identity_op().apply(g) == sf.to_basis(g, "s")
+    assert op.identity_op().apply(g).basis == "s"
+
+
 def test_operator_algebra():
     a = op.U(sf.schur((1,)))
     f = sf.schur((2,))

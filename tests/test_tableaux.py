@@ -338,6 +338,87 @@ def test_verify_jdt_bijection_examples():
         tb.verify_jdt_bijection((2,), (1, 1))
 
 
+def test_in_place_slide_agrees_with_jdt_slide_up_to_4():
+    # every slide that verify_jdt_bijection makes with |alpha| <= 4, on the
+    # raw entry dicts that _fill yields
+    checked = 0
+    for alpha in pt.partitions_upto(4):
+        bound = max(sum(alpha), 1)
+        for theta in pt.sub_partitions(alpha):
+            for gamma in pt.add_set(alpha):
+                for delta in pt.add_restrict(theta, alpha):
+                    hole = tb._added_cell(theta, delta)
+                    shape = SkewShape(gamma, delta)
+                    cells = tb._reading_order(gamma, delta)
+                    for d in tb._fill(shape, cells, True, max_entry=bound):
+                        t = tb.SSYT(shape, d)
+                        vacated = tb._slide(d, hole, 1)
+                        t2, want = tb.jdt_slide(t, hole)
+                        assert vacated == want
+                        assert d == t2.entries
+                        if vacated is not None:
+                            # the reverse slide undoes it in place
+                            assert tb._slide(d, vacated, -1) == hole
+                            assert d == t.entries
+                        checked += 1
+    assert checked == 1656
+
+
+def _slide_row_on_tie(entries, hole, step):
+    """tb._slide with the tie rule flipped: the row neighbour moves."""
+    r, c = hole
+    while True:
+        row_v = entries.get((r, c + step))
+        col_v = entries.get((r + step, c))
+        if col_v is not None and (row_v is None or step * col_v < step * row_v):
+            entries[r, c] = col_v
+            r += step
+        elif row_v is not None:
+            entries[r, c] = row_v
+            c += step
+        else:
+            break
+        del entries[r, c]
+    return None if (r, c) == hole else Cell(r, c)
+
+
+def test_flipped_tie_rule_fails_the_bijection_with_a_tableau(monkeypatch, capsys):
+    monkeypatch.setattr(tb, "_slide", _slide_row_on_tie)
+    failures = [
+        f
+        for alpha in pt.partitions_upto(4)
+        for theta in pt.sub_partitions(alpha)
+        for f in tb.verify_jdt_bijection(alpha, theta).failures
+    ]
+    assert failures
+    semistandard = 0
+    for f in failures:
+        blob = json.loads(f.params["tableau"])
+        shape = pt.parse_skew(blob["shape"])
+        entries = {(r, c): v for r, c, v in blob["entries"]}
+        try:
+            tb.SSYT(shape, entries)
+        except ValueError as exc:
+            # a slid filling that the flipped rule left non-semistandard
+            assert "increasing" in str(exc)
+        else:
+            semistandard += 1
+    assert semistandard
+    # at (2,1)/() both parts fail on a tableau the slides miss, and
+    # `symop jdt` reads each one back
+    report = tb.verify_jdt_bijection((2, 1), ())
+    assert [f.params["part"] for f in report.failures] == ["cases a+b", "case c"]
+    for f in report.failures:
+        blob = json.loads(f.params["tableau"])
+        t = tb.SSYT(
+            pt.parse_skew(blob["shape"]),
+            {(r, c): v for r, c, v in blob["entries"]},
+        )
+        assert t.shape.inner == ()
+        assert f.params["tableau"] in f.describe()
+        assert cli.main(["jdt", f.params["tableau"]]) == 0
+
+
 def test_skew_pieri_one_box():
     got = tb.skew_pieri(1, SkewShape((2, 1), (1,)))
     want = sf.SymFunc("s", {(3,): 1, (2, 1): 2, (1, 1, 1): 1})
