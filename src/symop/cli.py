@@ -88,9 +88,6 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
 
-    def at_end(self):
-        return self.peek()[0] == "end"
-
     def done(self):
         tok = self.peek()
         if tok[0] != "end":
@@ -271,10 +268,13 @@ _ATOM_BUILDERS = {"s": sf.schur, "h": sf.h, "e": sf.e, "p": sf.p}
 MAX_POWER_DEGREE = 20
 
 # Most work a product f*g may take, in units of one Schur term pair times
-# one partition of the result degree: each pair of terms scans those
-# partitions for Littlewood-Richardson coefficients.  On a 2-core machine
-# a unit costs up to about 25 us: s[1]^8*s[1]^8 (111,804 units) takes
-# 2.2 s and s[1]^9*s[1]^9 (346,500) 8.6 s.
+# one partition of the result degree.  This is a conservative bound, not a
+# calibration: the product table enumerates Littlewood-Richardson fillings,
+# so the limit refuses some cheap products (s[45,30]*s[1]) and admits some
+# slow ones.  On a 2-core machine s[1]^9*s[1]^9 (346,500 units) takes
+# 0.38 s, and s[6,5,4,3,2,1]^2 (53,174 units, 10,873 terms) 8.3 s.  A walk
+# over every partition of a degree (a p atom, a Kronecker coefficient)
+# costs one unit per partition.
 MAX_PRODUCT_WORK = 120_000
 
 
@@ -296,6 +296,15 @@ def _partition_count(n, cap):
             return cap + 1
         counts.append(total)
     return counts[n]
+
+
+def _check_partition_walk(what, n):
+    """Refuse a computation that walks every partition of n, charged one
+    product unit per partition, when that exceeds MAX_PRODUCT_WORK."""
+    if _partition_count(n, MAX_PRODUCT_WORK) > MAX_PRODUCT_WORK:
+        raise ValueError(
+            f"{what} at degree {n} exceeds the work limit {MAX_PRODUCT_WORK}"
+        )
 
 
 def _check_product_work(f, g):
@@ -368,6 +377,10 @@ def evaluate(node):
     if kind == "num":
         return sf.scale(node[1], sf.one())
     if kind in _ATOM_BUILDERS:
+        if kind == "p":
+            # p_rho in the Schur basis is a character table row over
+            # every partition of |rho|
+            _check_partition_walk("p atom", sum(node[1]))
         return sf.to_basis(_ATOM_BUILDERS[kind](node[1]), "s")
     if kind == "sk":
         return sf.skew_schur(node[1], node[2])
@@ -455,10 +468,11 @@ def _cmd_lrcoeff(args):
 
 
 def _cmd_kroncoeff(args):
+    lam = pt.parse_partition(args.lam)
+    # the character sum runs over every partition of |lam|
+    _check_partition_walk("Kronecker coefficient", sum(lam))
     val = coeffs.kron_coeff(
-        pt.parse_partition(args.lam),
-        pt.parse_partition(args.mu),
-        pt.parse_partition(args.nu),
+        lam, pt.parse_partition(args.mu), pt.parse_partition(args.nu)
     )
     _emit(args, str(val), val)
     return 0

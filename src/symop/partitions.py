@@ -57,14 +57,6 @@ def make_partition(parts):
     return parts
 
 
-def is_partition(parts):
-    try:
-        make_partition(parts)
-    except (ValueError, TypeError):
-        return False
-    return True
-
-
 def parse_partition(text):
     """Parse '3,1' or '0' (the empty partition)."""
     text = text.strip()
@@ -191,6 +183,17 @@ def add_complement(theta, alpha):
     return [d for d in add_set(theta) if not contains(d, alpha)]
 
 
+# One tuple object per partition, shared by partitions_of and the Schur
+# tables that build their own keys, so that dict lookups and merges across
+# them find equal keys by identity instead of comparing tuples.
+_INTERNED = {}
+
+
+def _intern(parts):
+    """The shared tuple object equal to the canonical partition parts."""
+    return _INTERNED.setdefault(parts, parts)
+
+
 @cache
 def partitions_of(n):
     """All partitions of n, in reverse-lexicographic order."""
@@ -200,7 +203,7 @@ def partitions_of(n):
 
     def rec(remaining, maxpart, prefix):
         if remaining == 0:
-            out.append(tuple(prefix))
+            out.append(_intern(tuple(prefix)))
             return
         for k in range(min(maxpart, remaining), 0, -1):
             prefix.append(k)
@@ -208,30 +211,6 @@ def partitions_of(n):
             prefix.pop()
 
     rec(n, n, [])
-    return tuple(out)
-
-
-def partitions_inside(n, lam):
-    """The partitions of n contained in lam, in reverse-lexicographic order
-    (the order of partitions_of(n)).  A part is tried only when the rows
-    below it can still hold the rest, so no branch comes back empty."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    out = []
-
-    def rec(i, remaining, maxpart, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        rest = lam[i + 1:]
-        for k in range(min(maxpart, lam[i] if i < len(lam) else 0, remaining), 0, -1):
-            if k + sum(min(k, x) for x in rest) < remaining:
-                break
-            prefix.append(k)
-            rec(i + 1, remaining - k, k, prefix)
-            prefix.pop()
-
-    rec(0, n, n, [])
     return tuple(out)
 
 

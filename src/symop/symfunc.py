@@ -12,11 +12,16 @@ coefficients).  The public view `terms` maps each partition to its
 coefficient as a fractions.Fraction; it is read-only and is built on first
 access.
 
-Conversions route through characters: s_lam = sum_rho chi^lam(rho)/z_rho
-p_rho and back, except s to h and e, which expand the Jacobi-Trudi
-determinant along its first column.  Schur products use
-Littlewood-Richardson coefficients; the Kronecker product is diagonal on
-power sums, p_lam * p_mu = delta_{lam,mu} z_lam p_lam.  Products,
+Between s and p, conversions route through characters: s_lam =
+sum_rho chi^lam(rho)/z_rho p_rho and back.  s goes to h and e by
+expanding the Jacobi-Trudi determinant along its first column, and h_lam
+and e_lam come back to s as products of one-row (one-column) Schur
+functions; h and e reach p by way of s.  The product and skew tables
+count Littlewood-Richardson fillings of one skew shape each, with free
+content, so they enumerate the terms of the answer; a product s_lam s_mu
+is the skew Schur function of a disconnected shape with components lam
+and mu.  The Kronecker product is diagonal on power sums,
+p_lam * p_mu = delta_{lam,mu} z_lam p_lam.  Products,
 skewing, Kronecker products and the straightened Kronecker family KB are
 bilinear lookups in memoized tables of Schur structure constants keyed by
 two partitions (`_schur_mul_terms`, `_schur_skew_terms`,
@@ -24,10 +29,11 @@ two partitions (`_schur_mul_terms`, `_schur_skew_terms`,
 """
 
 import itertools
+from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
-from math import factorial, gcd, lcm, prod
+from math import factorial, gcd, lcm
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
@@ -306,47 +312,39 @@ def _p_to_schur(rho):
 
 
 @cache
-def _h_to_p(k):
-    """(rho, k!/z_rho) over rho |- k, so that h_k = 1/k! sum_rho
-    k!/z_rho p_rho; k!/z_rho is the size of the class of cycle type rho."""
-    return tuple(
-        (rho, factorial(k) // pt.z_factor(rho)) for rho in pt.partitions_of(k)
-    )
-
-
-@cache
-def _e_to_p(k):
-    """As _h_to_p, with the sign of a permutation of cycle type rho."""
-    return tuple(
-        (rho, -c if (k - len(rho)) % 2 else c) for rho, c in _h_to_p(k)
-    )
-
-
-@cache
 def _schur_mul_terms(lam, mu):
-    """Schur expansion of s_lam s_mu via LR coefficients."""
-    out = []
-    for nu in pt.partitions_of(sum(lam) + sum(mu)):
-        if not (pt.contains(lam, nu) and pt.contains(mu, nu)):
-            continue
-        c = coeffs.lr_coeff(nu, lam, mu)
-        if c:
-            out.append((nu, c))
-    return tuple(out)
+    """Schur expansion of s_lam s_mu: the skew table of the disconnected
+    shape (mu_1+lam_1, ..., mu_m+lam_1, lam_1, ..., lam_l) / (lam_1^m),
+    whose components are mu (bottom right) and lam (top left); a skew
+    Schur function of a disconnected shape is the product of its
+    components."""
+    if not lam:
+        return _schur_skew_terms(mu, ())
+    top = lam[0]
+    return _schur_skew_terms(tuple(x + top for x in mu) + lam, (top,) * len(mu))
 
 
 @cache
 def _schur_skew_terms(lam, mu):
-    """Schur expansion of the skew function s_{lam/mu}, over the nu of size
-    |lam| - |mu| inside lam (c^lam_{mu,nu} vanishes for every other nu)."""
+    """Schur expansion of the skew function s_{lam/mu}: the coefficient of
+    s_nu counts the LR fillings of lam/mu with content nu (SSYT whose
+    reverse reading word is a lattice permutation), all enumerated at once
+    with free content.  An entry of an LR filling is at most its row
+    number (from 1), so len(lam) bounds the values.  Terms come in the
+    reverse-lex order of partitions_of."""
     if not pt.contains(mu, lam):
         return ()
-    out = []
-    for nu in pt.partitions_inside(sum(lam) - sum(mu), lam):
-        c = coeffs.lr_coeff(lam, mu, nu)
-        if c:
-            out.append((nu, c))
-    return tuple(out)
+    # deferred import: tableaux imports this module
+    from .tableaux import _fill, _ssyt_reading_cells
+
+    cells = _ssyt_reading_cells(pt.SkewShape._trusted(lam, mu))
+    out = {}
+    for entries in _fill(cells, True, max_entry=len(lam), init_counts={}):
+        # a lattice word uses every value from 1 to its largest
+        content = Counter(entries.values())
+        nu = tuple(map(content.__getitem__, range(1, len(content) + 1)))
+        out[nu] = out.get(nu, 0) + 1
+    return tuple((pt._intern(nu), out[nu]) for nu in sorted(out, reverse=True))
 
 
 @cache
@@ -389,37 +387,34 @@ def _schur_kb_terms(lam, mu):
 
 
 @cache
-def _he_to_p(basis, lam):
-    """h_lam (basis "h") or e_lam (basis "e") in p, as (rho, n) with
-    h_lam = sum n / |lam|! p_rho.  h_lam and e_lam are products of one-part
-    generators; the product of the class-size tables is prod_i lam_i! h_lam,
-    and the multinomial puts it over |lam|!."""
-    table = _h_to_p if basis == "h" else _e_to_p
-    m = factorial(sum(lam)) // prod(map(factorial, lam))
-    return tuple(
-        (rho, c * m) for rho, c in _union_product(*map(table, lam)).items()
-    )
+def _he_to_schur(basis, lam):
+    """Schur expansion of h_lam (basis "h") or e_lam (basis "e"): the
+    product of the one-row Schur functions s_(k) = h_k (one-column
+    s_(1^k) = e_k) through the product table, one part at a time, with
+    every shorter prefix of lam memoized here as well."""
+    if not lam:
+        return (((), 1),)
+    k = lam[-1]
+    factor = (k,) if basis == "h" else (1,) * k
+    out = {}
+    for nu, c in _he_to_schur(basis, lam[:-1]):
+        _add_into(out, _schur_mul_terms(factor, nu), c)
+    return tuple(sorted(out.items(), reverse=True))
 
 
 def _to_p(f):
-    """f in the p basis.  The coefficient of p_rho is a sum of terms over
-    z_rho (from s) or over |rho|! (from h and e); both divide N! for the
-    top degree N of f, so the numerators are put over d * N!."""
+    """f in the p basis, by way of s for h and e.  The coefficient of p_rho
+    is a sum of terms over z_rho, which divides N! for the top degree N of
+    f, so the numerators are put over d * N!."""
     if f.basis == "p":
         return f
+    f = to_basis(f, "s")
     n_fact = factorial(f.max_degree())
     out = {}
-    if f.basis == "s":
-        for lam, c in f._num.items():
-            _add_into(out, _schur_to_p(lam), c)
-        return _from_ints(
-            "p", {rho: c * (n_fact // pt.z_factor(rho)) for rho, c in out.items()},
-            f._d * n_fact,
-        )
     for lam, c in f._num.items():
-        _add_into(out, _he_to_p(f.basis, lam), c)
+        _add_into(out, _schur_to_p(lam), c)
     return _from_ints(
-        "p", {rho: c * (n_fact // factorial(sum(rho))) for rho, c in out.items()},
+        "p", {rho: c * (n_fact // pt.z_factor(rho)) for rho, c in out.items()},
         f._d * n_fact,
     )
 
@@ -472,9 +467,13 @@ def to_basis(f, target):
         return _to_p(f)
     if f.basis == "s":
         fs = f
+    elif f.basis == "p":
+        fs = _p_to_s(f._num, f._d)
     else:
-        fp = _to_p(f)
-        fs = _p_to_s(fp._num, fp._d)
+        out = {}
+        for lam, c in f._num.items():
+            _add_into(out, _he_to_schur(f.basis, lam), c)
+        fs = _from_ints("s", out, f._d)
     if target == "s":
         return fs
     table = _schur_to_h if target == "h" else _schur_to_e

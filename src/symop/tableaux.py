@@ -77,9 +77,6 @@ class SSYT:
     def __setattr__(self, name, value):
         raise AttributeError("SSYT is immutable")
 
-    def reading_cells(self):
-        return _ssyt_reading_cells(self.shape)
-
     def content(self):
         if not self.entries:
             return ()
@@ -134,9 +131,6 @@ class ASSYT:
 
     def __setattr__(self, name, value):
         raise AttributeError("ASSYT is immutable")
-
-    def reading_cells(self):
-        return _assyt_reading_cells(self.shape)
 
     def content(self):
         if not self.entries:
@@ -228,7 +222,7 @@ def is_delta_lattice(word, delta):
 # ---------------------------------------------------------------------------
 # enumeration
 
-def _fill(shape, cells, is_ssyt, content=None, max_entry=None, budget=None,
+def _fill(cells, is_ssyt, content=None, max_entry=None, budget=None,
           init_counts=None):
     """Backtracking filler shared by the enumerators.
 
@@ -296,25 +290,25 @@ def enumerate_ssyt(shape, content):
     """All SSYT of the shape with the given content."""
     content = tuple(map(pt._as_integer, content))
     cells = _ssyt_reading_cells(shape)
-    return [SSYT(shape, d) for d in _fill(shape, cells, True, content=content)]
+    return [SSYT(shape, d) for d in _fill(cells, True, content=content)]
 
 
 def enumerate_ssyt_bounded(shape, max_entry):
     """All SSYT of the shape with entries in 1..max_entry."""
     cells = _ssyt_reading_cells(shape)
-    return [SSYT(shape, d) for d in _fill(shape, cells, True, max_entry=max_entry)]
+    return [SSYT(shape, d) for d in _fill(cells, True, max_entry=max_entry)]
 
 
 def enumerate_assyt(shape, content):
     """All ASSYT of the shape with the given content."""
     content = tuple(map(pt._as_integer, content))
     cells = _assyt_reading_cells(shape)
-    return [ASSYT(shape, d) for d in _fill(shape, cells, False, content=content)]
+    return [ASSYT(shape, d) for d in _fill(cells, False, content=content)]
 
 
 def enumerate_assyt_bounded(shape, max_entry):
     cells = _assyt_reading_cells(shape)
-    return [ASSYT(shape, d) for d in _fill(shape, cells, False, max_entry=max_entry)]
+    return [ASSYT(shape, d) for d in _fill(cells, False, max_entry=max_entry)]
 
 
 def enumerate_lr_fillings(shape, content):
@@ -323,7 +317,7 @@ def enumerate_lr_fillings(shape, content):
     cells = _ssyt_reading_cells(shape)
     return [
         SSYT(shape, d)
-        for d in _fill(shape, cells, True, content=content, init_counts={})
+        for d in _fill(cells, True, content=content, init_counts={})
     ]
 
 
@@ -331,7 +325,7 @@ def count_lr_fillings(shape, content):
     content = tuple(map(pt._as_integer, content))
     cells = _ssyt_reading_cells(shape)
     return sum(
-        1 for _ in _fill(shape, cells, True, content=content, init_counts={})
+        1 for _ in _fill(cells, True, content=content, init_counts={})
     )
 
 
@@ -485,7 +479,7 @@ def skew_lr_pairs(a, b):
         sign = -1 if size1 % 2 else 1
         cells1 = _assyt_reading_cells(shape1)
         growths = _growths(gamma, sum(gamma) + total - size1)
-        for d1 in _fill(shape1, cells1, False, budget=target,
+        for d1 in _fill(cells1, False, budget=target,
                         init_counts=init_counts):
             t1 = ASSYT(shape1, d1)
             used = Counter(d1.values())
@@ -495,7 +489,7 @@ def skew_lr_pairs(a, b):
                 counts1[v] = counts1.get(v, 0) + m
             for gamma_plus, shape2, cells2 in growths:
                 shape = SkewShape._trusted(gamma_plus, beta_minus)
-                for d2 in _fill(shape2, cells2, True, content=remaining,
+                for d2 in _fill(cells2, True, content=remaining,
                                 init_counts=counts1):
                     yield sign, t1, SSYT(shape2, d2), shape
 
@@ -582,8 +576,7 @@ def _reading_words(outer, inner, bound):
     """The values, in SSYT reading order, of every SSYT of outer/inner with
     entries in 1..bound."""
     cells = _reading_order(outer, inner)
-    shape = SkewShape._trusted(outer, inner)
-    for entries in _fill(shape, cells, True, max_entry=bound):
+    for entries in _fill(cells, True, max_entry=bound):
         yield tuple(map(entries.__getitem__, cells))
 
 
@@ -643,8 +636,7 @@ def verify_jdt_bijection(alpha, theta):
         for delta in pt.add_restrict(theta, alpha):
             b_cell = _added_cell(theta, delta)
             cells = _reading_order(gamma, delta)
-            shape = SkewShape._trusted(gamma, delta)
-            for entries in _fill(shape, cells, True, max_entry=bound):
+            for entries in _fill(cells, True, max_entry=bound):
                 checked += 1
                 # case (a) moves nothing, and b_cell leaves gamma instead
                 vacated = _slide(entries, b_cell, 1) or b_cell

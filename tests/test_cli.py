@@ -103,8 +103,8 @@ def test_cmd_skew(capsys):
 
 
 def test_skew_of_a_large_shape_is_fast(capsys):
-    # the skew table walks the partitions inside the outer shape, not all
-    # p(74) partitions of the skew size
+    # the skew table enumerates the LR fillings of the shape, not all p(74)
+    # partitions of the skew size
     for argv in (["skew", "45,30/1"], ["apply", "D[1]", "s[45,30]"]):
         assert cli.main(argv) == 0
         assert capsys.readouterr().out.strip() == "s[45,29] + s[44,30]"
@@ -346,6 +346,32 @@ def test_apply_work_limit(capsys, monkeypatch):
     errors = captured.err.splitlines()
     assert len(errors) == 5
     assert all("exceeds the work limit" in line for line in errors)
+
+
+def test_partition_walk_limit(capsys):
+    # a p atom or a Kronecker coefficient walks every partition of its
+    # degree; p(47) = 124,754 is over the limit, p(46) = 105,558 is not
+    start = time.monotonic()
+    for argv in (["expand", "p[100]"], ["expand", "s[1]*p[47]"],
+                 ["apply", "U(p[60])", "s[1]"],
+                 ["kroncoeff", "50,50", "50,50", "50,50"]):
+        assert cli.main(argv) == 2, argv
+    assert time.monotonic() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"symop: error: p atom at degree {n} exceeds the work limit "
+        f"{cli.MAX_PRODUCT_WORK}"
+        for n in (100, 47, 60)
+    ] + [
+        f"symop: error: Kronecker coefficient at degree 100 exceeds the work "
+        f"limit {cli.MAX_PRODUCT_WORK}",
+    ]
+    # p[40] is under the limit, and h and e atoms walk no partitions
+    for atom, want in (("p[40]", "s[40] - s[39,1] + "), ("h[30]", "s[30]"),
+                       ("e[28]", "s[" + ",".join(["1"] * 28) + "]")):
+        assert cli.main(["expand", atom]) == 0
+        assert capsys.readouterr().out.startswith(want), atom
 
 
 def test_partition_count():

@@ -122,16 +122,6 @@ def test_sub_partitions():
     assert subs == sorted(subs, key=pt.sort_key)
 
 
-def test_partitions_inside_is_the_filtered_partitions_of_up_to_8():
-    for lam in pt.partitions_upto(8):
-        for n in range(sum(lam) + 2):
-            want = tuple(nu for nu in pt.partitions_of(n) if pt.contains(nu, lam))
-            assert pt.partitions_inside(n, lam) == want, (n, lam)
-    assert pt.partitions_inside(74, (45, 30)) == ((45, 29), (44, 30))
-    with pytest.raises(ValueError):
-        pt.partitions_inside(-1, (2,))
-
-
 def test_z_factor():
     assert pt.z_factor(()) == 1
     assert pt.z_factor((1, 1, 1)) == 6

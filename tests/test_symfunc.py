@@ -3,11 +3,12 @@ import itertools
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from symop import partitions as pt, symfunc as sf
+from symop import partitions as pt, symfunc as sf, tableaux as tb
 
 
 def test_add_and_scale():
@@ -158,6 +159,51 @@ def test_mul_two_routes_agree_up_to_8():
             assert via_lr == via_p
 
 
+def test_lr_tables_pinned_up_to_10():
+    # digests of the product and skew tables, terms in table order, over
+    # every pair with |lam| + |mu| <= 10, as the tables computed them one
+    # lr_coeff at a time over partitions_of
+    pairs = [(lam, mu) for lam in pt.partitions_upto(10)
+             for mu in pt.partitions_upto(10 - sum(lam))]
+    for table, want in (
+        (sf._schur_mul_terms,
+         "8d9cef76182564db017ff4abd3cb6e98cbfeacae6e51214b062d6a4f9a2b1207"),
+        (sf._schur_skew_terms,
+         "d7cb1befa6dd24be350755e3f5882d19b14505753113872475e0a9fc2384a229"),
+    ):
+        rows = [(lam, mu, table(lam, mu)) for lam, mu in pairs]
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == want
+        # every key is the tuple object that partitions_of holds
+        for _lam, _mu, terms in rows:
+            for nu, _c in terms:
+                assert any(nu is x for x in pt.partitions_of(sum(nu)))
+
+
+def test_h_and_e_to_schur_are_kostka_numbers_up_to_7():
+    # h_lam = sum_nu K_{nu,lam} s_nu and e_lam = sum_nu K_{nu',lam} s_nu,
+    # with the Kostka number K_{nu,lam} counted as the SSYT of shape nu
+    # and content lam
+    for n in range(8):
+        for lam in pt.partitions_of(n):
+            kostka = {
+                nu: len(tb.enumerate_ssyt(pt.SkewShape(nu), lam))
+                for nu in pt.partitions_of(n)
+            }
+            assert sf.to_basis(sf.h(lam), "s") == sf.SymFunc("s", kostka), lam
+            dual = {pt.conjugate(nu): k for nu, k in kostka.items()}
+            assert sf.to_basis(sf.e(lam), "s") == sf.SymFunc("s", dual), lam
+
+
+def test_pieri_product_and_skew_of_a_large_shape_are_fast():
+    # the tables enumerate LR fillings, not the p(74) partitions of the
+    # answer's degree
+    assert sf._schur_skew_terms((45, 30), (1,)) == (((45, 29), 1), ((44, 30), 1))
+    start = time.monotonic()
+    got = sf.mul(sf.schur((45, 30)), sf.schur((1,)))
+    assert time.monotonic() - start < 1
+    assert got == sf.SymFunc("s", {(46, 30): 1, (45, 31): 1, (45, 30, 1): 1})
+
+
 def test_hall_inner_examples():
     assert sf.hall_inner(sf.schur((2, 1)), sf.schur((2, 1))) == 1
     assert sf.hall_inner(sf.schur((2, 1)), sf.schur((3,))) == 0
@@ -181,7 +227,8 @@ def test_basis_round_trips_up_to_8():
 
 
 def test_h_and_e_round_trips_at_degrees_9_and_10():
-    # to_basis(., "s") from h and e goes through the character tables
+    # to_basis(., "s") from h and e multiplies out one-row (one-column)
+    # Schur functions through the product table
     for n in (9, 10):
         for lam in pt.partitions_of(n):
             f = sf.schur(lam)

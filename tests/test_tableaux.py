@@ -350,7 +350,7 @@ def test_in_place_slide_agrees_with_jdt_slide_up_to_4():
                     hole = tb._added_cell(theta, delta)
                     shape = SkewShape(gamma, delta)
                     cells = tb._reading_order(gamma, delta)
-                    for d in tb._fill(shape, cells, True, max_entry=bound):
+                    for d in tb._fill(cells, True, max_entry=bound):
                         t = tb.SSYT(shape, d)
                         vacated = tb._slide(d, hole, 1)
                         t2, want = tb.jdt_slide(t, hole)
@@ -499,7 +499,7 @@ def test_worked_pair_is_an_enumerated_contribution():
     init = {i: part for i, part in enumerate(delta, start=1)}
     shape1 = t1.shape
     t1_candidates = list(
-        tb._fill(shape1, tb._assyt_reading_cells(shape1), False,
+        tb._fill(tb._assyt_reading_cells(shape1), False,
                  budget=list(target), init_counts=init)
     )
     assert T1_ENTRIES in [
@@ -515,7 +515,7 @@ def test_worked_pair_is_an_enumerated_contribution():
     )
     shape2 = t2.shape
     t2_candidates = list(
-        tb._fill(shape2, tb._ssyt_reading_cells(shape2), True,
+        tb._fill(tb._ssyt_reading_cells(shape2), True,
                  content=remaining, init_counts=counts)
     )
     assert T2_ENTRIES in [
