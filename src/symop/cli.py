@@ -537,9 +537,11 @@ def _cmd_skewcorners(args):
 
 # Highest codomain degree of the truncation in `matrix` and `rank`: the
 # domain bound plus the largest degree raise.  The cost grows 1.3-1.9x per
-# degree; on a 2-core machine `matrix "U[1]" --max-deg 15` takes 0.5 s and
-# `matrix "KB[1]" --max-deg 16` 3 s, while the dense matrix of `matrix
-# "U[1]" --max-deg 40` would have 5.6e10 entries.
+# degree; on a 2-core machine `matrix "U[1]" --max-deg 15` takes 0.35-0.45
+# s, `matrix "KB[1]" --max-deg 16` 4-5 s (nearly all of it the Kronecker
+# table at degree 16) and a `rank` of 12 words U_a D_b, D_b U_a and Id
+# with |a|, |b| <= 2 at `--max-deg 14` 0.75 s, while the dense matrix of
+# `matrix "U[1]" --max-deg 40` would have 5.6e10 entries.
 MAX_TRUNCATION_DEGREE = 16
 
 

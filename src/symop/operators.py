@@ -8,13 +8,30 @@ generators; words are composed like functions, the rightmost generator
 acts first.  Expressions are never normalized automatically; equality of
 operators is decided extensionally (by matrices or by applying to basis
 vectors).
+
+Everything runs on integers from the image to the rank.  A word is
+evaluated as integer numerators over one denominator, each generator a
+bilinear lookup in one of the four memoized Schur tables of symfunc, and
+an expression sums its words into one integer accumulator.  The rank of
+a family of expressions eliminates sparse primitive integer rows, with
+no modulus and no float.
 """
 
+from collections.abc import Mapping
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import partitions as pt
 from . import symfunc as sf
+
+# generator kind -> (memoized Schur table, whether the current value is
+# the table's first argument): D_f(g) = s_{g/f}, the others are f * g
+_STEPS = {
+    "U": (sf._schur_mul_terms, False),
+    "D": (sf._schur_skew_terms, True),
+    "K": (sf._schur_kron_terms, False),
+    "KB": (sf._schur_kb_terms, False),
+}
 
 
 def _as_symfunc(f):
@@ -32,7 +49,7 @@ class OperatorExpr:
         # words: iterable of (Fraction, tuple of (kind, SymFunc))
         cleaned = []
         for coef, word in words:
-            coef = Fraction(coef)
+            coef = sf._rational(coef)
             if coef and all(not f.is_zero() for _k, f in word):
                 cleaned.append((coef, tuple(word)))
         object.__setattr__(self, "words", tuple(cleaned))
@@ -59,21 +76,44 @@ class OperatorExpr:
                 for c1, w1 in self.words
                 for c2, w2 in other.words
             )
-        return OperatorExpr((Fraction(other) * c, w) for c, w in self.words)
+        scalar = sf._rational(other)
+        return OperatorExpr((scalar * c, w) for c, w in self.words)
 
     def __rmul__(self, other):
         return self * other
 
     def apply(self, g, check=None):
         """Evaluate on a symmetric function; linear in the expression and
-        in g.  The rightmost generator of each word acts first.  A given
-        check is called as check(kind, f, h) before each generator (kind, f)
-        acts on the current value h, and may raise to refuse the step."""
-        if len(self.words) == 1 and self.words[0][0] == 1:
-            return sf.to_basis(_apply_word(self.words[0][1], g, check), "s")
-        return sf.linear_combination(
-            (coef, _apply_word(word, g, check)) for coef, word in self.words
-        )
+        in g, with the value in the Schur basis.  The rightmost generator
+        of each word acts first.  Each word carries its value as integer
+        numerators over one denominator from one generator to the next, and
+        the words are summed into one accumulator, so the only SymFunc
+        built is the result.  A given check is called as check(kind, f, h)
+        before each generator (kind, f) acts on the current value h (a
+        Schur-basis SymFunc, built for the check only), and may raise to
+        refuse the step."""
+        gs = sf.to_basis(g, "s")
+        out, d_out = {}, 1
+        for coef, word in self.words:
+            num, d = gs._num, gs._d
+            for kind, f in reversed(word):
+                step = _STEPS.get(kind)
+                if step is None:
+                    raise ValueError(f"unknown generator {kind!r}")
+                if check is not None:
+                    check(kind, f, sf.SymFunc._trusted("s", num, d))
+                table, value_first = step
+                fs = sf.to_basis(f, "s")
+                if value_first:
+                    num = sf._bilinear_ints(num.items(), fs._num.items(), table)
+                else:
+                    num = sf._bilinear_ints(fs._num.items(), num.items(), table)
+                d *= fs._d
+                if not num:
+                    break
+            cn, cd = coef.as_integer_ratio()
+            d_out = sf._add_scaled(out, d_out, num.items(), cn, cd * d)
+        return sf._from_ints("s", out, d_out)
 
     def max_degree_shift(self):
         """Largest possible degree raise over all words; 0 for the zero
@@ -98,25 +138,6 @@ class OperatorExpr:
             gens = "".join(f"{k}({f})" for k, f in word) or "Id"
             parts.append(f"{coef}*{gens}")
         return "<OperatorExpr " + " + ".join(parts) + ">"
-
-
-def _apply_word(word, g, check=None):
-    for kind, f in reversed(word):
-        if check is not None:
-            check(kind, f, g)
-        if kind == "U":
-            g = sf.mul(f, g)
-        elif kind == "D":
-            g = sf.skew(g, f)
-        elif kind == "K":
-            g = sf.kronecker(f, g)
-        elif kind == "KB":
-            g = apply_KB(f, g)
-        else:
-            raise ValueError(f"unknown generator {kind!r}")
-        if g.is_zero():
-            break
-    return g
 
 
 def identity_op():
@@ -244,17 +265,16 @@ class TruncatedMatrix:
 
 
 def _images(expr, dom, cod):
-    """(lam, mu, c) for every Schur coefficient c of s_mu in expr(s_lam),
-    over the partitions lam of size <= dom in (degree, reverse-lex) order.
-    An image of degree above cod is an AssertionError."""
+    """(lam, expr(s_lam)) for every partition lam of size <= dom in
+    (degree, reverse-lex) order, the image in the Schur basis.  An image of
+    degree above cod is an AssertionError."""
     for lam in pt.partitions_upto(dom):
-        image = sf.to_basis(expr.apply(sf.schur(lam)), "s")
-        for mu, c in image.terms.items():
-            if sum(mu) > cod:
-                raise AssertionError(
-                    f"image degree {sum(mu)} exceeds codomain bound {cod}"
-                )
-            yield lam, mu, c
+        image = expr.apply(sf.schur(lam))
+        if image.max_degree() > cod:
+            raise AssertionError(
+                f"image degree {image.max_degree()} exceeds codomain bound {cod}"
+            )
+        yield lam, image
 
 
 def matrix_of(expr, dom_max_degree, cod_max_degree=None):
@@ -268,43 +288,66 @@ def matrix_of(expr, dom_max_degree, cod_max_degree=None):
     col_index = {lam: j for j, lam in enumerate(cols)}
     row_index = {mu: i for i, mu in enumerate(rows)}
     entries = [[Fraction(0)] * len(cols) for _ in rows]
-    for lam, mu, c in _images(expr, dom_max_degree, cod_max_degree):
-        entries[row_index[mu]][col_index[lam]] = c
+    for lam, image in _images(expr, dom_max_degree, cod_max_degree):
+        j = col_index[lam]
+        for mu, c in image.terms.items():
+            entries[row_index[mu]][j] = c
     return TruncatedMatrix(dom_max_degree, cod_max_degree, cols, rows, entries)
 
 
+def _primitive(row):
+    """The sparse row {column: nonzero int} divided by the gcd of its
+    entries."""
+    g = gcd(*row.values())
+    if g != 1:
+        row = {k: x // g for k, x in row.items()}
+    return row
+
+
 def _integer_rank(rows):
-    """Rank of an exact rational matrix by fraction-free (Bareiss)
-    elimination on a common-denominator integer copy."""
-    if not rows or not rows[0]:
-        return 0
-    mat = []
+    """Rank of an exact rational matrix, given as rows that are dense
+    sequences or mappings column -> entry, the entries ints or Fractions.
+
+    Each nonzero row becomes a sparse primitive integer row {column: int}
+    (zero rows are dropped).  Then, column by column from the smallest,
+    the pivot is a row with the smallest |entry| p there (the shortest
+    such row); every other row with an entry a there becomes
+    (p*row - a*pivot) / gcd(p, a), divided by the gcd of its entries,
+    which clears the column.  The pivot leaves the matrix as one unit of
+    rank, rows that become zero are dropped, and rows with no entry in the
+    column are not touched: the rows wait in buckets by their smallest
+    column, since every column before it is already cleared.  Each step
+    multiplies a row by a nonzero integer, adds a multiple of another row
+    or divides by a content, so the rank is exact; there is no modulus and
+    no float."""
+    by_lead = {}
     for row in rows:
-        denom = lcm(*[x.denominator for x in row])
-        mat.append([int(x * denom) for x in row])
-    n, m = len(mat), len(mat[0])
+        pairs = row.items() if isinstance(row, Mapping) else enumerate(row)
+        row = {k: x for k, x in pairs if x}
+        if row:
+            d = lcm(*(x.denominator for x in row.values()))
+            row = {k: x.numerator * (d // x.denominator) for k, x in row.items()}
+            by_lead.setdefault(min(row), []).append(_primitive(row))
     rank = 0
-    prev = 1
-    for col in range(m):
-        pivot = next((r for r in range(rank, n) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        prow = mat[rank]
-        p = prow[col]
-        for r in range(rank + 1, n):
-            row = mat[r]
+    while by_lead:
+        col = min(by_lead)
+        hits = by_lead.pop(col)
+        pivot = min(hits, key=lambda row: (abs(row[col]), len(row)))
+        p = pivot[col]
+        for row in hits:
+            if row is pivot:
+                continue
             a = row[col]
-            for c in range(col + 1, m):
-                q, rem = divmod(row[c] * p - a * prow[c], prev)
-                if rem:
-                    raise AssertionError("fraction-free elimination broke")
-                row[c] = q
-            row[col] = 0
-        prev = p
+            g = gcd(p, a)
+            pg, ag = p // g, a // g
+            # pg * a - ag * p == 0: the column drops out with the zeros
+            new = dict(row) if pg == 1 else {k: pg * x for k, x in row.items()}
+            for k, x in pivot.items():
+                new[k] = new.get(k, 0) - ag * x
+            new = {k: x for k, x in new.items() if x}
+            if new:
+                by_lead.setdefault(min(new), []).append(_primitive(new))
         rank += 1
-        if rank == n:
-            break
     return rank
 
 
@@ -312,19 +355,32 @@ def stacked_rank(exprs, dom_max_degree):
     """Rank of the vectorized truncated matrices of the expressions, all
     sharing one codomain bound.
 
-    The stacked matrix has one row per entry (mu, lam) and one column per
-    expression.  Zero rows and repeated rows do not change its row space,
-    so only the distinct nonzero rows are eliminated and the rank is
-    exact."""
+    The stacked matrix has one row per entry (lam, mu) and one column per
+    expression.  Its entries are read from the integer numerators of the
+    images, and a row with an entry from an image over a denominator is
+    put over the lcm of its own denominators, with no Fraction built.
+    Zero rows and repeated rows do not change the row space, so only the
+    distinct nonzero rows, in their first order, are eliminated and the
+    rank is exact."""
     exprs = list(exprs)
     if not exprs:
         return 0
     cod = dom_max_degree + max(max(0, e.max_degree_shift()) for e in exprs)
-    rows = {}
+    rows, dens = {}, {}
     for k, e in enumerate(exprs):
-        for lam, mu, c in _images(e, dom_max_degree, cod):
-            rows.setdefault((lam, mu), [0] * len(exprs))[k] = c
-    return _integer_rank(list(dict.fromkeys(map(tuple, rows.values()))))
+        for lam, image in _images(e, dom_max_degree, cod):
+            if image._d != 1:
+                dens[k, lam] = image._d
+            for mu, n in image._num.items():
+                rows.setdefault((lam, mu), {})[k] = n
+    if dens:
+        for (lam, _mu), row in rows.items():
+            ds = [dens.get((k, lam), 1) for k in row]
+            m = lcm(*ds)
+            for k, d in zip(row, ds):
+                row[k] *= m // d
+    distinct = dict.fromkeys(tuple(row.items()) for row in rows.values())
+    return _integer_rank([dict(row) for row in distinct])
 
 
 def independent(exprs, dom_max_degree):

@@ -10,7 +10,9 @@ common factor), so sums, products and basis changes run on ints against
 the integer structure constants (characters, LR and Kronecker
 coefficients).  The public view `terms` maps each partition to its
 coefficient as a fractions.Fraction; it is read-only and is built on first
-access.
+access.  Every coefficient given from outside passes through one coercion,
+`_rational`, which takes ints, Fractions and rational strings and refuses
+floats, which are already rounded.
 
 Between s and p, conversions route through characters: s_lam =
 sum_rho chi^lam(rho)/z_rho p_rho and back.  s goes to h and e by
@@ -57,7 +59,7 @@ class SymFunc:
         items = terms.items() if isinstance(terms, Mapping) else terms
         for parts, c in items:
             key = pt.make_partition(parts)
-            c = Fraction(c)
+            c = _rational(c)
             if key in data:
                 data[key] += c
             else:
@@ -167,12 +169,22 @@ def _init(f, basis, num, d):
     setattr_(f, "_terms", None)
 
 
+def _rational(c):
+    """The exact rational c, as a Fraction: an int, a Fraction, or a
+    rational string such as "-1/2".  A float is a TypeError: it is already
+    rounded to a binary fraction (0.1 would become 3602879701896397/2**55)."""
+    if isinstance(c, float):
+        raise TypeError(f"coefficient {c!r} is a float; give an int, a "
+                        f"Fraction or a string such as '1/10'")
+    return Fraction(c)
+
+
 def _ratio(c):
-    """The rational c (an int, a Fraction, or anything Fraction accepts)
-    as (numerator, denominator) in lowest terms, denominator > 0."""
+    """The rational c, as _rational reads it, as (numerator, denominator)
+    in lowest terms, denominator > 0."""
     if isinstance(c, (int, Fraction)):
         return c.as_integer_ratio()
-    return Fraction(c).as_integer_ratio()
+    return _rational(c).as_integer_ratio()
 
 
 def _as_parts(parts):
@@ -236,15 +248,21 @@ def linear_combination(terms):
     for c, f in terms:
         cn, cd = _ratio(c)
         fs = to_basis(f, "s")
-        q = cd * fs._d
-        if d % q:
-            # a new denominator: put the running sum over lcm(d, q)
-            m = q // gcd(d, q)
-            for k in out:
-                out[k] *= m
-            d *= m
-        _add_into(out, fs._num.items(), cn * (d // q))
+        d = _add_scaled(out, d, fs._num.items(), cn, cd * fs._d)
     return _from_ints("s", out, d)
+
+
+def _add_scaled(out, d, pairs, c, q):
+    """Add c/q * w for every (k, w) in pairs to the numerators out over the
+    denominator d, and return their new denominator lcm(d, q); out is put
+    over it in place first when it grows."""
+    if d % q:
+        m = q // gcd(d, q)
+        for k in out:
+            out[k] *= m
+        d *= m
+    _add_into(out, pairs, c * (d // q))
+    return d
 
 
 def _from_ints(basis, out, d=1):
@@ -276,12 +294,22 @@ def _union_product(*factors):
 def _bilinear(f, g, table):
     """Schur sum of a * b * table(lam, mu) over the terms a s_lam of f and
     b s_mu of g."""
+    return SymFunc._trusted(
+        "s", _bilinear_ints(f._num.items(), g._num.items(), table), f._d * g._d
+    )
+
+
+def _bilinear_ints(xs, ys, table):
+    """The nonzero entries of sum a * b * table(lam, mu) over the integer
+    pairs (lam, a) of xs and (mu, b) of ys, as a fresh dict; ys is iterated
+    once per pair of xs, so it is a view or a sequence.  The one kernel of
+    products, skewing, Kronecker products and KB, here and in
+    `OperatorExpr.apply`."""
     out = {}
-    gb = g._num.items()
-    for lam, a in f._num.items():
-        for mu, b in gb:
+    for lam, a in xs:
+        for mu, b in ys:
             _add_into(out, table(lam, mu), a * b)
-    return _from_ints("s", out, f._d * g._d)
+    return {k: n for k, n in out.items() if n}
 
 
 # ---------------------------------------------------------------------------
@@ -632,5 +660,5 @@ def to_json(f):
 
 def from_json(obj):
     return SymFunc(
-        obj["basis"], [(tuple(t["part"]), Fraction(t["coef"])) for t in obj["terms"]]
+        obj["basis"], [(tuple(t["part"]), t["coef"]) for t in obj["terms"]]
     )

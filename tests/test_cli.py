@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -167,6 +169,20 @@ def test_cmd_rank(capsys):
     assert "rank 2 of 3: dependent at this truncation" in capsys.readouterr().out
     assert cli.main(["rank", "U[1];U[2]", "--max-deg", "3"]) == 0
     assert "rank 2 of 2: independent" in capsys.readouterr().out
+
+
+def test_rank_of_the_commutation_relations(capsys):
+    # the paper's normal ordering D_b U_a = sum_lam U_{a/lam} D_{b/lam} holds
+    # for (a, b) = (1, 1), (2, 2), (11, 11) and (2, 11) with every a/lam
+    # and b/lam among these words, so 12 words span 8 dimensions
+    words = ("U[1]D[1];D[1]U[1];U[2]D[2];D[2]U[2];U[1,1]D[1,1];D[1,1]U[1,1];"
+             "U[2]D[1,1];D[1,1]U[2];U[1]D[2];D[2]U[1];Id;U[1,1]D[2]")
+    assert cli.main(["rank", words, "--max-deg", "6"]) == 0
+    assert capsys.readouterr().out == "rank 8 of 12: dependent at this truncation\n"
+    assert cli.main(["rank", words, "--max-deg", "6", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "rank": 8, "count": 12, "independent": False
+    }
 
 
 def test_cmd_skewlr(capsys):
@@ -463,3 +479,33 @@ def test_json_round_trip_on_random_values():
     for _ in range(50):
         f = _random_symfunc(rng)
         assert sf.from_json(json.loads(json.dumps(sf.to_json(f)))) == f
+
+
+def _readme_cli_lines():
+    """The `symop` command lines of the README's command-line block, split
+    with shlex (comments dropped, the program name stripped)."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = re.findall(r"```sh\n(.*?)```", fh.read(), re.S)
+    lines = [shlex.split(line, comments=True) for block in blocks
+             for line in block.splitlines() if line.startswith("symop ")]
+    return [argv[1:] for argv in lines]
+
+
+def test_readme_cli_examples_print_the_same_bytes(capsys):
+    # every README example, in text and in JSON: its exit code, stdout and
+    # stderr, with the elapsed-time fields of `verify` masked out
+    lines = _readme_cli_lines()
+    assert len(lines) == 15
+    digest = hashlib.sha256()
+    for argv in lines:
+        for fmt in ([], ["--format", "json"]):
+            code = cli.main(argv + fmt)
+            got = capsys.readouterr()
+            text = f"{argv} {fmt} {code}\n{got.out}\n{got.err}\n"
+            text = re.sub(r"\d+\.\d\ds\)", "s)", text)
+            text = re.sub(r'"elapsed": [0-9.e-]+', '"elapsed": 0', text)
+            digest.update(text.encode())
+    assert digest.hexdigest() == (
+        "3281c886bf074751af65ecf5e94cf2ad733da575fb2955d82661a69d24c98a39"
+    )

@@ -122,6 +122,25 @@ def test_kb_table_matches_vertex_operator_route():
             assert op.apply_KB(f, g) == op.kb_via_gamma(f, g), (lam, mu)
 
 
+def test_float_coefficients_are_refused():
+    u = op.U((1,))
+    for build in (
+        lambda: 0.1 * u,
+        lambda: u * 0.1,
+        lambda: op.OperatorExpr([(0.5, (("U", sf.schur((1,))),))]),
+        lambda: -0.5 * (u - op.identity_op()),
+    ):
+        with pytest.raises(TypeError, match="float"):
+            build()
+    # ints, Fractions and rational strings are still exact
+    g = sf.schur((2,))
+    tenth = sf.SymFunc("s", {(3,): "1/10", (2, 1): "1/10"})
+    assert ("1/10" * u).apply(g) == tenth
+    assert (Fraction(1, 10) * u).apply(g) == tenth
+    assert op.OperatorExpr([("1/10", u.words[0][1])]).apply(g) == tenth
+    assert (u * 10).apply(tenth) == sf.mul(sf.schur((1,)), sf.scale(10, tenth))
+
+
 def test_matrix_identity():
     m = op.matrix_of(op.identity_op(), 3)
     assert m.cols == m.rows
@@ -281,6 +300,80 @@ def test_integer_rank_against_fraction_elimination():
         for _ in range(rng.randint(0, 2)):
             rows.insert(rng.randint(0, len(rows)), list(rng.choice(rows)))
         assert op._integer_rank(rows) == _fraction_rank(rows)
+
+
+def _planted_sparse_matrix(rng, n_rows, n_cols, density, top):
+    """A seeded tall sparse integer matrix with entries up to `top` in
+    size: some columns are combinations of two others, some rows are
+    combinations of two others, and zero and repeated rows are mixed in."""
+    cols = [[rng.randint(-top, top) if rng.random() < density else 0
+             for _ in range(n_rows)] for _ in range(n_cols)]
+    for j in rng.sample(range(n_cols), rng.randint(0, 4)):
+        x, y = rng.sample([i for i in range(n_cols) if i != j], 2)
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        cols[j] = [a * u + b * v for u, v in zip(cols[x], cols[y])]
+    rows = [list(r) for r in zip(*cols)]
+    for _ in range(rng.randint(1, 20)):
+        x, y = rng.sample(range(len(rows)), 2)
+        a, b = rng.randint(-9, 9), rng.randint(-9, 9)
+        rows.append([a * u + b * v for u, v in zip(rows[x], rows[y])])
+    for _ in range(rng.randint(1, 10)):
+        rows.insert(rng.randint(0, len(rows)), [0] * n_cols)
+        rows.insert(rng.randint(0, len(rows)), list(rng.choice(rows)))
+    return rows
+
+
+def test_integer_rank_of_tall_sparse_planted_matrices():
+    rng = random.Random(13)
+    ranks = set()
+    for _ in range(8):
+        rows = _planted_sparse_matrix(rng, 300, 16, 0.1, 10**6)
+        want = _fraction_rank(rows)
+        ranks.add(want)
+        assert op._integer_rank(rows) == want
+        # the same matrix as sparse mappings, and scaled to rationals
+        sparse = [{j: x for j, x in enumerate(r) if x} for r in rows]
+        assert op._integer_rank(sparse) == want
+        scaled = [[Fraction(x, i % 7 + 1) for x in r] for i, r in enumerate(rows)]
+        assert op._integer_rank(scaled) == want
+    assert len(ranks) > 1 and max(ranks) <= 16
+
+
+def test_integer_rank_edge_cases():
+    assert op._integer_rank([]) == 0
+    assert op._integer_rank([[], []]) == 0
+    assert op._integer_rank([{}, {}]) == 0
+    assert op._integer_rank([[0], [0]]) == 0
+    assert op._integer_rank([[0], [Fraction(-1, 2)], [3]]) == 1
+    assert op._integer_rank([[0, 0], [0, 5]]) == 1
+    assert op._integer_rank([{"b": 2}, {"a": 1, "b": 1}, {"a": 2, "b": 4}]) == 2
+    for n in range(4):
+        assert op.stacked_rank([], n) == 0
+        assert op.stacked_rank([op.zero_op()], n) == 0
+        assert not op.independent([op.zero_op()], n)
+
+
+def test_stacked_rank_reads_each_image_over_its_own_denominator():
+    # (Id + UD)(s_lam) is s_0 at lam = 0 and 2 s_1 at lam = 1, so half of
+    # it sits over 2 on the first image and over 1 on the second
+    one = op.identity_op() + op.U((1,)) * op.D((1,))
+    half = Fraction(1, 2) * one
+    assert [op.stacked_rank([one, half], n) for n in range(4)] == [1, 1, 1, 1]
+    assert op.stacked_rank([one, half, op.identity_op()], 3) == 2
+
+
+def test_stacked_rank_of_the_benchmark_words_with_a_planted_sum():
+    # the 49 words U_a D_b with |a|, |b| <= 3 are independent; a sum of two
+    # of them adds no rank, which the dense elimination confirms
+    small = pt.partitions_upto(3)
+    words = [op.U(sf.schur(a)) * op.D(sf.schur(b)) for a in small for b in small]
+    exprs = words + [words[5] - 3 * words[40]]
+    cod = 4 + max(e.max_degree_shift() for e in exprs)
+    vectors = [
+        [x for row in op.matrix_of(e, 4, cod).entries for x in row] for e in exprs
+    ]
+    assert op.stacked_rank(exprs, 4) == _fraction_rank(vectors) == 49
+    assert op.independent(words, 4)
 
 
 def _kb_operands(count, seed):

@@ -589,3 +589,28 @@ def test_mixed_basis_outputs_pinned():
     assert digest.hexdigest() == (
         "a60e2deb74d17c38bb72b4c78055f562609da01d313f4643091a8fa347902d4f"
     )
+
+
+def test_float_coefficients_are_refused():
+    # a float is already a binary fraction: 0.1 would become
+    # 3602879701896397/36028797018963968, so every entry point refuses it
+    s1 = sf.schur((1,))
+    for build in (
+        lambda: 0.1 * s1,
+        lambda: s1 * 0.1,
+        lambda: sf.scale(0.5, s1),
+        lambda: sf.linear_combination([(0.5, s1)]),
+        lambda: sf.SymFunc("s", {(1,): 0.1}),
+        lambda: sf.SymFunc("p", [((2,), 1), ((1, 1), 2.0)]),
+        lambda: sf.from_json({"basis": "s", "terms": [{"part": [1], "coef": 0.1}]}),
+    ):
+        with pytest.raises(TypeError, match="float"):
+            build()
+    # ints, Fractions and rational strings are still exact
+    tenth = sf.SymFunc("s", {(1,): "1/10"})
+    assert tenth.terms == {(1,): Fraction(1, 10)}
+    assert sf.render(tenth) == "1/10*s[1]"
+    assert sf.scale("1/10", s1) == tenth == Fraction(1, 10) * s1
+    assert sf.from_json(sf.to_json(tenth)) == tenth
+    assert sf.linear_combination([("-1/5", s1), (Fraction(3, 10), s1)]) == tenth
+    assert 3 * s1 == sf.SymFunc("s", {(1,): 3}) == sf.SymFunc("s", {(1,): True + 2})
