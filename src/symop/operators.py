@@ -13,8 +13,11 @@ Everything runs on integers from the image to the rank.  A word is
 evaluated as integer numerators over one denominator, each generator a
 bilinear lookup in one of the four memoized Schur tables of symfunc, and
 an expression sums its words into one integer accumulator.  The rank of
-a family of expressions eliminates sparse primitive integer rows, with
-no modulus and no float.
+a family of expressions is built one basis vector s_lam at a time: the
+integer rows of the images on s_lam are pushed into one echelon of
+sparse primitive integer rows, with no modulus and no float, and no
+further basis vector is evaluated once the rank equals the number of
+expressions.
 """
 
 from collections.abc import Mapping
@@ -264,17 +267,15 @@ class TruncatedMatrix:
         )
 
 
-def _images(expr, dom, cod):
-    """(lam, expr(s_lam)) for every partition lam of size <= dom in
-    (degree, reverse-lex) order, the image in the Schur basis.  An image of
-    degree above cod is an AssertionError."""
-    for lam in pt.partitions_upto(dom):
-        image = expr.apply(sf.schur(lam))
-        if image.max_degree() > cod:
-            raise AssertionError(
-                f"image degree {image.max_degree()} exceeds codomain bound {cod}"
-            )
-        yield lam, image
+def _image(expr, g, cod):
+    """expr(g) in the Schur basis.  An image of degree above cod is an
+    AssertionError."""
+    image = expr.apply(g)
+    if image.max_degree() > cod:
+        raise AssertionError(
+            f"image degree {image.max_degree()} exceeds codomain bound {cod}"
+        )
+    return image
 
 
 def matrix_of(expr, dom_max_degree, cod_max_degree=None):
@@ -285,12 +286,10 @@ def matrix_of(expr, dom_max_degree, cod_max_degree=None):
         cod_max_degree = dom_max_degree + max(0, expr.max_degree_shift())
     cols = pt.partitions_upto(dom_max_degree)
     rows = pt.partitions_upto(cod_max_degree)
-    col_index = {lam: j for j, lam in enumerate(cols)}
     row_index = {mu: i for i, mu in enumerate(rows)}
     entries = [[Fraction(0)] * len(cols) for _ in rows]
-    for lam, image in _images(expr, dom_max_degree, cod_max_degree):
-        j = col_index[lam]
-        for mu, c in image.terms.items():
+    for j, lam in enumerate(cols):
+        for mu, c in _image(expr, sf.schur(lam), cod_max_degree).terms.items():
             entries[row_index[mu]][j] = c
     return TruncatedMatrix(dom_max_degree, cod_max_degree, cols, rows, entries)
 
@@ -304,90 +303,113 @@ def _primitive(row):
     return row
 
 
+def _push_row(pivots, row):
+    """Push the sparse primitive integer row {column: int} into the echelon
+    `pivots`, which maps each leading column to the one primitive row whose
+    smallest column it is; afterwards len(pivots) is the rank of all the
+    rows pushed so far.
+
+    At the row's smallest column, with no pivot there the row becomes its
+    pivot.  Otherwise, of the row and the pivot, the one whose entry p
+    there is smaller in absolute value is the pivot (a new row replaces the
+    old pivot only when strictly smaller), and the other, with entry a
+    there, becomes (p*row - a*pivot) / gcd(p, a), divided by the gcd of its
+    entries, which clears the column; that is repeated at its next smallest
+    column until it is zero or lands in a free column.  Each step
+    multiplies a row by a nonzero integer, adds a multiple of another row
+    or divides by a content, so the span and the rank are exact; there is
+    no modulus and no float."""
+    while True:
+        col = min(row)
+        pivot = pivots.get(col)
+        if pivot is None:
+            pivots[col] = row
+            return
+        if abs(row[col]) < abs(pivot[col]):
+            pivots[col], row, pivot = row, pivot, row
+        p, a = pivot[col], row[col]
+        g = gcd(p, a)
+        pg, ag = p // g, a // g
+        # pg * a - ag * p == 0: the column drops out with the zeros
+        new = dict(row) if pg == 1 else {k: pg * x for k, x in row.items()}
+        for k, x in pivot.items():
+            new[k] = new.get(k, 0) - ag * x
+        new = {k: x for k, x in new.items() if x}
+        if not new:
+            return
+        row = _primitive(new)
+
+
 def _integer_rank(rows):
     """Rank of an exact rational matrix, given as rows that are dense
     sequences or mappings column -> entry, the entries ints or Fractions.
 
-    Each nonzero row becomes a sparse primitive integer row {column: int}
-    (zero rows are dropped).  Then, column by column from the smallest,
-    the pivot is a row with the smallest |entry| p there (the shortest
-    such row); every other row with an entry a there becomes
-    (p*row - a*pivot) / gcd(p, a), divided by the gcd of its entries,
-    which clears the column.  The pivot leaves the matrix as one unit of
-    rank, rows that become zero are dropped, and rows with no entry in the
-    column are not touched: the rows wait in buckets by their smallest
-    column, since every column before it is already cleared.  Each step
-    multiplies a row by a nonzero integer, adds a multiple of another row
-    or divides by a content, so the rank is exact; there is no modulus and
-    no float."""
-    by_lead = {}
+    Each nonzero row is put over the lcm of its denominators as a sparse
+    primitive integer row {column: int} (zero rows are dropped) and pushed
+    into one echelon by `_push_row`."""
+    pivots = {}
     for row in rows:
         pairs = row.items() if isinstance(row, Mapping) else enumerate(row)
         row = {k: x for k, x in pairs if x}
         if row:
             d = lcm(*(x.denominator for x in row.values()))
             row = {k: x.numerator * (d // x.denominator) for k, x in row.items()}
-            by_lead.setdefault(min(row), []).append(_primitive(row))
-    rank = 0
-    while by_lead:
-        col = min(by_lead)
-        hits = by_lead.pop(col)
-        pivot = min(hits, key=lambda row: (abs(row[col]), len(row)))
-        p = pivot[col]
-        for row in hits:
-            if row is pivot:
-                continue
-            a = row[col]
-            g = gcd(p, a)
-            pg, ag = p // g, a // g
-            # pg * a - ag * p == 0: the column drops out with the zeros
-            new = dict(row) if pg == 1 else {k: pg * x for k, x in row.items()}
-            for k, x in pivot.items():
-                new[k] = new.get(k, 0) - ag * x
-            new = {k: x for k, x in new.items() if x}
-            if new:
-                by_lead.setdefault(min(new), []).append(_primitive(new))
-        rank += 1
-    return rank
+            _push_row(pivots, _primitive(row))
+    return len(pivots)
 
 
 def stacked_rank(exprs, dom_max_degree):
     """Rank of the vectorized truncated matrices of the expressions, all
     sharing one codomain bound.
 
-    The stacked matrix has one row per entry (lam, mu) and one column per
-    expression.  Its entries are read from the integer numerators of the
-    images, and a row with an entry from an image over a denominator is
-    put over the lcm of its own denominators, with no Fraction built.
-    Zero rows and repeated rows do not change the row space, so only the
-    distinct nonzero rows, in their first order, are eliminated and the
-    rank is exact."""
+    The stacked matrix has one column per expression and one row per entry
+    (lam, mu), built one basis vector s_lam at a time in the (degree,
+    reverse-lex) order of `partitions_upto`: every expression is applied
+    to s_lam, and each row (lam, mu) is read from the integer numerators of
+    the images, put over the lcm of its own denominators with no Fraction
+    built, and divided by its content.  Each row not seen before is pushed
+    into one echelon by `_push_row`; zero and repeated rows do not change
+    the row space, so the rank is exact.  The rank never exceeds the number
+    of expressions, so once it reaches it no later basis vector is
+    evaluated."""
     exprs = list(exprs)
     if not exprs:
         return 0
     cod = dom_max_degree + max(max(0, e.max_degree_shift()) for e in exprs)
-    rows, dens = {}, {}
-    for k, e in enumerate(exprs):
-        for lam, image in _images(e, dom_max_degree, cod):
+    pivots, seen = {}, set()
+    for lam in pt.partitions_upto(dom_max_degree):
+        s_lam = sf.schur(lam)
+        rows, dens = {}, {}
+        for k, e in enumerate(exprs):
+            image = _image(e, s_lam, cod)
             if image._d != 1:
-                dens[k, lam] = image._d
+                dens[k] = image._d
             for mu, n in image._num.items():
-                rows.setdefault((lam, mu), {})[k] = n
-    if dens:
-        for (lam, _mu), row in rows.items():
-            ds = [dens.get((k, lam), 1) for k in row]
-            m = lcm(*ds)
-            for k, d in zip(row, ds):
-                row[k] *= m // d
-    distinct = dict.fromkeys(tuple(row.items()) for row in rows.values())
-    return _integer_rank([dict(row) for row in distinct])
+                rows.setdefault(mu, {})[k] = n
+        for row in rows.values():
+            if dens:
+                ds = [dens.get(k, 1) for k in row]
+                m = lcm(*ds)
+                row = {k: n * (m // d) for (k, n), d in zip(row.items(), ds)}
+            row = _primitive(row)
+            key = tuple(row.items())
+            if key in seen:
+                continue
+            seen.add(key)
+            _push_row(pivots, row)
+            if len(pivots) == len(exprs):
+                return len(exprs)
+    return len(pivots)
 
 
 def independent(exprs, dom_max_degree):
     """True iff the truncated matrices are linearly independent over Q.
 
-    Independence at a truncation certifies independence of the operators;
-    a dependence is only evidence at this truncation.
+    Independence at a truncation certifies independence of the operators,
+    and `stacked_rank` certifies it on the first basis vectors that reach
+    full rank, so a larger truncation costs no more; a dependence is only
+    evidence at this truncation, and every basis vector up to the bound is
+    evaluated.
     """
     exprs = list(exprs)
     return stacked_rank(exprs, dom_max_degree) == len(exprs)

@@ -285,6 +285,14 @@ def _fraction_rank(rows):
     return rank
 
 
+def _dense_rank(exprs, n):
+    """Rank of the stacked truncated matrices by dense Fraction elimination."""
+    cod = n + max(max(0, e.max_degree_shift()) for e in exprs)
+    return _fraction_rank(
+        [[x for row in op.matrix_of(e, n, cod).entries for x in row] for e in exprs]
+    )
+
+
 def test_integer_rank_against_fraction_elimination():
     rng = random.Random(7)
     for _ in range(60):
@@ -368,12 +376,45 @@ def test_stacked_rank_of_the_benchmark_words_with_a_planted_sum():
     small = pt.partitions_upto(3)
     words = [op.U(sf.schur(a)) * op.D(sf.schur(b)) for a in small for b in small]
     exprs = words + [words[5] - 3 * words[40]]
-    cod = 4 + max(e.max_degree_shift() for e in exprs)
-    vectors = [
-        [x for row in op.matrix_of(e, 4, cod).entries for x in row] for e in exprs
-    ]
-    assert op.stacked_rank(exprs, 4) == _fraction_rank(vectors) == 49
+    assert op.stacked_rank(exprs, 4) == _dense_rank(exprs, 4) == 49
     assert op.independent(words, 4)
+
+
+def _counting_applies(monkeypatch):
+    """Count every OperatorExpr.apply call from here on."""
+    calls = [0]
+    apply = op.OperatorExpr.apply
+
+    def counted(self, g, check=None):
+        calls[0] += 1
+        return apply(self, g, check)
+
+    monkeypatch.setattr(op.OperatorExpr, "apply", counted)
+    return calls
+
+
+def test_stacked_rank_stops_at_full_column_rank(monkeypatch):
+    # the 49 words U_a D_b with |a|, |b| <= 3 reach rank 49 on the first 7
+    # basis vectors (every s_lam with |lam| <= 3), whatever the truncation
+    small = pt.partitions_upto(3)
+    words = [op.U(sf.schur(a)) * op.D(sf.schur(b)) for a in small for b in small]
+    calls = _counting_applies(monkeypatch)
+    assert op.stacked_rank(words, 7) == 49
+    assert calls[0] == 49 * 7
+    for n in range(3, 10):
+        assert op.stacked_rank(words, n) == 49
+
+
+def test_stacked_rank_reaches_full_rank_at_the_last_basis_vector(monkeypatch):
+    # D(s_111) is zero below s_111, the last basis vector of degree 3
+    pair = [op.U((1,)), op.D((1, 1, 1))]
+    ranks = [op.stacked_rank(pair, n) for n in range(5)]
+    assert ranks == [_dense_rank(pair, n) for n in range(5)] == [1, 1, 1, 2, 2]
+    calls = _counting_applies(monkeypatch)
+    for n in (2, 3, 4):
+        calls[0] = 0
+        op.stacked_rank(pair, n)
+        assert calls[0] == 2 * min(len(pt.partitions_upto(n)), 7)
 
 
 def _kb_operands(count, seed):
