@@ -323,13 +323,14 @@ def _check_product_work(f, g):
 
 # Most work a Kronecker product kron(f, g) may take, in units of one pair of
 # Schur terms of equal degree n times p(n)^2, p(n) the number of partitions
-# of n: each pair runs over a character table row of p(n) classes, and each
-# class adds up to p(n) Schur terms.  Building the character table of
+# of n: each pair takes the dot products of p(n) character rows with one
+# weight vector over the p(n) classes.  Building the character table of
 # degree n costs about as much as _KRON_TABLE_PAIRS pairs, so each degree
 # with a pair counts that many more.  On a 2-core machine a unit costs
-# about 0.1 us: kron(s[1]^11,s[1]^11) (10.3M units) takes 1.1 s,
-# kron(s[9,9],s[9,9]) (22.4M) 1.9 s, kron(s[1]^12,s[1]^12) (36.0M) 3.1 s
-# and kron(s[10,10],s[10,10]) (59.4M) 5.7 s.
+# about 0.03-0.08 us (sf.kronecker alone, 3 cold runs each):
+# kron(s[1]^11,s[1]^11) (10.3M units) takes 0.6-0.8 s,
+# kron(s[9,9],s[9,9]) (22.4M) 0.7-0.9 s, kron(s[1]^12,s[1]^12) (36.0M)
+# 1.9-2.3 s and kron(s[10,10],s[10,10]) (59.4M) 1.9-2.5 s.
 MAX_KRON_WORK = 25_000_000
 _KRON_TABLE_PAIRS = 150
 
@@ -479,9 +480,11 @@ def _cmd_kroncoeff(args):
 
 
 def _cmd_char(args):
-    val = coeffs.mn_character(
-        pt.parse_partition(args.lam), pt.parse_partition(args.rho)
-    )
+    lam = pt.parse_partition(args.lam)
+    # charged one unit per partition of |lam|, like a Kronecker
+    # coefficient: the recursion visits the shapes inside lam
+    _check_partition_walk("character", sum(lam))
+    val = coeffs.mn_character(lam, pt.parse_partition(args.rho))
     _emit(args, str(val), val)
     return 0
 

@@ -1,16 +1,46 @@
 """Structure coefficients: symmetric group characters, Littlewood-Richardson
 coefficients, and Kronecker coefficients.
 
-Characters are computed by the Murnaghan-Nakayama border-strip recursion on
-beta-numbers (first-column hook lengths).  LR coefficients are counted by
-direct enumeration of lattice fillings, shared with the tableau module.
-Everything is memoized; all functions are pure.
+Characters are computed one entry at a time by the Murnaghan-Nakayama
+rule (Macdonald I.7): chi^lam(rho) is the sum, over the border strips xi
+of length rho_1 removable from lam, of (-1)^height(xi) chi^{lam - xi}
+at (rho_2, rho_3, ...).  Those strips depend only on (lam, rho_1), not
+on the rest of rho, so they are memoized apart from the characters.  LR coefficients are
+counted by direct enumeration of lattice fillings, shared with the
+tableau module.  Everything is memoized; all functions are pure.
 """
 
 from fractions import Fraction
 from functools import cache
+from math import factorial
 
 from . import partitions as pt
+
+
+@cache
+def _strips(lam, r):
+    """The border strips of length r removable from lam, as pairs (lam
+    minus the strip, (-1)^height).
+
+    On the beta-numbers b_i = lam_i + l - 1 - i (l = len(lam), strictly
+    decreasing) a strip moves one b_i down by r to a free place.  It
+    passes over one b_j for each row of the strip below its top row, so
+    their number is its height."""
+    ell = len(lam)
+    beta = [x + ell - 1 - i for i, x in enumerate(lam)]
+    free = set(beta)
+    out = []
+    for i, b in enumerate(beta):
+        nb = b - r
+        if nb < 0 or nb in free:
+            continue
+        j = i + 1
+        while j < ell and beta[j] > nb:
+            j += 1
+        new = beta[:i] + beta[i + 1:j] + [nb] + beta[j:]
+        mu = tuple(x - (ell - 1 - k) for k, x in enumerate(new) if x > ell - 1 - k)
+        out.append((pt._intern(mu), -1 if (j - 1 - i) % 2 else 1))
+    return tuple(out)
 
 
 @cache
@@ -18,7 +48,10 @@ def mn_character(lam, rho):
     """Character chi^lam(rho) of the symmetric group, both partitions of n.
 
     Recursion: strip a border strip of length rho_1 from lam in every
-    possible way; the sign is (-1)^height.
+    possible way (`_strips`); the sign is (-1)^height.  At the last part
+    the strip is all of lam, which is a border strip exactly when lam is a
+    hook, of height len(lam) - 1, so that step reads lam alone: a column
+    over every shape of a large degree then memoizes no strips.
     """
     lam = pt.make_partition(lam)
     rho = pt.make_partition(rho)
@@ -27,21 +60,19 @@ def mn_character(lam, rho):
     if not rho:
         return 1
     r, rest = rho[0], rho[1:]
-    ell = len(lam)
-    beta = [lam[i] + ell - 1 - i for i in range(ell)]
-    bset = set(beta)
-    total = 0
-    for i, b in enumerate(beta):
-        nb = b - r
-        if nb < 0 or nb in bset:
-            continue
-        height = sum(1 for x in beta if nb < x < b)
-        newbeta = sorted(beta[:i] + beta[i + 1 :] + [nb], reverse=True)
-        newlam = tuple(
-            newbeta[j] - (ell - 1 - j) for j in range(ell) if newbeta[j] > ell - 1 - j
-        )
-        total += (-1) ** height * mn_character(newlam, rest)
-    return total
+    if not rest:
+        if len(lam) > 1 and lam[1] > 1:
+            return 0
+        return -1 if len(lam) % 2 == 0 else 1
+    return sum(sign * mn_character(mu, rest) for mu, sign in _strips(lam, r))
+
+
+@cache
+def class_sizes(n):
+    """n!/z_rho, the number of permutations of cycle type rho, as a tuple
+    aligned with partitions_of(n)."""
+    n_fact = factorial(n)
+    return tuple(n_fact // pt.z_factor(rho) for rho in pt.partitions_of(n))
 
 
 _LR_CACHE = {}
@@ -82,8 +113,12 @@ def lr_coeff(nu, lam, mu):
 def kron_coeff(lam, mu, nu):
     """Kronecker coefficient g_{lam,mu,nu} as a symmetric character sum.
 
-    g = sum over classes rho of chi^lam(rho) chi^mu(rho) chi^nu(rho) / z_rho.
-    The sum is checked to be a nonnegative integer.
+    g = sum over classes rho of chi^lam(rho) chi^mu(rho) chi^nu(rho) / z_rho,
+    summed as integers times the class sizes n!/z_rho and divided by n!
+    once; the sum is checked to be a nonnegative integer.  It reads each
+    character from `mn_character` and sums class by class, apart from the
+    dense character rows whose dot products the Kronecker table of
+    `symfunc` takes, so the two routes check each other's sums.
     """
     lam = pt.make_partition(lam)
     mu = pt.make_partition(mu)
@@ -91,14 +126,13 @@ def kron_coeff(lam, mu, nu):
     n = sum(lam)
     if sum(mu) != n or sum(nu) != n:
         raise ValueError("kron_coeff needs three partitions of the same size")
-    total = Fraction(0)
-    for rho in pt.partitions_of(n):
+    total = 0
+    for rho, size in zip(pt.partitions_of(n), class_sizes(n)):
         c = mn_character(lam, rho)
-        if not c:
-            continue
-        total += Fraction(
-            c * mn_character(mu, rho) * mn_character(nu, rho), pt.z_factor(rho)
-        )
-    if total.denominator != 1 or total < 0:
-        raise ValueError(f"non-integral character sum for {lam},{mu},{nu}: {total}")
-    return int(total)
+        if c:
+            total += c * mn_character(mu, rho) * mn_character(nu, rho) * size
+    g, rem = divmod(total, factorial(n))
+    if rem or g < 0:
+        raise ValueError(f"non-integral character sum for {lam},{mu},{nu}: "
+                         f"{Fraction(total, factorial(n))}")
+    return g

@@ -15,7 +15,11 @@ access.  Every coefficient given from outside passes through one coercion,
 floats, which are already rounded.
 
 Between s and p, conversions route through characters: s_lam =
-sum_rho chi^lam(rho)/z_rho p_rho and back.  s goes to h and e by
+sum_rho chi^lam(rho)/z_rho p_rho and p_rho = sum_lam chi^lam(rho) s_lam.
+A character row (over the classes rho) and a character column (over the
+shapes lam) are dense int tuples aligned with `partitions_of(n)`, one
+`coeffs.mn_character` entry each, so the terms of one degree are summed
+as dense vectors, not one dict update per term.  s goes to h and e by
 expanding the Jacobi-Trudi determinant along its first column, and h_lam
 and e_lam come back to s as products of one-row (one-column) Schur
 functions; h and e reach p by way of s.  The product and skew tables
@@ -23,14 +27,16 @@ count Littlewood-Richardson fillings of one skew shape each, with free
 content, so they enumerate the terms of the answer; a product s_lam s_mu
 is the skew Schur function of a disconnected shape with components lam
 and mu.  The Kronecker product is diagonal on power sums,
-p_lam * p_mu = delta_{lam,mu} z_lam p_lam.  Products,
-skewing, Kronecker products and the straightened Kronecker family KB are
-bilinear lookups in memoized tables of Schur structure constants keyed by
-two partitions (`_schur_mul_terms`, `_schur_skew_terms`,
-`_schur_kron_terms`, `_schur_kb_terms`).
+p_lam * p_mu = delta_{lam,mu} z_lam p_lam, so its table takes dot
+products of character rows.  Products, skewing, Kronecker products and
+the straightened Kronecker family KB are bilinear lookups in memoized
+tables of Schur structure constants keyed by two partitions
+(`_schur_mul_terms`, `_schur_skew_terms`, `_schur_kron_terms`,
+`_schur_kb_terms`).
 """
 
 import itertools
+import operator
 from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
@@ -317,26 +323,19 @@ def _bilinear_ints(xs, ys, table):
 # all with int coefficients)
 
 @cache
-def _schur_to_p(lam):
-    """The character table row (rho, chi^lam(rho)) over rho |- |lam|, so
-    that s_lam = sum_rho chi^lam(rho)/z_rho p_rho."""
-    out = []
-    for rho in pt.partitions_of(sum(lam)):
-        c = coeffs.mn_character(lam, rho)
-        if c:
-            out.append((rho, c))
-    return tuple(out)
+def _character_row(lam):
+    """The character chi^lam as a tuple aligned with partitions_of(|lam|),
+    one `coeffs.mn_character` entry per class rho, so that s_lam =
+    sum_rho chi^lam(rho)/z_rho p_rho."""
+    return tuple(coeffs.mn_character(lam, rho) for rho in pt.partitions_of(sum(lam)))
 
 
 @cache
-def _p_to_schur(rho):
-    """p_rho as a Schur combination: sum_lam chi^lam(rho) s_lam."""
-    out = []
-    for lam in pt.partitions_of(sum(rho)):
-        c = coeffs.mn_character(lam, rho)
-        if c:
-            out.append((lam, c))
-    return tuple(out)
+def _character_column(rho):
+    """The characters at the class rho as a tuple aligned with
+    partitions_of(|rho|), one `coeffs.mn_character` entry per shape lam,
+    so that p_rho = sum_lam chi^lam(rho) s_lam."""
+    return tuple(coeffs.mn_character(lam, rho) for lam in pt.partitions_of(sum(rho)))
 
 
 @cache
@@ -378,19 +377,20 @@ def _schur_skew_terms(lam, mu):
 @cache
 def _schur_kron_terms(lam, mu):
     """Schur expansion of s_lam * s_mu (Kronecker), via the p basis:
-    g_{lam,mu,nu} = sum_rho chi^lam(rho) chi^mu(rho) chi^nu(rho) / z_rho,
-    summed over n! and checked to be integral."""
-    if sum(lam) != sum(mu):
+    g_{lam,mu,nu} = sum_rho chi^lam(rho) chi^mu(rho) chi^nu(rho) / z_rho.
+    The weights chi^lam(rho) chi^mu(rho) n!/z_rho are one dense vector
+    over the classes, each g_nu times n! is its dot product with the
+    character row of nu, and it is divided by n! once and checked to be
+    integral.  Terms come in the reverse-lex order of partitions_of."""
+    n = sum(lam)
+    if n != sum(mu):
         return ()
-    n_fact = factorial(sum(lam))
-    a = dict(_schur_to_p(lam))
-    acc = {}
-    for rho, b in _schur_to_p(mu):
-        ca = a.get(rho)
-        if ca is not None:
-            _add_into(acc, _p_to_schur(rho), ca * b * (n_fact // pt.z_factor(rho)))
+    weights = [a * b * size for a, b, size in zip(
+        _character_row(lam), _character_row(mu), coeffs.class_sizes(n))]
+    n_fact = factorial(n)
     out = []
-    for nu, c in acc.items():
+    for nu in pt.partitions_of(n):
+        c = sum(map(operator.mul, _character_row(nu), weights))
         g, rem = divmod(c, n_fact)
         if rem or g < 0:
             raise ValueError(
@@ -431,28 +431,49 @@ def _he_to_schur(basis, lam):
 
 
 def _to_p(f):
-    """f in the p basis, by way of s for h and e.  The coefficient of p_rho
-    is a sum of terms over z_rho, which divides N! for the top degree N of
-    f, so the numerators are put over d * N!."""
+    """f in the p basis, by way of s for h and e: the character rows of the
+    terms of each degree summed as one dense vector over the classes.  The
+    coefficient of p_rho is a sum of terms over z_rho, which divides N! for
+    the top degree N of f, so the numerators are put over d * N!, each
+    class of degree n weighted by N!/n! times its size n!/z_rho."""
     if f.basis == "p":
         return f
     f = to_basis(f, "s")
     n_fact = factorial(f.max_degree())
     out = {}
-    for lam, c in f._num.items():
-        _add_into(out, _schur_to_p(lam), c)
-    return _from_ints(
-        "p", {rho: c * (n_fact // pt.z_factor(rho)) for rho, c in out.items()},
-        f._d * n_fact,
-    )
+    for n, acc in _dense_sums(f._num, _character_row).items():
+        m = n_fact // factorial(n)
+        for rho, c, size in zip(pt.partitions_of(n), acc, coeffs.class_sizes(n)):
+            if c:
+                out[rho] = c * size * m
+    return SymFunc._trusted("p", out, f._d * n_fact)
 
 
 def _p_to_s(num, d):
-    """The Schur expansion of sum_rho num[rho] / d p_rho."""
+    """The Schur expansion of sum_rho num[rho] / d p_rho: the character
+    columns of the classes of each degree summed as one dense vector over
+    the shapes, since p_rho = sum_lam chi^lam(rho) s_lam."""
     out = {}
-    for rho, c in num.items():
-        _add_into(out, _p_to_schur(rho), c)
-    return _from_ints("s", out, d)
+    for n, acc in _dense_sums(num, _character_column).items():
+        for lam, c in zip(pt.partitions_of(n), acc):
+            if c:
+                out[lam] = c
+    return SymFunc._trusted("s", out, d)
+
+
+def _dense_sums(num, table):
+    """Degree n -> the list sum of c * table(k) over the (k, c) of num with
+    |k| = n, for a table of tuples aligned with partitions_of(n)."""
+    sums = {}
+    for k, c in num.items():
+        vec = table(k)
+        n = sum(k)
+        acc = sums.get(n)
+        if acc is None:
+            sums[n] = [c * x for x in vec]
+        else:
+            sums[n] = [a + c * x for a, x in zip(acc, vec)]
+    return sums
 
 
 @cache

@@ -365,12 +365,18 @@ def test_apply_work_limit(capsys, monkeypatch):
 
 
 def test_partition_walk_limit(capsys):
-    # a p atom or a Kronecker coefficient walks every partition of its
-    # degree; p(47) = 124,754 is over the limit, p(46) = 105,558 is not
+    # a p atom, a Kronecker coefficient or a character walks every
+    # partition of its degree; p(47) = 124,754 is over the limit,
+    # p(46) = 105,558 is not
+    def ones(n):
+        return ",".join(["1"] * n)
+
     start = time.monotonic()
     for argv in (["expand", "p[100]"], ["expand", "s[1]*p[47]"],
                  ["apply", "U(p[60])", "s[1]"],
-                 ["kroncoeff", "50,50", "50,50", "50,50"]):
+                 ["kroncoeff", "50,50", "50,50", "50,50"],
+                 ["char", "60,50,40,30,20,10", ones(210)],
+                 ["char", "1200", ones(1200)]):
         assert cli.main(argv) == 2, argv
     assert time.monotonic() - start < 5
     captured = capsys.readouterr()
@@ -382,7 +388,14 @@ def test_partition_walk_limit(capsys):
     ] + [
         f"symop: error: Kronecker coefficient at degree 100 exceeds the work "
         f"limit {cli.MAX_PRODUCT_WORK}",
+    ] + [
+        f"symop: error: character at degree {n} exceeds the work limit "
+        f"{cli.MAX_PRODUCT_WORK}"
+        for n in (210, 1200)
     ]
+    # a character at degree 46 answers: f^(23,23) is the Catalan number C_23
+    assert cli.main(["char", "23,23", ones(46)]) == 0
+    assert capsys.readouterr().out == "343059613650\n"
     # p[40] is under the limit, and h and e atoms walk no partitions
     for atom, want in (("p[40]", "s[40] - s[39,1] + "), ("h[30]", "s[30]"),
                        ("e[28]", "s[" + ",".join(["1"] * 28) + "]")):

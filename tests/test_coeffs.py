@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from symop import coeffs, partitions as pt, symfunc as sf
@@ -31,6 +33,18 @@ def test_column_orthogonality_up_to_6():
                     for lam in classes
                 )
                 assert total == (pt.z_factor(rho) if rho == tau else 0)
+
+
+def test_character_at_the_identity_is_the_hook_length_count_up_to_12():
+    # chi^lam(1^n) = f^lam = n! / prod of the hook lengths of lam
+    for n in range(13):
+        for lam in pt.partitions_of(n):
+            conj = pt.conjugate(lam)
+            hooks = 1
+            for i, row in enumerate(lam):
+                for j in range(row):
+                    hooks *= (row - j) + (conj[j] - i) - 1
+            assert coeffs.mn_character(lam, (1,) * n) == math.factorial(n) // hooks, lam
 
 
 def test_lr_examples():

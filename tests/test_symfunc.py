@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from symop import partitions as pt, symfunc as sf, tableaux as tb
+from symop import coeffs, partitions as pt, symfunc as sf, tableaux as tb
 
 
 def test_add_and_scale():
@@ -177,6 +177,49 @@ def test_lr_tables_pinned_up_to_10():
         for _lam, _mu, terms in rows:
             for nu, _c in terms:
                 assert any(nu is x for x in pt.partitions_of(sum(nu)))
+
+
+def test_character_tables_pinned_up_to_12():
+    # digests of every character row and column of degree <= 12, as
+    # (partition, chi) pairs with zeros dropped in partitions_of order, and
+    # of every Kronecker table entry of degree <= 8 with its terms sorted,
+    # as the tables computed them one dict update per term
+    def pairs(keys, vec):
+        return tuple((k, c) for k, c in zip(keys, vec) if c)
+
+    def digest(rows):
+        return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+    parts = pt.partitions_upto(12)
+    assert digest([(lam, pairs(pt.partitions_of(sum(lam)), sf._character_row(lam)))
+                   for lam in parts]) == (
+        "9d78fe63357a90fcaec67f6e83dd8e9eb112a299f839fa326221a612af3a71fd")
+    assert digest([(rho, pairs(pt.partitions_of(sum(rho)), sf._character_column(rho)))
+                   for rho in parts]) == (
+        "c78a38fb93af8172cf4412f16460fc542e6d12b3452bbb4c4c59c08029338040")
+    assert digest([(lam, mu, sorted(sf._schur_kron_terms(lam, mu)))
+                   for n in range(9) for lam in pt.partitions_of(n)
+                   for mu in pt.partitions_of(n)]) == (
+        "50ec03aee98e08d2f093a7fcb1287889ac14e42bdfc9b98173908cfea99e712f")
+
+
+def test_character_tables_are_orthogonal_up_to_10():
+    # rows: sum_rho chi^lam(rho) chi^mu(rho) n!/z_rho = n! delta_{lam,mu};
+    # columns: sum_lam chi^lam(rho) chi^lam(tau) = z_rho delta_{rho,tau}
+    for n in range(11):
+        parts = pt.partitions_of(n)
+        sizes = coeffs.class_sizes(n)
+        assert sizes == tuple(math.factorial(n) // pt.z_factor(rho) for rho in parts)
+        rows = [sf._character_row(lam) for lam in parts]
+        cols = [sf._character_column(rho) for rho in parts]
+        for i, a in enumerate(rows):
+            for j, b in enumerate(rows):
+                got = sum(x * y * z for x, y, z in zip(a, b, sizes))
+                assert got == (math.factorial(n) if i == j else 0), (n, i, j)
+        for i, a in enumerate(cols):
+            for j, b in enumerate(cols):
+                got = sum(x * y for x, y in zip(a, b))
+                assert got == (pt.z_factor(parts[i]) if i == j else 0), (n, i, j)
 
 
 def test_h_and_e_to_schur_are_kostka_numbers_up_to_7():
@@ -391,9 +434,9 @@ def test_round_trips_of_p_inputs_with_inverse_z_coefficients():
 
 
 def test_kronecker_table_rejects_a_non_integral_character_sum(monkeypatch):
-    # a character table row with the class (1, 1) dropped makes
+    # character table rows with the class (1, 1) dropped make
     # sum_rho chi chi chi / z_rho equal to 1/2 for s_2 * s_2
-    monkeypatch.setattr(sf, "_schur_to_p", lambda lam: (((2,), 1),))
+    monkeypatch.setattr(sf, "_character_row", lambda lam: (1, 0))
     with pytest.raises(ValueError, match="non-integral"):
         sf._schur_kron_terms.__wrapped__((2,), (2,))
 
