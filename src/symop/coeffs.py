@@ -5,7 +5,9 @@ Characters are computed one entry at a time by the Murnaghan-Nakayama
 rule (Macdonald I.7): chi^lam(rho) is the sum, over the border strips xi
 of length rho_1 removable from lam, of (-1)^height(xi) chi^{lam - xi}
 at (rho_2, rho_3, ...).  Those strips depend only on (lam, rho_1), not
-on the rest of rho, so they are memoized apart from the characters.  LR coefficients are
+on the rest of rho, so they are memoized apart from the characters, all
+but the strips of length 1 (the removable corners), which are read off
+lam at each use.  LR coefficients are
 counted by direct enumeration of lattice fillings, shared with the
 tableau module.  Everything is memoized; all functions are pure.
 """
@@ -43,28 +45,44 @@ def _strips(lam, r):
     return tuple(out)
 
 
+def _corners(lam):
+    """The border strips of length 1 removable from lam, its removable
+    corners, in the form of `_strips`; all of height 0.  Read off lam
+    directly rather than memoized: with rho = 1^n the recursion meets each
+    shape with one rest only, so such a memo would never be hit."""
+    out = []
+    for i, x in enumerate(lam):
+        if i + 1 == len(lam) or lam[i + 1] < x:
+            mu = lam[:i] + (x - 1,) + lam[i + 1:] if x > 1 else lam[:i]
+            out.append((pt._intern(mu), 1))
+    return out
+
+
 @cache
 def mn_character(lam, rho):
     """Character chi^lam(rho) of the symmetric group, both partitions of n.
 
     Recursion: strip a border strip of length rho_1 from lam in every
-    possible way (`_strips`); the sign is (-1)^height.  At the last part
-    the strip is all of lam, which is a border strip exactly when lam is a
-    hook, of height len(lam) - 1, so that step reads lam alone: a column
-    over every shape of a large degree then memoizes no strips.
+    possible way (`_strips`, or `_corners` for length 1); the sign is
+    (-1)^height.  At the last part the strip is all of lam, which is a
+    border strip exactly when lam is a hook, of height len(lam) - 1, so
+    that step reads lam alone: a column over every shape of a large degree
+    then memoizes no strips.  The recursion passes interned canonical
+    partitions, which skip validation.
     """
-    lam = pt.make_partition(lam)
-    rho = pt.make_partition(rho)
+    lam = pt._canonical(lam)
+    rho = pt._canonical(rho)
     if sum(lam) != sum(rho):
         raise ValueError(f"size mismatch: |{lam}| != |{rho}|")
     if not rho:
         return 1
-    r, rest = rho[0], rho[1:]
+    r, rest = rho[0], pt._intern(rho[1:])
     if not rest:
         if len(lam) > 1 and lam[1] > 1:
             return 0
         return -1 if len(lam) % 2 == 0 else 1
-    return sum(sign * mn_character(mu, rest) for mu, sign in _strips(lam, r))
+    strips = _corners(lam) if r == 1 else _strips(lam, r)
+    return sum(sign * mn_character(mu, rest) for mu, sign in strips)
 
 
 @cache

@@ -2,9 +2,11 @@
 product identities, at caller-chosen degree bounds, with counterexample
 reporting.
 
-Operator-valued identities are checked extensionally: both sides are
-applied to every Schur function s_gamma with |gamma| up to the declared
-vector bound, and the images compared exactly.  Summation ranges are
+Operator-valued identities are checked extensionally, on every Schur
+function s_gamma with |gamma| up to the declared vector bound: the
+difference of the two sides is compiled once per instance into integer
+words and must add up to exactly zero on each s_gamma, and both images
+are built only for a counterexample.  Summation ranges are
 derived from the vanishing of skew terms (s_{a/l} = 0 unless l is
 contained in a), so every sum here is finite and exact, never truncated
 by guesswork.
@@ -45,19 +47,18 @@ class Entry:
 
 
 def _ops_equal(params, exprs, vector_bound):
-    """All expressions agree on every s_gamma with |gamma| <= bound."""
-    checked = 0
+    """All expressions agree on every s_gamma with |gamma| <= bound, each
+    difference exprs[0] - exprs[k] adding up to zero there
+    (`operators.disagreements`); both images are built only for a
+    reported gamma."""
+    gammas = pt.partitions_upto(vector_bound)
     failures = []
-    for gamma in pt.partitions_upto(vector_bound):
+    for gamma, k in op.disagreements(exprs, gammas):
         g = sf.schur(gamma)
-        base = exprs[0].apply(g)
-        checked += 1
-        for other in exprs[1:]:
-            val = other.apply(g)
-            if val != base:
-                failures.append(Failure({**params, "gamma": gamma}, base, val))
-                break
-    return checked, failures
+        failures.append(
+            Failure({**params, "gamma": gamma}, exprs[0].apply(g), exprs[k].apply(g))
+        )
+    return len(gammas), failures
 
 
 def _sym_equal(params, lhs, rhs):

@@ -9,10 +9,15 @@ acts first.  Expressions are never normalized automatically; equality of
 operators is decided extensionally (by matrices or by applying to basis
 vectors).
 
-Everything runs on integers from the image to the rank.  A word is
-evaluated as integer numerators over one denominator, each generator a
-bilinear lookup in one of the four memoized Schur tables of symfunc, and
-an expression sums its words into one integer accumulator.  The rank of
+Everything runs on integers from the image to the rank.  An expression,
+or a signed sum of expressions, is compiled into one list of words over
+one denominator, each word an integer multiplier and its generators in
+the order they act, each generator a memoized Schur table of symfunc and
+its Schur numerators.  One kernel runs the words on the numerators of a
+Schur function and adds them into one integer dict, the last generator
+of each word writing straight into it: `apply` builds its image from
+that dict, and `disagreements` decides an operator identity on s_gamma
+by testing the dict of a compiled difference for zero.  The rank of
 a family of expressions is built one basis vector s_lam at a time: the
 integer rows of the images on s_lam are pushed into one echelon of
 sparse primitive integer rows, with no modulus and no float, and no
@@ -88,35 +93,19 @@ class OperatorExpr:
     def apply(self, g, check=None):
         """Evaluate on a symmetric function; linear in the expression and
         in g, with the value in the Schur basis.  The rightmost generator
-        of each word acts first.  Each word carries its value as integer
-        numerators over one denominator from one generator to the next, and
-        the words are summed into one accumulator, so the only SymFunc
-        built is the result.  A given check is called as check(kind, f, h)
-        before each generator (kind, f) acts on the current value h (a
-        Schur-basis SymFunc, built for the check only), and may raise to
-        refuse the step."""
+        of each word acts first.  The expression is compiled into integer
+        words over one denominator and every word is added into one integer
+        dict by `_accumulate`, so the only SymFunc built is the result.  A
+        given check is called as check(kind, f, h) before each generator
+        (kind, f) acts on the current value h (a Schur-basis SymFunc, built
+        for the check only), and before any work on that generator,
+        including its conversion to the Schur basis; it may raise to refuse
+        the step."""
         gs = sf.to_basis(g, "s")
-        out, d_out = {}, 1
-        for coef, word in self.words:
-            num, d = gs._num, gs._d
-            for kind, f in reversed(word):
-                step = _STEPS.get(kind)
-                if step is None:
-                    raise ValueError(f"unknown generator {kind!r}")
-                if check is not None:
-                    check(kind, f, sf.SymFunc._trusted("s", num, d))
-                table, value_first = step
-                fs = sf.to_basis(f, "s")
-                if value_first:
-                    num = sf._bilinear_ints(num.items(), fs._num.items(), table)
-                else:
-                    num = sf._bilinear_ints(fs._num.items(), num.items(), table)
-                d *= fs._d
-                if not num:
-                    break
-            cn, cd = coef.as_integer_ratio()
-            d_out = sf._add_scaled(out, d_out, num.items(), cn, cd * d)
-        return sf._from_ints("s", out, d_out)
+        words, d = _compile([(1, self)], raw=check is not None)
+        out = {}
+        _accumulate(words, gs._num.items(), out, check, gs._d)
+        return sf._from_ints("s", out, d * gs._d)
 
     def max_degree_shift(self):
         """Largest possible degree raise over all words; 0 for the zero
@@ -141,6 +130,103 @@ class OperatorExpr:
             gens = "".join(f"{k}({f})" for k, f in word) or "Id"
             parts.append(f"{coef}*{gens}")
         return "<OperatorExpr " + " + ".join(parts) + ">"
+
+
+def _step(kind, f):
+    """The compiled step of the generator (kind, f): its memoized Schur
+    table, whether the current value is the table's first argument, and
+    the Schur pairs of f as numerators over f's own denominator f._d.  A
+    change of basis to s has integer structure constants, so it never adds
+    to the denominator, and f._d is a multiple of the Schur one."""
+    table, value_first = _STEPS[kind]
+    fs = sf.to_basis(f, "s")
+    pairs = fs._num.items()
+    if fs._d != f._d:
+        m = f._d // fs._d
+        pairs = [(lam, n * m) for lam, n in pairs]
+    return table, value_first, pairs
+
+
+def _compile(signed, raw=False):
+    """The words of the sum of sign * e over the (sign, e) pairs of signed,
+    signs +-1, as (words, d): every word (m, steps) has its steps in the
+    order they act and an integer multiplier m over the one denominator d
+    of all words.  A word n/q * f_r ... f_1 is n * (its run on numerators)
+    / (q * f_1._d ... f_r._d), so d is the lcm of those denominators and m
+    is n times d over its own.  Each step is compiled by `_step`, or with
+    raw left as the generator (kind, f), for `_accumulate` to compile once
+    it is checked."""
+    parts = []
+    for sign, expr in signed:
+        for coef, word in expr.words:
+            n, q = coef.as_integer_ratio()
+            steps = []
+            for kind, f in reversed(word):
+                if kind not in _STEPS:
+                    raise ValueError(f"unknown generator {kind!r}")
+                steps.append((kind, f) if raw else _step(kind, f))
+                q *= f._d
+            parts.append((sign * n, q, steps))
+    d = lcm(*[q for _n, q, _steps in parts])
+    return [(n * (d // q), steps) for n, q, steps in parts], d
+
+
+def _accumulate(words, xs, out, check=None, d=1):
+    """Run every compiled word (m, steps) on the integer pairs xs and add m
+    times its value into out, in place; out may be left holding zeros.
+    Each step but the last builds the word's next value as a fresh list of
+    nonzero pairs, a value that becomes zero ends the word, and the last
+    step adds straight into out through `symfunc._bilinear_into`; a word
+    with no steps is the identity.
+
+    With a check the steps are raw generators (kind, f): check(kind, f, h)
+    is called on the word's current value h, over the denominator d of xs
+    times those of the generators that acted, before the generator is
+    compiled."""
+    bilinear_into = sf._bilinear_into
+    for m, steps in words:
+        last = len(steps) - 1
+        if last < 0:
+            sf._add_into(out, xs, m)
+            continue
+        num, nd = xs, d
+        for i, step in enumerate(steps):
+            if check is not None:
+                kind, f = step
+                check(kind, f, sf.SymFunc._trusted("s", dict(num), nd))
+                step = _step(kind, f)
+                nd *= f._d
+            table, value_first, ys = step
+            a, b = (num, ys) if value_first else (ys, num)
+            if i == last:
+                bilinear_into(out, a, b, table, m)
+            else:
+                nxt = {}
+                bilinear_into(nxt, a, b, table)
+                num = [(k, n) for k, n in nxt.items() if n]
+                if not num:
+                    break
+
+
+def disagreements(exprs, gammas):
+    """The pairs (gamma, k), in the order of gammas, of the partitions
+    gamma on which some exprs[k] (k >= 1) differs from exprs[0] when
+    applied to s_gamma, k the first such index.  Each difference
+    exprs[0] - exprs[k] is compiled once, and on s_gamma its words are
+    added into one integer dict that is tested for zero, so no image is
+    built."""
+    base = exprs[0]
+    diffs = [_compile([(1, base), (-1, e)])[0] for e in exprs[1:]]
+    found = []
+    for gamma in gammas:
+        xs = ((pt._canonical(gamma), 1),)
+        for k, words in enumerate(diffs, 1):
+            acc = {}
+            _accumulate(words, xs, acc)
+            if any(acc.values()):
+                found.append((gamma, k))
+                break
+    return found
 
 
 def identity_op():

@@ -194,6 +194,17 @@ def _intern(parts):
     return _INTERNED.setdefault(parts, parts)
 
 
+def _canonical(parts):
+    """make_partition(parts), skipped when parts is already the interned
+    tuple of a canonical partition."""
+    try:
+        if _INTERNED.get(parts) is parts:
+            return parts
+    except TypeError:
+        pass
+    return make_partition(parts)
+
+
 @cache
 def partitions_of(n):
     """All partitions of n, in reverse-lexicographic order."""

@@ -299,23 +299,26 @@ def _union_product(*factors):
 
 def _bilinear(f, g, table):
     """Schur sum of a * b * table(lam, mu) over the terms a s_lam of f and
-    b s_mu of g."""
-    return SymFunc._trusted(
-        "s", _bilinear_ints(f._num.items(), g._num.items(), table), f._d * g._d
-    )
-
-
-def _bilinear_ints(xs, ys, table):
-    """The nonzero entries of sum a * b * table(lam, mu) over the integer
-    pairs (lam, a) of xs and (mu, b) of ys, as a fresh dict; ys is iterated
-    once per pair of xs, so it is a view or a sequence.  The one kernel of
-    products, skewing, Kronecker products and KB, here and in
-    `OperatorExpr.apply`."""
+    b s_mu of g; one `_bilinear_into` into an empty dict."""
     out = {}
+    _bilinear_into(out, f._num.items(), g._num.items(), table)
+    return _from_ints("s", out, f._d * g._d)
+
+
+def _bilinear_into(out, xs, ys, table, c=1):
+    """out[nu] += c * a * b * table(lam, mu)[nu] for every integer pair
+    (lam, a) of xs, (mu, b) of ys and term (nu, t) of the table entry,
+    in place; out may be left holding zeros.  ys is iterated once per pair
+    of xs, so it is a view or a sequence.  The one bilinear loop of
+    products, skewing, Kronecker products and KB, here and in the compiled
+    operator words of `operators`."""
+    get = out.get
     for lam, a in xs:
+        ca = c * a
         for mu, b in ys:
-            _add_into(out, table(lam, mu), a * b)
-    return {k: n for k, n in out.items() if n}
+            w = ca * b
+            for nu, t in table(lam, mu):
+                out[nu] = get(nu, 0) + w * t
 
 
 # ---------------------------------------------------------------------------

@@ -133,3 +133,43 @@ def test_lr_coeff_hit_skips_validation_and_input_is_still_checked(monkeypatch):
     assert calls == []
     assert coeffs.lr_coeff([3, 2, 1], [2, 1], [2, 1]) == 2
     assert len(calls) == 3
+
+
+def test_mn_character_recursive_miss_skips_validation_and_input_is_still_checked(
+    monkeypatch,
+):
+    coeffs.mn_character.cache_clear()
+    calls = []
+    real = pt.make_partition
+    monkeypatch.setattr(pt, "make_partition", lambda p: calls.append(p) or real(p))
+    # fresh spellings of both arguments are validated; every miss they
+    # recurse into passes interned partitions and validates nothing
+    lam, rho = tuple([4, 3, 1, 1, 1, 0]), tuple([3, 2, 1, 1, 1, 1, 1])
+    assert coeffs.mn_character(lam, rho) == 10
+    assert coeffs.mn_character.cache_info().misses > 2
+    assert calls == [lam, rho]
+    for bad, message in (
+        (((1, 2), (2, 1)), r"not weakly decreasing: \(1, 2\)"),
+        (((2,), (3, -1)), r"negative part in \(3, -1\)"),
+        (((2.5,), (2,)), "2.5 is not an integer"),
+        (((2,), (1,)), r"size mismatch: \|\(2,\)\| != \|\(1,\)\|"),
+        (((2, 1), (1, 1, 0.0, 1)), r"not weakly decreasing: \(1, 1, 0, 1\)"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            coeffs.mn_character(*bad)
+
+
+def test_characters_at_single_boxes_memoize_no_strips():
+    # rho = 1^46 strips only corners, which are read off each shape
+    coeffs._strips.cache_clear()
+    coeffs.mn_character.cache_clear()
+    lam = (9, 8, 7, 6, 5, 4, 3, 2, 1, 1)
+    hooks = math.prod(
+        lam[i] - j + sum(1 for x in lam[i + 1:] if x > j)
+        for i in range(len(lam)) for j in range(lam[i])
+    )
+    value = coeffs.mn_character(lam, (1,) * 46)
+    assert value == math.factorial(46) // hooks == 2329440559042398325938585600
+    assert coeffs._strips.cache_info().currsize == 0
+    for lam in pt.partitions_upto(8):
+        assert coeffs._corners(lam) == list(coeffs._strips(lam, 1))

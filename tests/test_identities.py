@@ -199,3 +199,24 @@ def test_report_json_shape():
     # suite reports keep their text params
     suite = idn.run_suite(idn.Bounds(1, 1), ["kb1"])[0]
     assert suite.to_json()["params"] == "bounds max_ab=1 max_g=1"
+
+
+def test_ops_equal_reports_exactly_the_gammas_where_one_expression_differs():
+    # DU = UD + Id holds; adding D(s[2]) to the third expression breaks it
+    # exactly on the s_gamma with gamma containing (2)
+    one = sf.schur((1,))
+    ud_id = op.U(one) * op.D(one) + op.identity_op()
+    exprs = [op.D(one) * op.U(one), ud_id, ud_id + op.D(sf.schur((2,)))]
+    bound = 4
+    gammas = pt.partitions_upto(bound)
+    wrong = [g for g in gammas if pt.contains((2,), g)]
+    assert 0 < len(wrong) < len(gammas)
+    checked, failures = idn._ops_equal({"tag": 1}, exprs, bound)
+    assert checked == len(gammas)
+    assert [f.params for f in failures] == [{"tag": 1, "gamma": g} for g in wrong]
+    for f in failures:
+        s_g = sf.schur(f.params["gamma"])
+        assert f.lhs == exprs[0].apply(s_g)
+        assert f.rhs == exprs[2].apply(s_g)
+        assert f.lhs != f.rhs
+    assert idn._ops_equal({}, exprs[:2], bound) == (len(gammas), [])

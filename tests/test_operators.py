@@ -451,3 +451,66 @@ def test_apply_KB_outputs_pinned():
     assert digest.hexdigest() == (
         "e6f80bd127773e5a0c7bfb43a98b5f19aba75cc7fbd272633d69c92e37d55705"
     )
+
+
+def test_check_sequence_of_a_multi_word_expression_is_pinned():
+    # (kind, f, h) in the order the parent commit of the compiled kernel
+    # called the check: words in order, generators right to left, h over
+    # its least denominator, and no check after a value becomes zero
+    # (U after D(s[3]) on degree <= 2) or for the identity word
+    half_p = sf.SymFunc("p", {(2,): Fraction(1, 2), (1, 1): Fraction(1, 2)})
+    expr = (
+        Fraction(2, 3) * op.K(sf.schur((2, 1))) * op.U(half_p)
+        + op.D(sf.h((1,))) * op.U(sf.SymFunc("s", {(1,): Fraction(1, 3), (2,): -2}))
+        - op.identity_op()
+        + op.U(sf.schur((1,))) * op.D(sf.schur((3,)))
+        + op.KB(sf.e((1,)))
+    )
+    g = sf.SymFunc("s", {(1,): Fraction(3, 4), (1, 1): Fraction(-1, 6)})
+    seen = []
+    got = expr.apply(g, lambda kind, f, h: seen.append((kind, str(f), str(h))))
+    g_text = "3/4*s[1] - 1/6*s[1,1]"
+    assert seen == [
+        ("U", "1/2*p[2] + 1/2*p[1,1]", g_text),
+        ("K", "s[2,1]", "3/4*s[3] + 3/4*s[2,1] - 1/6*s[3,1] - 1/6*s[2,1,1]"),
+        ("U", "1/3*s[1] - 2*s[2]", g_text),
+        ("D", "h[1]", "1/4*s[2] + 1/4*s[1,1] - 3/2*s[3] - 14/9*s[2,1] "
+                      "- 1/18*s[1,1,1] + 1/3*s[3,1] + 1/3*s[2,1,1]"),
+        ("D", "s[3]", g_text),
+        ("KB", "e[1]", g_text),
+    ]
+    assert str(got) == (
+        "-1/4*s[1] - 29/9*s[2] - 13/9*s[1,1] + 5/6*s[3] + 5/3*s[2,1] + 5/6*s[1,1,1]"
+    )
+    assert got == expr.apply(g)
+
+
+def test_check_runs_before_the_generator_is_converted(monkeypatch):
+    # a refused step does no work on its generator, not even its Schur
+    # expansion; the steps before it have run
+    f = sf.p((2,))
+    expr = op.U(f) * op.D(sf.schur((1,)))
+    converted = []
+    to_basis = sf.to_basis
+    monkeypatch.setattr(
+        sf, "to_basis", lambda x, b: converted.append(x) or to_basis(x, b)
+    )
+
+    def refuse_p(kind, gen, h):
+        if gen.basis == "p":
+            raise ValueError(f"refused {kind} on {h}")
+
+    with pytest.raises(ValueError, match=r"refused U on s\[1\]"):
+        expr.apply(sf.schur((2,)), refuse_p)
+    assert all(x is not f for x in converted)
+    assert expr.apply(sf.schur((2,))) == sf.SymFunc("s", {(3,): 1, (1, 1, 1): -1})
+
+
+def test_generator_denominator_above_its_schur_one():
+    # 1/2 p[2] + 1/2 p[1,1] = s[2] sits over 2 in p and over 1 in s
+    half_p = sf.SymFunc("p", {(2,): Fraction(1, 2), (1, 1): Fraction(1, 2)})
+    assert sf.to_basis(half_p, "s") == sf.schur((2,))
+    g = sf.SymFunc("h", {(2, 1): Fraction(1, 3), (1,): 5})
+    for gen in (op.U, op.D, op.K, op.KB):
+        assert gen(half_p).apply(g) == gen(sf.schur((2,))).apply(g)
+        assert op.disagreements([gen(half_p), gen((2,))], pt.partitions_upto(4)) == []

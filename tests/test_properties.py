@@ -110,6 +110,48 @@ def test_kb_three_routes_agree(f, g, extra):
     assert op.kb_as_UD(f, m).apply(g) == want
 
 
+def _generator_by_generator(expr, g):
+    """expr(g) by the public products, one generator at a time."""
+    images = []
+    for coef, word in expr.words:
+        value = g
+        for kind, f in reversed(word):
+            if kind == "U":
+                value = sf.mul(f, value)
+            elif kind == "D":
+                value = sf.skew(value, f)
+            elif kind == "K":
+                value = sf.kronecker(f, value)
+            else:
+                value = op.apply_KB(f, value)
+        images.append((coef, value))
+    return sf.linear_combination(images)
+
+
+@PROPERTY
+@given(st.lists(operator_sums(), min_size=1, max_size=3), sums(max_degree=3),
+       st.sampled_from((1, 2, Fraction(-1, 3))))
+def test_apply_and_disagreements_match_generator_by_generator(exprs, g, scale):
+    # operator_sums covers Fraction coefficients, the identity (empty)
+    # word, multi-term s/p/h generators with mixed denominators and all
+    # four kinds; exprs[1] is exprs[0] plus a zero operator with other
+    # words (w (DU - UD - Id)), so it agrees with it everywhere
+    zero = exprs[-1] * (DEPENDENT[1] - DEPENDENT[0] - DEPENDENT[2])
+    exprs = [exprs[0], exprs[0] + scale * zero] + exprs[1:]
+    for e in exprs:
+        want = _generator_by_generator(e, g)
+        assert sf.to_json(e.apply(g)) == sf.to_json(want)
+    gammas = pt.partitions_upto(3)
+    want = []
+    for gamma in gammas:
+        images = [_generator_by_generator(e, sf.schur(gamma)) for e in exprs]
+        bad = [k for k in range(1, len(exprs)) if images[k] != images[0]]
+        if bad:
+            want.append((gamma, bad[0]))
+    assert op.disagreements(exprs, gammas) == want
+    assert all(k >= 2 for _gamma, k in want)
+
+
 @st.composite
 def skew_shapes(draw, max_outer):
     """A skew shape outer/inner with |outer| <= max_outer."""
