@@ -5,6 +5,7 @@ schema."""
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -785,7 +786,17 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a closed pipe shows here, not in the flush at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away: send the rest of the output to devnull, as
+        # the `signal` module's documentation does, so that the flush at
+        # exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except (ParseError, ValueError) as exc:
         print(f"symop: error: {exc}", file=sys.stderr)
         return 2

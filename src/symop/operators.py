@@ -353,15 +353,11 @@ class TruncatedMatrix:
         )
 
 
-def _image(expr, g, cod):
-    """expr(g) in the Schur basis.  An image of degree above cod is an
+def _check_degree(top, cod):
+    """An image of degree top above the codomain bound cod is an
     AssertionError."""
-    image = expr.apply(g)
-    if image.max_degree() > cod:
-        raise AssertionError(
-            f"image degree {image.max_degree()} exceeds codomain bound {cod}"
-        )
-    return image
+    if top > cod:
+        raise AssertionError(f"image degree {top} exceeds codomain bound {cod}")
 
 
 def matrix_of(expr, dom_max_degree, cod_max_degree=None):
@@ -375,7 +371,9 @@ def matrix_of(expr, dom_max_degree, cod_max_degree=None):
     row_index = {mu: i for i, mu in enumerate(rows)}
     entries = [[Fraction(0)] * len(cols) for _ in rows]
     for j, lam in enumerate(cols):
-        for mu, c in _image(expr, sf.schur(lam), cod_max_degree).terms.items():
+        image = expr.apply(sf.schur(lam))
+        _check_degree(image.max_degree(), cod_max_degree)
+        for mu, c in image.terms.items():
             entries[row_index[mu]][j] = c
     return TruncatedMatrix(dom_max_degree, cod_max_degree, cols, rows, entries)
 
@@ -450,33 +448,38 @@ def stacked_rank(exprs, dom_max_degree):
 
     The stacked matrix has one column per expression and one row per entry
     (lam, mu), built one basis vector s_lam at a time in the (degree,
-    reverse-lex) order of `partitions_upto`: every expression is applied
-    to s_lam, and each row (lam, mu) is read from the integer numerators of
-    the images, put over the lcm of its own denominators with no Fraction
-    built, and divided by its content.  Each row not seen before is pushed
-    into one echelon by `_push_row`; zero and repeated rows do not change
-    the row space, so the rank is exact.  The rank never exceeds the number
-    of expressions, so once it reaches it no later basis vector is
-    evaluated."""
+    reverse-lex) order of `partitions_upto`.  Each expression is compiled
+    once, its word multipliers put over the one denominator of all the
+    expressions, and at s_lam its words are added into one integer dict
+    by `_accumulate`, so no image is built and no Fraction either; an
+    image of degree above the codomain bound is an AssertionError.  Each
+    row (lam, mu) is divided by its content, and each row not seen before
+    is pushed into one echelon by `_push_row`; zero and repeated rows do
+    not change the row space, so the rank is exact.  The rank never
+    exceeds the number of expressions, so once it reaches it no later
+    basis vector is evaluated."""
     exprs = list(exprs)
     if not exprs:
         return 0
     cod = dom_max_degree + max(max(0, e.max_degree_shift()) for e in exprs)
+    compiled = [_compile([(1, e)]) for e in exprs]
+    d = lcm(*[dk for _words, dk in compiled])
+    compiled = [
+        words if dk == d else [(m * (d // dk), steps) for m, steps in words]
+        for words, dk in compiled
+    ]
     pivots, seen = {}, set()
     for lam in pt.partitions_upto(dom_max_degree):
-        s_lam = sf.schur(lam)
-        rows, dens = {}, {}
-        for k, e in enumerate(exprs):
-            image = _image(e, s_lam, cod)
-            if image._d != 1:
-                dens[k] = image._d
-            for mu, n in image._num.items():
+        xs = ((lam, 1),)
+        rows = {}
+        for k, words in enumerate(compiled):
+            image = {}
+            _accumulate(words, xs, image)
+            image = [(mu, n) for mu, n in image.items() if n]
+            _check_degree(max((sum(mu) for mu, _n in image), default=0), cod)
+            for mu, n in image:
                 rows.setdefault(mu, {})[k] = n
         for row in rows.values():
-            if dens:
-                ds = [dens.get(k, 1) for k in row]
-                m = lcm(*ds)
-                row = {k: n * (m // d) for (k, n), d in zip(row.items(), ds)}
             row = _primitive(row)
             key = tuple(row.items())
             if key in seen:

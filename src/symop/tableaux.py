@@ -16,6 +16,14 @@ internal exhaustive check verify_jdt_bijection trusts the entry dicts that
 _fill yields, which are semistandard by construction: it slides them in
 place with the same _slide as jdt_slide and builds a tableau only to
 report a failure.
+
+The skew Littlewood-Richardson rule runs one enumeration, the private
+_skew_lr_fillings, with three views of it.  skew_lr_pairs wraps its entry
+dicts in validated ASSYT/SSYT pairs, the explicit bijection.
+skew_lr_terms and skew_lr_product build no tableau: the terms are the
+signed shapes of the pairs, in the same order, and the product counts the
+fillings with their signs per shape and adds one memoized skew table per
+distinct shape.
 """
 
 from collections import Counter
@@ -450,16 +458,18 @@ def skew_pieri(k, shape):
     )
 
 
-def skew_lr_pairs(a, b):
-    """Generate the tableau pairs of the skew Littlewood-Richardson rule for
-    the product of the skew Schur functions of shapes a and b.
+def _skew_lr_fillings(a, b):
+    """The one enumeration of the skew Littlewood-Richardson rule for the
+    product of the skew Schur functions of shapes a and b, as raw entry
+    dicts: no tableau is built and none is validated.
 
-    Yields (sign, T1, T2, shape) where T1 is an ASSYT of shape b.inner/bm,
-    T2 an SSYT of shape gp/b.outer, the combined content of the pair is the
-    componentwise difference a.outer - a.inner, the reverse reading word of
-    the pair (T1 first) is an a.inner-lattice permutation, the sign is
-    (-1)^{|T1|} and the contributed term is the skew Schur function of
-    shape = gp/bm.
+    Yields (sign, shape1, d1, shape2, d2, shape), one per pair of
+    `skew_lr_pairs` and in its order: d1 holds the entries of its ASSYT
+    of shape1 and d2 those of its SSYT of shape2, both semistandard by
+    construction (`_fill`).  The loop runs over bm in
+    `sub_partitions(b.inner)`, then the fillings d1, then gp in the
+    `_growths` order, then the fillings d2; one shape object gp/bm is
+    shared by every d2 of one (d1, gp).
     """
     alpha, delta = a.outer, a.inner
     gamma, beta = b.outer, b.inner
@@ -481,7 +491,6 @@ def skew_lr_pairs(a, b):
         growths = _growths(gamma, sum(gamma) + total - size1)
         for d1 in _fill(cells1, False, budget=target,
                         init_counts=init_counts):
-            t1 = ASSYT(shape1, d1)
             used = Counter(d1.values())
             remaining = tuple(target[i] - used.get(i + 1, 0) for i in range(nvals))
             counts1 = dict(init_counts)
@@ -491,7 +500,23 @@ def skew_lr_pairs(a, b):
                 shape = SkewShape._trusted(gamma_plus, beta_minus)
                 for d2 in _fill(cells2, True, content=remaining,
                                 init_counts=counts1):
-                    yield sign, t1, SSYT(shape2, d2), shape
+                    yield sign, shape1, d1, shape2, d2, shape
+
+
+def skew_lr_pairs(a, b):
+    """Generate the tableau pairs of the skew Littlewood-Richardson rule for
+    the product of the skew Schur functions of shapes a and b: the fillings
+    of `_skew_lr_fillings`, in its order, as validated tableaux.
+
+    Yields (sign, T1, T2, shape) where T1 is an ASSYT of shape b.inner/bm,
+    T2 an SSYT of shape gp/b.outer, the combined content of the pair is the
+    componentwise difference a.outer - a.inner, the reverse reading word of
+    the pair (T1 first) is an a.inner-lattice permutation, the sign is
+    (-1)^{|T1|} and the contributed term is the skew Schur function of
+    shape = gp/bm.
+    """
+    for sign, shape1, d1, shape2, d2, shape in _skew_lr_fillings(a, b):
+        yield sign, ASSYT(shape1, d1), SSYT(shape2, d2), shape
 
 
 @cache
@@ -507,16 +532,26 @@ def _growths(gamma, n):
 
 
 def skew_lr_terms(a, b):
-    """Signed skew-shape terms of the product, one per tableau pair."""
-    return [(sign, shape) for sign, _t1, _t2, shape in skew_lr_pairs(a, b)]
+    """Signed skew-shape terms of the product, one per tableau pair, in the
+    order of `skew_lr_pairs`; no tableau is built."""
+    return [(sign, shape) for sign, _s1, _d1, _s2, _d2, shape
+            in _skew_lr_fillings(a, b)]
 
 
 def skew_lr_product(a, b):
     """Product of two skew Schur functions via the skew LR rule, collapsed
-    to the Schur basis."""
-    return sf.linear_combination(
-        (sign, sf.skew_schur(shape)) for sign, shape in skew_lr_terms(a, b)
-    )
+    to the Schur basis.  No tableau is built: the fillings are counted
+    with their signs per shape gp/bm, and each shape whose count is
+    nonzero adds that count times its memoized skew table
+    (`symfunc._schur_skew_terms`) into one integer dict."""
+    counts = {}
+    for sign, _s1, _d1, _s2, _d2, shape in _skew_lr_fillings(a, b):
+        counts[shape] = counts.get(shape, 0) + sign
+    out = {}
+    for shape, n in counts.items():
+        if n:
+            sf._add_into(out, sf._schur_skew_terms(shape.outer, shape.inner), n)
+    return sf._from_ints("s", out)
 
 
 def skew_corners_rhs(alpha, theta):

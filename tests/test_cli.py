@@ -88,6 +88,31 @@ def test_module_run_prints_nothing_on_stderr():
     assert proc.stderr == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["expand", "p[6]"],
+    ["skewlr", "3,1/1", "2,2/1"],
+    ["skewlr", "3,1/1", "2,2/1", "--terms", "--format", "json"],
+])
+def test_closed_pipe_exits_1_without_a_traceback(argv):
+    # the read end is closed before the child starts, so its first write
+    # fails, like `symop expand "p[26]" | head -c 10` once head has exited
+    src = os.path.dirname(os.path.dirname(symop.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "symop.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ""
+
+
 def test_cmd_expand_json_round_trip(capsys):
     assert cli.main(["expand", "kron(s[2,1], s[2,1])", "--format", "json"]) == 0
     blob = json.loads(capsys.readouterr().out)

@@ -380,16 +380,17 @@ def test_stacked_rank_of_the_benchmark_words_with_a_planted_sum():
     assert op.independent(words, 4)
 
 
-def _counting_applies(monkeypatch):
-    """Count every OperatorExpr.apply call from here on."""
+def _counting_evaluations(monkeypatch):
+    """Count every (expression, basis vector) evaluation from here on: each
+    is one run of the compiled words by `_accumulate`."""
     calls = [0]
-    apply = op.OperatorExpr.apply
+    accumulate = op._accumulate
 
-    def counted(self, g, check=None):
+    def counted(*args, **kwargs):
         calls[0] += 1
-        return apply(self, g, check)
+        return accumulate(*args, **kwargs)
 
-    monkeypatch.setattr(op.OperatorExpr, "apply", counted)
+    monkeypatch.setattr(op, "_accumulate", counted)
     return calls
 
 
@@ -398,9 +399,19 @@ def test_stacked_rank_stops_at_full_column_rank(monkeypatch):
     # basis vectors (every s_lam with |lam| <= 3), whatever the truncation
     small = pt.partitions_upto(3)
     words = [op.U(sf.schur(a)) * op.D(sf.schur(b)) for a in small for b in small]
-    calls = _counting_applies(monkeypatch)
+    calls = _counting_evaluations(monkeypatch)
+    compiled = [0]
+    compile_ = op._compile
+
+    def counted_compile(*args, **kwargs):
+        compiled[0] += 1
+        return compile_(*args, **kwargs)
+
+    monkeypatch.setattr(op, "_compile", counted_compile)
     assert op.stacked_rank(words, 7) == 49
     assert calls[0] == 49 * 7
+    # each expression is compiled once per call, not once per basis vector
+    assert compiled[0] == 49
     for n in range(3, 10):
         assert op.stacked_rank(words, n) == 49
 
@@ -410,11 +421,19 @@ def test_stacked_rank_reaches_full_rank_at_the_last_basis_vector(monkeypatch):
     pair = [op.U((1,)), op.D((1, 1, 1))]
     ranks = [op.stacked_rank(pair, n) for n in range(5)]
     assert ranks == [_dense_rank(pair, n) for n in range(5)] == [1, 1, 1, 2, 2]
-    calls = _counting_applies(monkeypatch)
+    calls = _counting_evaluations(monkeypatch)
     for n in (2, 3, 4):
         calls[0] = 0
         op.stacked_rank(pair, n)
         assert calls[0] == 2 * min(len(pt.partitions_upto(n)), 7)
+
+
+def test_stacked_rank_image_beyond_codomain_raises(monkeypatch):
+    # with the degree shift understated, U(s_1) maps s_lam past the
+    # codomain bound that stacked_rank derives from it
+    monkeypatch.setattr(op.OperatorExpr, "max_degree_shift", lambda self: 0)
+    with pytest.raises(AssertionError, match="image degree 1 exceeds codomain bound 0"):
+        op.stacked_rank([op.U(sf.schur((1,)))], 0)
 
 
 def _kb_operands(count, seed):

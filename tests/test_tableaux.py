@@ -468,6 +468,50 @@ def test_skew_lr_terms_pinned():
     )
 
 
+def test_skew_lr_views_agree_with_the_tableau_pairs():
+    # over every ordered pair of shapes with outer size <= 4 and inner size
+    # <= 2: the product is the signed sum of skew Schur functions over the
+    # validated tableau pairs, and the terms are the (sign, shape) of those
+    # pairs in the same order; the digest of the pairs themselves was taken
+    # before the three views shared one enumeration
+    shapes = [SkewShape(outer, inner)
+              for outer in pt.partitions_upto(4)
+              for inner in pt.sub_partitions(outer, max_size=2)]
+    digest = hashlib.sha256()
+    for a in shapes:
+        for b in shapes:
+            pairs = list(tb.skew_lr_pairs(a, b))
+            for sign, t1, t2, sh in pairs:
+                digest.update(
+                    f"{a};{b};{sign};{sorted(t1.entries.items())};"
+                    f"{sorted(t2.entries.items())};{t1.shape};{t2.shape};{sh}\n"
+                    .encode()
+                )
+            assert tb.skew_lr_terms(a, b) == [(sign, sh) for sign, _t1, _t2, sh in pairs]
+            assert tb.skew_lr_product(a, b) == sf.linear_combination(
+                (sign, sf.skew_schur(sh)) for sign, _t1, _t2, sh in pairs
+            )
+    assert digest.hexdigest() == (
+        "54288ebcfef43742f4d10d97899a886f6cd40aaeed35b785643292bae2a59aeb"
+    )
+
+
+def test_skew_lr_product_and_terms_build_no_tableau(monkeypatch):
+    a, b = pt.parse_skew("3,1/1"), pt.parse_skew("2,2/1")
+    want_terms = [(sign, sh) for sign, _t1, _t2, sh in tb.skew_lr_pairs(a, b)]
+    want = sf.mul(sf.skew_schur(a), sf.skew_schur(b))
+
+    def refuse(self, shape, entries):
+        raise AssertionError("a tableau was built")
+
+    monkeypatch.setattr(tb.SSYT, "__init__", refuse)
+    monkeypatch.setattr(tb.ASSYT, "__init__", refuse)
+    with pytest.raises(AssertionError, match="a tableau was built"):
+        next(tb.skew_lr_pairs(a, b))
+    assert tb.skew_lr_terms(a, b) == want_terms
+    assert tb.skew_lr_product(a, b) == want
+
+
 def test_skew_lr_classical_case():
     got = tb.skew_lr_product(SkewShape((1,)), SkewShape((1,)))
     assert got == sf.SymFunc("s", {(2,): 1, (1, 1): 1})
