@@ -1,16 +1,21 @@
 """Command line front end: an expression parser over the s/h/e/p atoms and
 subcommands for expansion, coefficients, verification, and the tableau
 rules.  All output is deterministic; --format json emits the documented
-schema."""
+schema.
+
+Every subcommand but verify runs under one work budget, MAX_WORK, spent
+by the layers as they compute (see `_work`); a command that overruns it
+is refused like any other input error, with one line and exit 2.  Powers
+and truncated matrices keep limits of their own, on costs that are not
+charged."""
 
 import argparse
 import json
 import os
 import sys
-from collections import Counter
 from fractions import Fraction
-from math import isqrt
 
+from . import _work
 from . import coeffs
 from . import identities as idn
 from . import operators as op
@@ -265,112 +270,17 @@ def parse(text):
 _ATOM_BUILDERS = {"s": sf.schur, "h": sf.h, "e": sf.e, "p": sf.p}
 
 # Highest degree a power f^n may reach.  Multiplying out costs about twice
-# as much per extra degree; s[1]^20 takes 1.5 s on a 2-core machine.
+# as much per extra degree; s[1]^20 takes 1.5 s on a 2-core machine.  The
+# growth of its big-integer coefficients is not charged to MAX_WORK.
 MAX_POWER_DEGREE = 20
 
-# Most work a product f*g may take, in units of one Schur term pair times
-# one partition of the result degree.  This is a conservative bound, not a
-# calibration: the product table enumerates Littlewood-Richardson fillings,
-# so the limit refuses some cheap products (s[45,30]*s[1]) and admits some
-# slow ones.  On a 2-core machine s[1]^9*s[1]^9 (346,500 units) takes
-# 0.38 s, and s[6,5,4,3,2,1]^2 (53,174 units, 10,873 terms) 8.3 s.  A walk
-# over every partition of a degree (a p atom, a Kronecker coefficient)
-# costs one unit per partition.
-MAX_PRODUCT_WORK = 120_000
-
-
-def _partition_count(n, cap):
-    """The number of partitions of n by Euler's pentagonal recurrence, or
-    cap + 1 as soon as the count of some m <= n exceeds cap (the count
-    grows with m, so a huge n costs no more than a small one)."""
-    counts = [1]
-    for m in range(1, n + 1):
-        total, k = 0, 1
-        # the generalized pentagonal numbers g = k(3k-1)/2 and g + k
-        while (g := k * (3 * k - 1) // 2) <= m:
-            sign = 1 if k % 2 else -1
-            total += sign * counts[m - g]
-            if g + k <= m:
-                total += sign * counts[m - g - k]
-            k += 1
-        if total > cap:
-            return cap + 1
-        counts.append(total)
-    return counts[n]
-
-
-def _check_partition_walk(what, n):
-    """Refuse a computation that walks every partition of n, charged one
-    product unit per partition, when that exceeds MAX_PRODUCT_WORK."""
-    if _partition_count(n, MAX_PRODUCT_WORK) > MAX_PRODUCT_WORK:
-        raise ValueError(
-            f"{what} at degree {n} exceeds the work limit {MAX_PRODUCT_WORK}"
-        )
-
-
-def _check_product_work(f, g):
-    """Refuse a product whose estimated work exceeds MAX_PRODUCT_WORK,
-    before any of it is done."""
-    pairs = len(f.terms) * len(g.terms)
-    if not pairs:
-        return
-    degree = f.max_degree() + g.max_degree()
-    if pairs * _partition_count(degree, MAX_PRODUCT_WORK // pairs) > MAX_PRODUCT_WORK:
-        raise ValueError(
-            f"product of {len(f.terms)} by {len(g.terms)} terms at degree "
-            f"{degree} exceeds the work limit {MAX_PRODUCT_WORK}"
-        )
-
-
-# Most work a Kronecker product kron(f, g) may take, in units of one pair of
-# Schur terms of equal degree n times p(n)^2, p(n) the number of partitions
-# of n: each pair takes the dot products of p(n) character rows with one
-# weight vector over the p(n) classes.  Building the character table of
-# degree n costs about as much as _KRON_TABLE_PAIRS pairs, so each degree
-# with a pair counts that many more.  On a 2-core machine a unit costs
-# about 0.03-0.08 us (sf.kronecker alone, 3 cold runs each):
-# kron(s[1]^11,s[1]^11) (10.3M units) takes 0.6-0.8 s,
-# kron(s[9,9],s[9,9]) (22.4M) 0.7-0.9 s, kron(s[1]^12,s[1]^12) (36.0M)
-# 1.9-2.3 s and kron(s[10,10],s[10,10]) (59.4M) 1.9-2.5 s.
-MAX_KRON_WORK = 25_000_000
-_KRON_TABLE_PAIRS = 150
-
-
-def _check_kron_work(f, g):
-    """Refuse a Kronecker product whose estimated work exceeds
-    MAX_KRON_WORK, before any of it is done."""
-    g_degrees = Counter(sum(mu) for mu in g.terms)
-    pairs = Counter()
-    for lam in f.terms:
-        n = sum(lam)
-        pairs[n] += g_degrees[n]
-    _check_kron_pairs(pairs, f, g)
-
-
-def _check_kb_work(f, g):
-    """As _check_kron_work for KB_f(g): each term of f straightens, against
-    each term s_mu of g, to a Kronecker product with s_mu at degree |mu|."""
-    pairs = Counter()
-    for mu in g.terms:
-        pairs[sum(mu)] += len(f.terms)
-    _check_kron_pairs(pairs, f, g)
-
-
-def _check_kron_pairs(pairs, f, g):
-    """Refuse the Kronecker products of f and g whose count of Schur term
-    pairs per degree is `pairs` when their work exceeds MAX_KRON_WORK."""
-    work = 0
-    for n, count in pairs.items():
-        if not count:
-            continue
-        weight = count + _KRON_TABLE_PAIRS
-        classes = _partition_count(n, isqrt(MAX_KRON_WORK // weight))
-        work += weight * classes * classes
-        if work > MAX_KRON_WORK:
-            raise ValueError(
-                f"Kronecker product of {len(f.terms)} by {len(g.terms)} terms "
-                f"exceeds the work limit {MAX_KRON_WORK}"
-            )
+# Most work one command may do, in the units that the layers charge to
+# `_work` as they compute: memo-table misses, enumerated partitions, and
+# tableau fillings, weighted so that a unit takes about 1 us on a 2-core
+# machine (0.4-2 us measured).  Cold runs there: `kroncoeff 23,23 23,23 46`
+# charges 2.3M units in 2.7-4.4 s, `matrix "KB[1]" --max-deg 16` 1.8M in
+# 2.4-2.8 s; refused inputs stop within 1.5-7.5 s.
+MAX_WORK = 4_000_000
 
 
 def evaluate(node):
@@ -379,10 +289,6 @@ def evaluate(node):
     if kind == "num":
         return sf.scale(node[1], sf.one())
     if kind in _ATOM_BUILDERS:
-        if kind == "p":
-            # p_rho in the Schur basis is a character table row over
-            # every partition of |rho|
-            _check_partition_walk("p atom", sum(node[1]))
         return sf.to_basis(_ATOM_BUILDERS[kind](node[1]), "s")
     if kind == "sk":
         return sf.skew_schur(node[1], node[2])
@@ -393,9 +299,7 @@ def evaluate(node):
     if kind == "neg":
         return sf.scale(-1, evaluate(node[1]))
     if kind == "mul":
-        f, g = evaluate(node[1]), evaluate(node[2])
-        _check_product_work(f, g)
-        return sf.mul(f, g)
+        return sf.mul(evaluate(node[1]), evaluate(node[2]))
     if kind == "pow":
         base, exponent = evaluate(node[1]), node[2]
         degree = exponent * base.max_degree()
@@ -408,9 +312,7 @@ def evaluate(node):
             out = sf.mul(out, base)
         return out
     if kind == "kron":
-        f, g = evaluate(node[1]), evaluate(node[2])
-        _check_kron_work(f, g)
-        return sf.kronecker(f, g)
+        return sf.kronecker(evaluate(node[1]), evaluate(node[2]))
     raise ValueError(f"bad node {node!r}")
 
 
@@ -448,7 +350,6 @@ def _cmd_expand(args):
 def _cmd_kron(args):
     f = evaluate_text(args.left)
     g = evaluate_text(args.right)
-    _check_kron_work(f, g)
     _emit_symfunc(args, sf.kronecker(f, g))
     return 0
 
@@ -470,22 +371,19 @@ def _cmd_lrcoeff(args):
 
 
 def _cmd_kroncoeff(args):
-    lam = pt.parse_partition(args.lam)
-    # the character sum runs over every partition of |lam|
-    _check_partition_walk("Kronecker coefficient", sum(lam))
     val = coeffs.kron_coeff(
-        lam, pt.parse_partition(args.mu), pt.parse_partition(args.nu)
+        pt.parse_partition(args.lam),
+        pt.parse_partition(args.mu),
+        pt.parse_partition(args.nu),
     )
     _emit(args, str(val), val)
     return 0
 
 
 def _cmd_char(args):
-    lam = pt.parse_partition(args.lam)
-    # charged one unit per partition of |lam|, like a Kronecker
-    # coefficient: the recursion visits the shapes inside lam
-    _check_partition_walk("character", sum(lam))
-    val = coeffs.mn_character(lam, pt.parse_partition(args.rho))
+    val = coeffs.mn_character(
+        pt.parse_partition(args.lam), pt.parse_partition(args.rho)
+    )
     _emit(args, str(val), val)
     return 0
 
@@ -548,7 +446,8 @@ def _cmd_skewcorners(args):
 # every basis vector is evaluated; the 36 independent words U_a D_b with
 # nonempty |a|, |b| <= 3 take 0.2 s at `--max-deg 13`, the rank stopping
 # at full rank after degree 3), while the dense matrix of
-# `matrix "U[1]" --max-deg 40` would have 5.6e10 entries.
+# `matrix "U[1]" --max-deg 40` would have 5.6e10 entries, allocated by
+# `operators.matrix_of` before any work charged to MAX_WORK.
 MAX_TRUNCATION_DEGREE = 16
 
 
@@ -578,8 +477,7 @@ def _cmd_matrix(args):
 def _cmd_rank(args):
     exprs = [parse_operator(chunk) for chunk in args.ops.split(";") if chunk.strip()]
     if not exprs:
-        print("no operator expressions given", file=sys.stderr)
-        return 2
+        raise ValueError("no operator expressions given")
     _check_truncation(exprs, args.max_deg)
     rank = op.stacked_rank(exprs, args.max_deg)
     verdict = (
@@ -593,20 +491,9 @@ def _cmd_rank(args):
     return 0
 
 
-def _check_step_work(kind, f, g):
-    """Refuse an operator step over the work limits of `expand`: a U step
-    as a product, K and KB steps as Kronecker products."""
-    if kind == "U":
-        _check_product_work(f, g)
-    elif kind == "K":
-        _check_kron_work(f, g)
-    elif kind == "KB":
-        _check_kb_work(f, g)
-
-
 def _cmd_apply(args):
     expr = parse_operator(args.op)
-    _emit_symfunc(args, expr.apply(evaluate_text(args.expr), _check_step_work))
+    _emit_symfunc(args, expr.apply(evaluate_text(args.expr)))
     return 0
 
 
@@ -785,6 +672,8 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
+    # `verify` is bounded by its own --max-ab and --max-g
+    _work.set_budget(None if args.func is _cmd_verify else MAX_WORK)
     try:
         code = args.func(args)
         # a closed pipe shows here, not in the flush at interpreter exit
@@ -804,6 +693,8 @@ def main(argv=None):
         # the parser and evaluate recurse once per nesting level of the input
         print("symop: error: expression nested too deeply", file=sys.stderr)
         return 2
+    finally:
+        _work.set_budget(None)
 
 
 if __name__ == "__main__":

@@ -9,13 +9,15 @@ on the rest of rho, so they are memoized apart from the characters, all
 but the strips of length 1 (the removable corners), which are read off
 lam at each use.  LR coefficients are
 counted by direct enumeration of lattice fillings, shared with the
-tableau module.  Everything is memoized; all functions are pure.
+tableau module.  Everything is memoized; all functions are pure.  Each
+miss of a memo table is charged to the work meter (`_work`).
 """
 
 from fractions import Fraction
 from functools import cache
 from math import factorial
 
+from . import _work
 from . import partitions as pt
 
 
@@ -29,6 +31,7 @@ def _strips(lam, r):
     passes over one b_j for each row of the strip below its top row, so
     their number is its height."""
     ell = len(lam)
+    _work.charge(1 + ell // 8)
     beta = [x + ell - 1 - i for i, x in enumerate(lam)]
     free = set(beta)
     out = []
@@ -76,6 +79,8 @@ def mn_character(lam, rho):
         raise ValueError(f"size mismatch: |{lam}| != |{rho}|")
     if not rho:
         return 1
+    # a miss hashes and slices rho
+    _work.charge(1 + len(rho) // 8)
     r, rest = rho[0], pt._intern(rho[1:])
     if not rest:
         if len(lam) > 1 and lam[1] > 1:
@@ -90,7 +95,9 @@ def class_sizes(n):
     """n!/z_rho, the number of permutations of cycle type rho, as a tuple
     aligned with partitions_of(n)."""
     n_fact = factorial(n)
-    return tuple(n_fact // pt.z_factor(rho) for rho in pt.partitions_of(n))
+    parts = pt.partitions_of(n)
+    _work.charge(3 * len(parts))
+    return tuple(n_fact // pt.z_factor(rho) for rho in parts)
 
 
 _LR_CACHE = {}
@@ -144,8 +151,10 @@ def kron_coeff(lam, mu, nu):
     n = sum(lam)
     if sum(mu) != n or sum(nu) != n:
         raise ValueError("kron_coeff needs three partitions of the same size")
+    classes = pt.partitions_of(n)
+    _work.charge(len(classes))
     total = 0
-    for rho, size in zip(pt.partitions_of(n), class_sizes(n)):
+    for rho, size in zip(classes, class_sizes(n)):
         c = mn_character(lam, rho)
         if c:
             total += c * mn_character(mu, rho) * mn_character(nu, rho) * size

@@ -22,7 +22,8 @@ a family of expressions is built one basis vector s_lam at a time: the
 integer rows of the images on s_lam are pushed into one echelon of
 sparse primitive integer rows, with no modulus and no float, and no
 further basis vector is evaluated once the rank equals the number of
-expressions.
+expressions.  The tables charge each of their misses to the work meter
+(`_work`), so a budget bounds an application like any other computation.
 """
 
 from collections.abc import Mapping
@@ -90,21 +91,16 @@ class OperatorExpr:
     def __rmul__(self, other):
         return self * other
 
-    def apply(self, g, check=None):
+    def apply(self, g):
         """Evaluate on a symmetric function; linear in the expression and
         in g, with the value in the Schur basis.  The rightmost generator
         of each word acts first.  The expression is compiled into integer
         words over one denominator and every word is added into one integer
-        dict by `_accumulate`, so the only SymFunc built is the result.  A
-        given check is called as check(kind, f, h) before each generator
-        (kind, f) acts on the current value h (a Schur-basis SymFunc, built
-        for the check only), and before any work on that generator,
-        including its conversion to the Schur basis; it may raise to refuse
-        the step."""
+        dict by `_accumulate`, so the only SymFunc built is the result."""
         gs = sf.to_basis(g, "s")
-        words, d = _compile([(1, self)], raw=check is not None)
+        words, d = _compile([(1, self)])
         out = {}
-        _accumulate(words, gs._num.items(), out, check, gs._d)
+        _accumulate(words, gs._num.items(), out)
         return sf._from_ints("s", out, d * gs._d)
 
     def max_degree_shift(self):
@@ -147,15 +143,13 @@ def _step(kind, f):
     return table, value_first, pairs
 
 
-def _compile(signed, raw=False):
+def _compile(signed):
     """The words of the sum of sign * e over the (sign, e) pairs of signed,
     signs +-1, as (words, d): every word (m, steps) has its steps in the
     order they act and an integer multiplier m over the one denominator d
     of all words.  A word n/q * f_r ... f_1 is n * (its run on numerators)
     / (q * f_1._d ... f_r._d), so d is the lcm of those denominators and m
-    is n times d over its own.  Each step is compiled by `_step`, or with
-    raw left as the generator (kind, f), for `_accumulate` to compile once
-    it is checked."""
+    is n times d over its own.  Each step is compiled by `_step`."""
     parts = []
     for sign, expr in signed:
         for coef, word in expr.words:
@@ -164,39 +158,28 @@ def _compile(signed, raw=False):
             for kind, f in reversed(word):
                 if kind not in _STEPS:
                     raise ValueError(f"unknown generator {kind!r}")
-                steps.append((kind, f) if raw else _step(kind, f))
+                steps.append(_step(kind, f))
                 q *= f._d
             parts.append((sign * n, q, steps))
     d = lcm(*[q for _n, q, _steps in parts])
     return [(n * (d // q), steps) for n, q, steps in parts], d
 
 
-def _accumulate(words, xs, out, check=None, d=1):
+def _accumulate(words, xs, out):
     """Run every compiled word (m, steps) on the integer pairs xs and add m
     times its value into out, in place; out may be left holding zeros.
     Each step but the last builds the word's next value as a fresh list of
     nonzero pairs, a value that becomes zero ends the word, and the last
     step adds straight into out through `symfunc._bilinear_into`; a word
-    with no steps is the identity.
-
-    With a check the steps are raw generators (kind, f): check(kind, f, h)
-    is called on the word's current value h, over the denominator d of xs
-    times those of the generators that acted, before the generator is
-    compiled."""
+    with no steps is the identity."""
     bilinear_into = sf._bilinear_into
     for m, steps in words:
         last = len(steps) - 1
         if last < 0:
             sf._add_into(out, xs, m)
             continue
-        num, nd = xs, d
-        for i, step in enumerate(steps):
-            if check is not None:
-                kind, f = step
-                check(kind, f, sf.SymFunc._trusted("s", dict(num), nd))
-                step = _step(kind, f)
-                nd *= f._d
-            table, value_first, ys = step
+        num = xs
+        for i, (table, value_first, ys) in enumerate(steps):
             a, b = (num, ys) if value_first else (ys, num)
             if i == last:
                 bilinear_into(out, a, b, table, m)

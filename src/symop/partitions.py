@@ -5,11 +5,16 @@ empty tuple is the empty partition.  Diagrams are drawn in the French
 convention throughout: row 0 is the bottom (longest) row and columns grow
 upward, so a cell is addressed as Cell(row, col) counted from the bottom
 left.
+
+The enumerations charge the work meter (`_work`) one unit per node of
+their recursion.
 """
 
 from functools import cache
 from math import factorial
 from typing import NamedTuple
+
+from . import _work
 
 
 class Cell(NamedTuple):
@@ -211,8 +216,10 @@ def partitions_of(n):
     if n < 0:
         raise ValueError("n must be nonnegative")
     out = []
+    charge = _work.charge
 
     def rec(remaining, maxpart, prefix):
+        charge()
         if remaining == 0:
             out.append(_intern(tuple(prefix)))
             return
@@ -236,8 +243,10 @@ def partitions_upto(n):
 def sub_partitions(lam, max_size=None):
     """All partitions contained in lam, ordered by (size, reverse-lex)."""
     out = [()]
+    charge = _work.charge
 
     def rec(i, cap, prefix):
+        charge()
         if i >= len(lam):
             return
         for v in range(1, min(cap, lam[i]) + 1):
@@ -271,8 +280,10 @@ def horizontal_strips_above(gamma, k):
     """
     rows = len(gamma) + 1
     out = []
+    charge = _work.charge
 
     def rec(i, remaining, prefix):
+        charge()
         if i == rows:
             if remaining == 0:
                 out.append(tuple(x for x in prefix if x))
@@ -294,8 +305,10 @@ def vertical_strips_below(beta, i):
     Vertical strip: at most one box removed per row.
     """
     out = []
+    charge = _work.charge
 
     def rec(r, remaining, prefix):
+        charge()
         if r == len(beta):
             if remaining == 0:
                 out.append(tuple(x for x in prefix if x))

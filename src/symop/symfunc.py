@@ -32,7 +32,8 @@ products of character rows.  Products, skewing, Kronecker products and
 the straightened Kronecker family KB are bilinear lookups in memoized
 tables of Schur structure constants keyed by two partitions
 (`_schur_mul_terms`, `_schur_skew_terms`, `_schur_kron_terms`,
-`_schur_kb_terms`).
+`_schur_kb_terms`).  Each miss of a memo table is charged to the work
+meter (`_work`), weighted by the work it does.
 """
 
 import itertools
@@ -45,6 +46,7 @@ from math import factorial, gcd, lcm
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
+from . import _work
 from . import coeffs
 from . import partitions as pt
 
@@ -330,7 +332,9 @@ def _character_row(lam):
     """The character chi^lam as a tuple aligned with partitions_of(|lam|),
     one `coeffs.mn_character` entry per class rho, so that s_lam =
     sum_rho chi^lam(rho)/z_rho p_rho."""
-    return tuple(coeffs.mn_character(lam, rho) for rho in pt.partitions_of(sum(lam)))
+    classes = pt.partitions_of(sum(lam))
+    _work.charge(len(classes))
+    return tuple(coeffs.mn_character(lam, rho) for rho in classes)
 
 
 @cache
@@ -338,7 +342,9 @@ def _character_column(rho):
     """The characters at the class rho as a tuple aligned with
     partitions_of(|rho|), one `coeffs.mn_character` entry per shape lam,
     so that p_rho = sum_lam chi^lam(rho) s_lam."""
-    return tuple(coeffs.mn_character(lam, rho) for lam in pt.partitions_of(sum(rho)))
+    shapes = pt.partitions_of(sum(rho))
+    _work.charge(len(shapes))
+    return tuple(coeffs.mn_character(lam, rho) for lam in shapes)
 
 
 @cache
@@ -348,6 +354,7 @@ def _schur_mul_terms(lam, mu):
     whose components are mu (bottom right) and lam (top left); a skew
     Schur function of a disconnected shape is the product of its
     components."""
+    _work.charge()
     if not lam:
         return _schur_skew_terms(mu, ())
     top = lam[0]
@@ -362,6 +369,7 @@ def _schur_skew_terms(lam, mu):
     with free content.  An entry of an LR filling is at most its row
     number (from 1), so len(lam) bounds the values.  Terms come in the
     reverse-lex order of partitions_of."""
+    _work.charge()
     if not pt.contains(mu, lam):
         return ()
     # deferred import: tableaux imports this module
@@ -388,11 +396,13 @@ def _schur_kron_terms(lam, mu):
     n = sum(lam)
     if n != sum(mu):
         return ()
+    shapes = pt.partitions_of(n)
+    _work.charge(len(shapes) * (1 + len(shapes) // 16))
     weights = [a * b * size for a, b, size in zip(
         _character_row(lam), _character_row(mu), coeffs.class_sizes(n))]
     n_fact = factorial(n)
     out = []
-    for nu in pt.partitions_of(n):
+    for nu in shapes:
         c = sum(map(operator.mul, _character_row(nu), weights))
         g, rem = divmod(c, n_fact)
         if rem or g < 0:
@@ -410,6 +420,7 @@ def _schur_kb_terms(lam, mu):
     """Schur expansion of KB_{s_lam}(s_mu) = sign * s_shape * s_mu, where
     (sign, shape) straightens (|mu| - |lam|, lam_1, lam_2, ...) by
     Jacobi-Trudi.  A +1 sign returns the Kronecker table's own tuple."""
+    _work.charge()
     sign, shape = jacobi_trudi((sum(mu) - sum(lam),) + lam)
     if not sign:
         return ()
@@ -427,8 +438,10 @@ def _he_to_schur(basis, lam):
         return (((), 1),)
     k = lam[-1]
     factor = (k,) if basis == "h" else (1,) * k
+    prefix = _he_to_schur(basis, lam[:-1])
+    _work.charge(len(prefix))
     out = {}
-    for nu, c in _he_to_schur(basis, lam[:-1]):
+    for nu, c in prefix:
         _add_into(out, _schur_mul_terms(factor, nu), c)
     return tuple(sorted(out.items(), reverse=True))
 
@@ -498,7 +511,9 @@ def _schur_to_h(lam):
             break
         minor = tuple(x + 1 for x in lam[:i]) + lam[i + 1:]
         h_k = (((k,) if k else (), 1),)
-        _add_into(out, _union_product(_schur_to_h(minor), h_k).items(),
+        minor_h = _schur_to_h(minor)
+        _work.charge(len(minor_h))
+        _add_into(out, _union_product(minor_h, h_k).items(),
                   -1 if i % 2 else 1)
     return tuple((mu, c) for mu, c in out.items() if c)
 

@@ -29,6 +29,7 @@ distinct shape.
 from collections import Counter
 from functools import cache
 
+from . import _work
 from . import partitions as pt
 from . import symfunc as sf
 from .partitions import Cell, SkewShape
@@ -243,9 +244,15 @@ def _fill(cells, is_ssyt, content=None, max_entry=None, budget=None,
     exactly, `budget` only caps it, `max_entry` leaves it free.  When
     `init_counts` is given (value -> count), every prefix of the reading
     word must keep count(i) >= count(i+1) starting from those counts.
+
+    The call and each filling are charged to the work meter (`_work`),
+    by the cells and the values they run over.
     """
+    ncells = len(cells)
+    charge = _work.charge
+    charge(2 + 3 * ncells)
     if content is not None:
-        if sum(content) != len(cells):
+        if sum(content) != ncells:
             return
         remaining = list(content)
         nvals = len(content)
@@ -257,10 +264,13 @@ def _fill(cells, is_ssyt, content=None, max_entry=None, budget=None,
         nvals = max_entry
     counts = dict(init_counts) if init_counts is not None else None
     entries = {}
-    ncells = len(cells)
+    # fitted to the time of the Schur skew tables: a filling climbs one
+    # generator frame per cell, and dead ends try up to nvals values at each
+    per_filling = 4 + ncells * (2 + nvals) // 32
 
     def rec(k):
         if k == ncells:
+            charge(per_filling)
             yield dict(entries)
             return
         cell = cells[k]
@@ -524,7 +534,9 @@ def _growths(gamma, n):
     """(gamma_plus, gamma_plus/gamma, its SSYT reading order) for every
     gamma_plus of size n containing gamma, in partitions_of order."""
     out = []
-    for gamma_plus in pt.partitions_of(n):
+    parts = pt.partitions_of(n)
+    _work.charge(len(parts) // 4)
+    for gamma_plus in parts:
         if pt.contains(gamma, gamma_plus):
             shape2 = SkewShape._trusted(gamma_plus, gamma)
             out.append((gamma_plus, shape2, tuple(_ssyt_reading_cells(shape2))))

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import symop
-from symop import cli, identities as idn, partitions as pt, symfunc as sf
+from symop import _work, cli, identities as idn, partitions as pt, symfunc as sf
 from symop.reporting import Failure
 
 
@@ -294,148 +294,204 @@ def test_power_degree_limit(capsys):
     capsys.readouterr()
 
 
+# A budget low enough that every hostile input below meets it within a few
+# hundredths of a second, which shows that its path charges the meter.
+_LOW_WORK = 20_000
+
+
+def _ones(n):
+    return ",".join(["1"] * n)
+
+
+def _staircase(n):
+    return ",".join(str(i) for i in range(n, 0, -1))
+
+
+def _assert_refused(capsys, argv_list, limit):
+    """Each command exits 2 with empty stdout and the one budget line."""
+    for argv in argv_list:
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err == (
+            f"symop: error: the computation exceeds the work budget of "
+            f"{limit} units\n"
+        ), argv
+
+
+def _assert_answers(capsys, cases):
+    """Each command exits 0 and prints the bytes whose sha256 is given, as
+    computed before the work budget replaced the cost estimators."""
+    for argv, digest in cases:
+        assert cli.main(argv) == 0, argv
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 def test_product_work_limit(capsys, monkeypatch):
-    # every rejected input is refused before its product is multiplied out
+    monkeypatch.setattr(cli, "MAX_WORK", _LOW_WORK)
     start = time.monotonic()
-    assert cli.main(["expand", "s[1]^10*s[1]^10"]) == 2
-    assert cli.main(["expand", "s[500]*s[500]"]) == 2
+    _assert_refused(capsys, [
+        ["expand", "s[1]^10*s[1]^10"],
+        ["expand", "s[1]^20*s[1]^20"],
+        ["expand", "s[6,5,4,3,2,1]*s[6,5,4,3,2,1]"],
+    ], _LOW_WORK)
     assert time.monotonic() - start < 5
+    # a product of 1,000 cells recurses once per cell, past Python's
+    # recursion limit: still one line and exit 2
+    assert cli.main(["expand", "s[500]*s[500]"]) == 2
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [
-        f"symop: error: product of 42 by 42 terms at degree 20 exceeds the "
-        f"work limit {cli.MAX_PRODUCT_WORK}",
-        f"symop: error: product of 1 by 1 terms at degree 1000 exceeds the "
-        f"work limit {cli.MAX_PRODUCT_WORK}",
-    ]
-    # s[15]*s[10] is 1 * 1 * p(25) = 1,958 units of work
-    monkeypatch.setattr(cli, "MAX_PRODUCT_WORK", 1958)
-    assert cli.main(["expand", "s[15]*s[10]"]) == 0
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    monkeypatch.undo()
+    # the work of a product grows with its answer: the three-term Pieri
+    # product of a large shape answers at once
+    start = time.monotonic()
+    for argv, lam, mu in ((["expand", "s[45,30]*s[1]"], (45, 30), (1,)),
+                          (["apply", "U[1]", "s[45,30]"], (45, 30), (1,)),
+                          (["expand", "s[15]*s[10]"], (15,), (10,))):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == sf.render(
+            sf.mul(sf.schur(lam), sf.schur(mu))) + "\n"
     assert cli.main(["expand", "(s[2,1]-s[2,1])*s[1]^6"]) == 0
-    monkeypatch.setattr(cli, "MAX_PRODUCT_WORK", 1957)
-    assert cli.main(["expand", "s[15]*s[10]"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().out == "0\n"
+    assert time.monotonic() - start < 5
 
 
 def test_kron_work_limit(capsys, monkeypatch):
-    # every rejected input is refused before its product is computed
+    monkeypatch.setattr(cli, "MAX_WORK", _LOW_WORK)
     start = time.monotonic()
-    assert cli.main(["expand", "kron(s[1]^16,s[1]^16)"]) == 2
-    assert cli.main(["kron", "s[500]", "s[500]"]) == 2
+    _assert_refused(capsys, [
+        ["expand", "kron(s[1]^16,s[1]^16)"],
+        ["kron", "s[500]", "s[500]"],
+    ], _LOW_WORK)
     assert time.monotonic() - start < 5
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [
-        f"symop: error: Kronecker product of 231 by 231 terms exceeds the "
-        f"work limit {cli.MAX_KRON_WORK}",
-        f"symop: error: Kronecker product of 1 by 1 terms exceeds the "
-        f"work limit {cli.MAX_KRON_WORK}",
-    ]
-    # one pair at degree 3 is (1 + 150) * p(3)^2 = 1,359 units of work;
-    # terms of unequal degree annihilate and add none
-    monkeypatch.setattr(cli, "MAX_KRON_WORK", 1359)
+    monkeypatch.undo()
+    # terms of unequal degree annihilate
     assert cli.main(["expand", "kron(s[3]+s[1],s[2,1]+s[2])"]) == 0
-    assert capsys.readouterr().out.strip() == "s[2,1]"
+    assert capsys.readouterr().out == "s[2,1]\n"
     assert cli.main(["kron", "s[3]+s[1]", "s[2,1]+s[2]"]) == 0
+    assert capsys.readouterr().out == "s[2,1]\n"
     assert cli.main(["expand", "kron(s[5],s[4])"]) == 0
-    monkeypatch.setattr(cli, "MAX_KRON_WORK", 1358)
-    assert cli.main(["expand", "kron(s[3],s[2,1])"]) == 2
-    assert cli.main(["kron", "s[3]", "s[2,1]"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().out == "0\n"
+    _assert_answers(capsys, [
+        (["expand", "kron(s[1]^11,s[1]^11)"],
+         "cc65b4e03e58d448136b186fbd45e61dfbc0d9f5ae470bb2f7ca278d092b8702"),
+    ])
 
 
 def test_apply_work_limit(capsys, monkeypatch):
-    # every rejected step is refused before it runs, with the limits and
-    # messages of expand and kron
+    # every kind of step charges the meter as it works, D steps included
+    monkeypatch.setattr(cli, "MAX_WORK", _LOW_WORK)
     start = time.monotonic()
-    assert cli.main(["apply", "U(s[1]^10)", "s[1]^10"]) == 2
-    assert cli.main(["apply", "K(s[1]^16)", "s[1]^16"]) == 2
-    assert cli.main(["apply", "KB(s[1]^16)", "s[1]^16"]) == 2
+    _assert_refused(capsys, [
+        ["apply", "U(s[1]^10)", "s[1]^10"],
+        ["apply", "K(s[1]^16)", "s[1]^16"],
+        ["apply", "KB(s[1]^16)", "s[1]^16"],
+        ["apply", "D[5,4,3,2,1]", f"s[{_staircase(11)}]"],
+    ], _LOW_WORK)
     assert time.monotonic() - start < 5
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [
-        f"symop: error: product of 42 by 42 terms at degree 20 exceeds the "
-        f"work limit {cli.MAX_PRODUCT_WORK}",
-    ] + [
-        f"symop: error: Kronecker product of 231 by 231 terms exceeds the "
-        f"work limit {cli.MAX_KRON_WORK}",
-    ] * 2
-    # U[15] on s[10] is 1 * 1 * p(25) = 1,958 units of work; K[3] on s[2,1],
-    # and KB[2,1] on s[3], where (0, 2, 1) straightens to -s[1,1,1], are one
-    # pair at degree 3, (1 + 150) * p(3)^2 = 1,359 units
-    monkeypatch.setattr(cli, "MAX_PRODUCT_WORK", 1958)
-    monkeypatch.setattr(cli, "MAX_KRON_WORK", 1359)
+    monkeypatch.undo()
     for argv, want in (
         (["U[15]", "s[10]"], sf.mul(sf.schur((15,)), sf.schur((10,)))),
         (["K[3]", "s[2,1]"], sf.schur((2, 1))),
         (["KB[2,1]", "s[3]"], -sf.schur((1, 1, 1))),
         (["K[2,1]", "s[2]"], sf.zero()),
+        (["K[2,1]U[1]", "s[2]"],
+         sf.kronecker(sf.schur((2, 1)), sf.mul(sf.schur((1,)), sf.schur((2,))))),
     ):
         assert cli.main(["apply"] + argv) == 0, argv
         assert capsys.readouterr().out == sf.render(want) + "\n"
-    # each step is checked on the value it acts on: here K[2,1] meets
-    # U[1](s[2]) = s[3] + s[2,1], two pairs at degree 3 (1,368 units)
-    for argv in (["K[2,1]U[1]", "s[2]"], ["2*Id + K[2,1]U[1]", "s[2]"]):
-        assert cli.main(["apply"] + argv) == 2, argv
-    monkeypatch.setattr(cli, "MAX_PRODUCT_WORK", 1957)
-    monkeypatch.setattr(cli, "MAX_KRON_WORK", 1358)
-    for argv in (["U[15]", "s[10]"], ["K[3]", "s[2,1]"], ["KB[2,1]", "s[3]"]):
-        assert cli.main(["apply"] + argv) == 2, argv
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    errors = captured.err.splitlines()
-    assert len(errors) == 5
-    assert all("exceeds the work limit" in line for line in errors)
 
 
-def test_partition_walk_limit(capsys):
-    # a p atom, a Kronecker coefficient or a character walks every
-    # partition of its degree; p(47) = 124,754 is over the limit,
-    # p(46) = 105,558 is not
-    def ones(n):
-        return ",".join(["1"] * n)
-
+def test_partition_walk_limit(capsys, monkeypatch):
+    # a p atom, a Kronecker coefficient or a character walks partitions of
+    # its degree, and each partition visited is charged
+    monkeypatch.setattr(cli, "MAX_WORK", _LOW_WORK)
     start = time.monotonic()
-    for argv in (["expand", "p[100]"], ["expand", "s[1]*p[47]"],
-                 ["apply", "U(p[60])", "s[1]"],
-                 ["kroncoeff", "50,50", "50,50", "50,50"],
-                 ["char", "60,50,40,30,20,10", ones(210)],
-                 ["char", "1200", ones(1200)]):
-        assert cli.main(argv) == 2, argv
+    _assert_refused(capsys, [
+        ["expand", "p[100]"],
+        ["expand", "s[1]*p[47]"],
+        ["apply", "U(p[60])", "s[1]"],
+        ["kroncoeff", "50,50", "50,50", "50,50"],
+        ["char", "60,50,40,30,20,10", _ones(210)],
+        ["char", "1200", _ones(1200)],
+    ], _LOW_WORK)
     assert time.monotonic() - start < 5
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [
-        f"symop: error: p atom at degree {n} exceeds the work limit "
-        f"{cli.MAX_PRODUCT_WORK}"
-        for n in (100, 47, 60)
-    ] + [
-        f"symop: error: Kronecker coefficient at degree 100 exceeds the work "
-        f"limit {cli.MAX_PRODUCT_WORK}",
-    ] + [
-        f"symop: error: character at degree {n} exceeds the work limit "
-        f"{cli.MAX_PRODUCT_WORK}"
-        for n in (210, 1200)
-    ]
+    monkeypatch.undo()
     # a character at degree 46 answers: f^(23,23) is the Catalan number C_23
-    assert cli.main(["char", "23,23", ones(46)]) == 0
+    assert cli.main(["char", "23,23", _ones(46)]) == 0
     assert capsys.readouterr().out == "343059613650\n"
-    # p[40] is under the limit, and h and e atoms walk no partitions
-    for atom, want in (("p[40]", "s[40] - s[39,1] + "), ("h[30]", "s[30]"),
-                       ("e[28]", "s[" + ",".join(["1"] * 28) + "]")):
-        assert cli.main(["expand", atom]) == 0
-        assert capsys.readouterr().out.startswith(want), atom
+    _assert_answers(capsys, [
+        (["expand", "p[46]"],
+         "14a101839dbaa761cf6f275580864b625ab4a4ce24a09e1784701fad5c0081a9"),
+        (["expand", "p[40]"],
+         "5117f57e7b2903bdb091bc62f7d4a2f2497fa2a91ac9c0c16bb155cdef8083be"),
+        (["expand", "h[30]"],
+         "80a6a3875e01c75cf75494742ae22b6ff20468484257dd9eeb05ca5e07179172"),
+        (["expand", "e[28]"],
+         "87885e5de22fb0eb8fda60229981e942c0b839e4f818704e344e187edd798abd"),
+        (["skew", "45,30/1"],
+         "3927c752cad4254218578fc39f2243833c09ddbc99f8dd297ca0bf497516e270"),
+    ])
 
 
-def test_partition_count():
-    for n in range(30):
-        assert cli._partition_count(n, 10**9) == len(pt.partitions_of(n))
-    assert cli._partition_count(100, 10**30) == 190569292
-    # past the cap the count stops early, however large n is
-    assert cli._partition_count(10**9, 1000) == 1001
-    assert cli._partition_count(12, 77) == 77
-    assert cli._partition_count(12, 76) == 77
+def test_tableau_rules_exit_2_under_the_work_budget(capsys, monkeypatch):
+    # skew shapes, skew Pieri strips and skew LR fillings have no a-priori
+    # estimate; the fillings and partitions they enumerate are charged
+    monkeypatch.setattr(cli, "MAX_WORK", _LOW_WORK)
+    start = time.monotonic()
+    stair = f"{_staircase(8)}/4,3,2,1"
+    _assert_refused(capsys, [
+        ["skew", f"{_staircase(11)}/5,4,3,2,1"],
+        ["expand", f"sk[{_staircase(11)}/5,4,3,2,1]"],
+        ["skewpieri", "300", "50,40,30,20,10/5"],
+        ["skewlr", "1/0", "40,30,20,10/30,20,10,5"],
+        ["skewlr", stair, stair],
+    ], _LOW_WORK)
+    assert time.monotonic() - start < 5
+
+
+def test_work_budget_is_restored_and_verify_is_unmetered(capsys, monkeypatch):
+    assert _work._left is None
+    monkeypatch.setattr(cli, "MAX_WORK", 0)
+    # a product that no other test computes: its table is a memo miss
+    _assert_refused(capsys, [["expand", "s[31,17]*s[2]"]], 0)
+    # a refused command leaves the library unmetered
+    assert _work._left is None
+    assert len(sf.mul(sf.schur((31, 17)), sf.schur((2,))).terms) == 6
+    # `verify` is bounded by its own --max-ab and --max-g; this entry
+    # enumerates sub-partitions, which charge even when the tables are warm
+    assert cli.main(["verify", "thm_main_1", "--max-ab", "2", "--max-g", "2"]) == 0
+    assert "thm_main_1: PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, units", [
+    (["expand", "kron(s[2,1],s[2,1])*p[2]+h[2]"], 255),
+    (["skewlr", "2,1/1", "2,1/1"], 352),
+])
+def test_work_charge_is_deterministic(argv, units):
+    # in a fresh process every memo table is cold, so a command charges the
+    # same units on every run: it answers at exactly that budget and is
+    # refused one unit below it
+    src = os.path.dirname(os.path.dirname(symop.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = ("import sys; from symop import cli; "
+              "cli.MAX_WORK = int(sys.argv[1]); sys.exit(cli.main(sys.argv[2:]))")
+    results = []
+    for budget in (units, units - 1):
+        results.append(subprocess.run(
+            [sys.executable, "-c", script, str(budget), *argv],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
+        ))
+    fit, short = results
+    assert fit.returncode == 0 and fit.stderr == ""
+    assert fit.stdout.startswith("s[")
+    assert short.returncode == 2 and short.stdout == ""
+    assert short.stderr == (
+        f"symop: error: the computation exceeds the work budget of "
+        f"{units - 1} units\n"
+    )
 
 
 def test_power_matches_product_through_p_basis(capsys):
@@ -458,6 +514,12 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
     assert cli.main(["no_such_command"]) == 2
     capsys.readouterr()
+    # an empty operator list is a usage error like any other
+    for ops in (";", " ; ;"):
+        assert cli.main(["rank", ops]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "symop: error: no operator expressions given\n"
 
 
 def test_deep_nesting_exits_2(capsys):
