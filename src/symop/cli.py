@@ -11,6 +11,7 @@ charged."""
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -243,8 +244,13 @@ class _Parser:
                 arg = sf.schur(parts)
             elif nxt[0] == "(":
                 self.next()
-                arg = evaluate(self.parse_expr())
+                node = self.parse_expr()
                 self.expect(")")
+                try:
+                    arg = evaluate(node)
+                except RecursionError:
+                    # not the parser's own nesting
+                    raise ValueError(_TOO_LARGE) from None
             else:
                 raise ParseError(f"{kind} needs '[parts]' or '(expr)'", nxt[2])
             return getattr(op, kind)(arg)
@@ -259,19 +265,34 @@ class _Parser:
         return None
 
 
-def parse(text):
-    """Parse a symmetric function expression into a tuple tree."""
+# The parser recurses once per nesting level of the input.  Any other
+# recursion that overflows grows with the size of the input instead:
+# `coeffs.mn_character` recurses once per part of rho, `tableaux._fill` once
+# per cell.
+_TOO_LARGE = "input too large for Python's recursion limit"
+
+
+def _parsed(text, rule):
     parser = _Parser(text)
-    node = parser.parse_expr()
+    try:
+        node = rule(parser)
+    except RecursionError:
+        raise ValueError("expression nested too deeply") from None
     parser.done()
     return node
+
+
+def parse(text):
+    """Parse a symmetric function expression into a tuple tree."""
+    return _parsed(text, _Parser.parse_expr)
 
 
 _ATOM_BUILDERS = {"s": sf.schur, "h": sf.h, "e": sf.e, "p": sf.p}
 
 # Highest degree a power f^n may reach.  Multiplying out costs about twice
 # as much per extra degree; s[1]^20 takes 1.5 s on a 2-core machine.  The
-# growth of its big-integer coefficients is not charged to MAX_WORK.
+# growth of its big-integer coefficients is not charged to MAX_WORK.  A
+# constant base is raised in one step instead (`_constant_power`).
 MAX_POWER_DEGREE = 20
 
 # Most work one command may do, in the units that the layers charge to
@@ -281,6 +302,20 @@ MAX_POWER_DEGREE = 20
 # charges 2.3M units in 2.7-4.4 s, `matrix "KB[1]" --max-deg 16` 1.8M in
 # 2.4-2.8 s; refused inputs stop within 1.5-7.5 s.
 MAX_WORK = 4_000_000
+
+
+def _constant_power(c, n):
+    """c ** n for a rational c, refused before it is computed when its
+    numerator or denominator would have more digits than Python converts
+    to text (`sys.get_int_max_str_digits()`, 0 for no limit)."""
+    limit = sys.get_int_max_str_digits()
+    for part in (c.numerator, c.denominator):
+        digits = int(n * math.log10(abs(part))) + 1 if abs(part) > 1 else 1
+        if limit and digits > limit:
+            raise ValueError(
+                f"power of {digits} digits exceeds the limit of {limit} digits"
+            )
+    return c ** n
 
 
 def evaluate(node):
@@ -302,6 +337,8 @@ def evaluate(node):
         return sf.mul(evaluate(node[1]), evaluate(node[2]))
     if kind == "pow":
         base, exponent = evaluate(node[1]), node[2]
+        if base.max_degree() == 0:
+            return sf.scale(_constant_power(base.coeff(()), exponent), sf.one())
         degree = exponent * base.max_degree()
         if degree > MAX_POWER_DEGREE:
             raise ValueError(
@@ -322,10 +359,7 @@ def evaluate_text(text):
 
 def parse_operator(text):
     """Parse an operator expression like '2*U[1]D[1] - Id' or 'K(p[2])U(p[1])'."""
-    parser = _Parser(text)
-    node = parser.parse_op_expr()
-    parser.done()
-    return node
+    return _parsed(text, _Parser.parse_op_expr)
 
 
 # ---------------------------------------------------------------------------
@@ -360,30 +394,10 @@ def _cmd_skew(args):
     return 0
 
 
-def _cmd_lrcoeff(args):
-    val = coeffs.lr_coeff(
-        pt.parse_partition(args.nu),
-        pt.parse_partition(args.lam),
-        pt.parse_partition(args.mu),
-    )
-    _emit(args, str(val), val)
-    return 0
-
-
-def _cmd_kroncoeff(args):
-    val = coeffs.kron_coeff(
-        pt.parse_partition(args.lam),
-        pt.parse_partition(args.mu),
-        pt.parse_partition(args.nu),
-    )
-    _emit(args, str(val), val)
-    return 0
-
-
-def _cmd_char(args):
-    val = coeffs.mn_character(
-        pt.parse_partition(args.lam), pt.parse_partition(args.rho)
-    )
+def _cmd_coeff(args):
+    """lrcoeff, kroncoeff and char: one integer from partitions, the
+    arguments named by args.names in order."""
+    val = args.coeff(*(pt.parse_partition(getattr(args, n)) for n in args.names))
     _emit(args, str(val), val)
     return 0
 
@@ -579,25 +593,18 @@ def build_parser():
     cmd.add_argument("shape")
     cmd.set_defaults(func=_cmd_skew)
 
-    cmd = sub.add_parser("lrcoeff", parents=[common],
-                         help="Littlewood-Richardson coefficient c^nu_{lam,mu}")
-    cmd.add_argument("nu")
-    cmd.add_argument("lam")
-    cmd.add_argument("mu")
-    cmd.set_defaults(func=_cmd_lrcoeff)
-
-    cmd = sub.add_parser("kroncoeff", parents=[common],
-                         help="Kronecker coefficient g_{lam,mu,nu}")
-    cmd.add_argument("lam")
-    cmd.add_argument("mu")
-    cmd.add_argument("nu")
-    cmd.set_defaults(func=_cmd_kroncoeff)
-
-    cmd = sub.add_parser("char", parents=[common],
-                         help="symmetric group character chi^lam(rho)")
-    cmd.add_argument("lam")
-    cmd.add_argument("rho")
-    cmd.set_defaults(func=_cmd_char)
+    for name, coeff, names, text in (
+        ("lrcoeff", coeffs.lr_coeff, ("nu", "lam", "mu"),
+         "Littlewood-Richardson coefficient c^nu_{lam,mu}"),
+        ("kroncoeff", coeffs.kron_coeff, ("lam", "mu", "nu"),
+         "Kronecker coefficient g_{lam,mu,nu}"),
+        ("char", coeffs.mn_character, ("lam", "rho"),
+         "symmetric group character chi^lam(rho)"),
+    ):
+        cmd = sub.add_parser(name, parents=[common], help=text)
+        for arg in names:
+            cmd.add_argument(arg)
+        cmd.set_defaults(func=_cmd_coeff, coeff=coeff, names=names)
 
     cmd = sub.add_parser("verify", parents=[common],
                          help="verify catalog identities by exhaustion")
@@ -613,21 +620,16 @@ def build_parser():
                          "skew Littlewood-Richardson rule")
     cmd.add_argument("left")
     cmd.add_argument("right")
-    grp = cmd.add_mutually_exclusive_group()
-    grp.add_argument("--terms", action="store_true",
+    cmd.add_argument("--terms", action="store_true",
                      help="print the signed skew terms")
-    grp.add_argument("--collapsed", dest="terms", action="store_false",
-                     help="print the collapsed Schur expansion (default)")
-    cmd.set_defaults(func=_cmd_skewlr, terms=False)
+    cmd.set_defaults(func=_cmd_skewlr)
 
     cmd = sub.add_parser("skewpieri", parents=[common],
                          help="skew Pieri product s_(k) * s_{shape}")
     cmd.add_argument("k", type=int)
     cmd.add_argument("shape")
-    grp = cmd.add_mutually_exclusive_group()
-    grp.add_argument("--terms", action="store_true")
-    grp.add_argument("--collapsed", dest="terms", action="store_false")
-    cmd.set_defaults(func=_cmd_skewpieri, terms=False)
+    cmd.add_argument("--terms", action="store_true")
+    cmd.set_defaults(func=_cmd_skewpieri)
 
     cmd = sub.add_parser("skewcorners", parents=[common],
                          help="corner-rule side of the skew Kronecker identity")
@@ -690,8 +692,7 @@ def main(argv=None):
         print(f"symop: error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the parser and evaluate recurse once per nesting level of the input
-        print("symop: error: expression nested too deeply", file=sys.stderr)
+        print(f"symop: error: {_TOO_LARGE}", file=sys.stderr)
         return 2
     finally:
         _work.set_budget(None)

@@ -10,6 +10,11 @@ are built only for a counterexample.  Summation ranges are
 derived from the vanishing of skew terms (s_{a/l} = 0 unless l is
 contained in a), so every sum here is finite and exact, never truncated
 by guesswork.
+
+The six normal ordering relations are rows of one table, and the three
+commutators are derived from it as the paper derives them: each is the
+left side of relation 1, 5 or 6 minus its swapped word, against the
+relation's skew sum without that term.
 """
 
 import time
@@ -100,18 +105,18 @@ def _du_terms(alpha, beta, twisted):
 
 
 def _skew_kron_terms(alpha, beta):
-    """Pairs (lam, s_{b/lam} * s_a) over lam in b with |b/lam| = |a|; used by
-    both orders of the K/U relation."""
+    """Terms (1, s_{b/lam} * s_a, s_lam) over lam in b with |b/lam| = |a|;
+    used by both orders of the K/U relation."""
     return [
-        (lam, sf.kronecker(sf.skew_schur(beta, lam), sf.schur(alpha)))
+        (1, sf.kronecker(sf.skew_schur(beta, lam), sf.schur(alpha)), sf.schur(lam))
         for lam in pt.sub_partitions(beta)
         if sum(beta) - sum(lam) == sum(alpha)
     ]
 
 
 def _kbu_terms(alpha, beta):
-    """Pairs (nu, f) with f = (s_{beta/nu} * s_tau) s_{alpha/tau} summed
-    over tau; used by both orders of the KB/U relation and commutator."""
+    """Terms (1, f, s_nu) with f = (s_{beta/nu} * s_tau) s_{alpha/tau} summed
+    over tau; used by both orders of the KB/U relation."""
     out = []
     for nu in pt.sub_partitions(beta):
         f = sf.linear_combination(
@@ -121,13 +126,8 @@ def _kbu_terms(alpha, beta):
             if sum(tau) == sum(beta) - sum(nu)
         )
         if not f.is_zero():
-            out.append((nu, f))
+            out.append((1, f, sf.schur(nu)))
     return out
-
-
-def _indexed(pairs):
-    """Terms (1, f, s_lam) from a builder of (lam, f) pairs."""
-    return lambda a, b: [(1, f, sf.schur(lam)) for lam, f in pairs(a, b)]
 
 
 def _cor_coeffs_du(alpha, beta, twisted):
@@ -206,45 +206,42 @@ def _word_sum(word, terms):
     return total
 
 
-def _relation(lhs, word, skew_terms, coef_table):
-    """One row of the relation table: (lhs, skew_rhs, coef_rhs), where lhs
-    builds the left side from (s_a, s_b) and each right side is built from
-    (alpha, beta)."""
-
-    def skew_rhs(alpha, beta):
-        return _word_sum(word, skew_terms(alpha, beta))
-
-    def coef_rhs(alpha, beta):
-        return _word_sum(word, [
-            (c, sf.schur(mu), sf.schur(nu))
-            for (mu, nu), c in coef_table(alpha, beta).items()
-        ])
-
-    return lhs, skew_rhs, coef_rhs
-
-
+# Each row is (lhs, word, skew_terms, coef_table): lhs builds the left side
+# from (s_a, s_b), and skew_terms(a, b) and coef_table(a, b) give the terms
+# of the two right sides described above.
 _RELATIONS = {
-    1: _relation(lambda sa, sb: op.D(sb) * op.U(sa),
-                 lambda x, y: op.U(x) * op.D(y),
-                 partial(_du_terms, twisted=False),
-                 partial(_cor_coeffs_du, twisted=False)),
-    2: _relation(lambda sa, sb: op.U(sa) * op.D(sb),
-                 lambda x, y: op.D(y) * op.U(x),
-                 partial(_du_terms, twisted=True),
-                 partial(_cor_coeffs_du, twisted=True)),
-    3: _relation(lambda sa, sb: op.K(sb) * op.U(sa),
-                 lambda x, y: op.U(x) * op.K(y),
-                 _indexed(_skew_kron_terms), _cor_coeffs_ku),
-    4: _relation(lambda sa, sb: op.D(sa) * op.K(sb),
-                 lambda x, y: op.K(y) * op.D(x),
-                 _indexed(_skew_kron_terms), _cor_coeffs_ku),
-    5: _relation(lambda sa, sb: op.KB(sb) * op.U(sa),
-                 lambda x, y: op.U(x) * op.KB(y),
-                 _indexed(_kbu_terms), _cor_coeffs_kbu),
-    6: _relation(lambda sa, sb: op.D(sa) * op.KB(sb),
-                 lambda x, y: op.KB(y) * op.D(x),
-                 _indexed(_kbu_terms), _cor_coeffs_kbu),
+    1: (lambda sa, sb: op.D(sb) * op.U(sa),
+        lambda x, y: op.U(x) * op.D(y),
+        partial(_du_terms, twisted=False),
+        partial(_cor_coeffs_du, twisted=False)),
+    2: (lambda sa, sb: op.U(sa) * op.D(sb),
+        lambda x, y: op.D(y) * op.U(x),
+        partial(_du_terms, twisted=True),
+        partial(_cor_coeffs_du, twisted=True)),
+    3: (lambda sa, sb: op.K(sb) * op.U(sa),
+        lambda x, y: op.U(x) * op.K(y),
+        _skew_kron_terms, _cor_coeffs_ku),
+    4: (lambda sa, sb: op.D(sa) * op.K(sb),
+        lambda x, y: op.K(y) * op.D(x),
+        _skew_kron_terms, _cor_coeffs_ku),
+    5: (lambda sa, sb: op.KB(sb) * op.U(sa),
+        lambda x, y: op.U(x) * op.KB(y),
+        _kbu_terms, _cor_coeffs_kbu),
+    6: (lambda sa, sb: op.D(sa) * op.KB(sb),
+        lambda x, y: op.KB(y) * op.D(x),
+        _kbu_terms, _cor_coeffs_kbu),
 }
+
+
+def _rhs(i, form, a, b):
+    """Relation i's skew-sum right side (form 1) or structure-constant
+    right side (form 2), at canonical partitions a and b."""
+    _lhs, word, skew_terms, coef_table = _RELATIONS[i]
+    if form == 1:
+        return _word_sum(word, skew_terms(a, b))
+    return _word_sum(word, [
+        (c, sf.schur(mu), sf.schur(nu)) for (mu, nu), c in coef_table(a, b).items()
+    ])
 
 
 def normal_order_forms(i, alpha, beta):
@@ -256,20 +253,20 @@ def normal_order_forms(i, alpha, beta):
     """
     if i not in _RELATIONS:
         raise ValueError(f"relation index {i} not in 1..6")
-    lhs, skew_rhs, coef_rhs = _RELATIONS[i]
     a = pt.make_partition(alpha)
     b = pt.make_partition(beta)
-    return lhs(sf.schur(a), sf.schur(b)), skew_rhs(a, b), coef_rhs(a, b)
+    lhs = _RELATIONS[i][0](sf.schur(a), sf.schur(b))
+    return lhs, _rhs(i, 1, a, b), _rhs(i, 2, a, b)
 
 
 def _normal_order_check(i, form):
     """Catalog check of relation i against its skew form (form 1) or its
     structure-constant form (form 2); builds only that right side."""
-    lhs, rhs = _RELATIONS[i][0], _RELATIONS[i][form]
+    lhs = _RELATIONS[i][0]
 
     def check(prm):
         a, b = prm["alpha"], prm["beta"]
-        exprs = [lhs(sf.schur(a), sf.schur(b)), rhs(a, b)]
+        exprs = [lhs(sf.schur(a), sf.schur(b)), _rhs(i, form, a, b)]
         return _ops_equal(prm, exprs, prm["vector_bound"])
 
     return check
@@ -278,41 +275,26 @@ def _normal_order_check(i, form):
 # ---------------------------------------------------------------------------
 # commutators
 
-def _chk_commutators_1(prm):
-    a, b = prm["alpha"], prm["beta"]
+def _reduced(i, a, b):
+    """Relation i with its one skew term (1, s_a, s_b) moved to the left
+    side: (lhs - w(s_a, s_b), the sum of the other skew terms)."""
+    lhs, word, skew_terms, _coef_table = _RELATIONS[i]
     sa, sb = sf.schur(a), sf.schur(b)
-    comm = op.D(sb) * op.U(sa) - op.U(sa) * op.D(sb)
-    # _du_terms lists the l = () term, (1, s_a, s_b), first
-    first = _word_sum(lambda x, y: op.U(x) * op.D(y),
-                      _du_terms(a, b, twisted=False)[1:])
-    second = -_word_sum(lambda x, y: op.D(y) * op.U(x),
-                        _du_terms(a, b, twisted=True)[1:])
-    return _ops_equal(prm, [comm, first, second], prm["vector_bound"])
+    rest = [t for t in skew_terms(a, b) if t != (1, sa, sb)]
+    return lhs(sa, sb) - word(sa, sb), _word_sum(word, rest)
 
 
-# The KB/U commutators drop the nu = b term of _kbu_terms: its only tau is
-# the empty one, so it is the swapped word with f = s_a.
+def _commutator_check(i, *negated):
+    """Catalog check of relation i's commutator against its other skew
+    terms, and against minus those of each relation in negated."""
 
-def _chk_commutators_2(prm):
-    a, b = prm["alpha"], prm["beta"]
-    sa, sb = sf.schur(a), sf.schur(b)
-    comm = op.KB(sb) * op.U(sa) - op.U(sa) * op.KB(sb)
-    rhs = op.zero_op()
-    for nu, f in _kbu_terms(a, b):
-        if nu != b:
-            rhs = rhs + op.U(f) * op.KB(sf.schur(nu))
-    return _ops_equal(prm, [comm, rhs], prm["vector_bound"])
+    def check(prm):
+        a, b = prm["alpha"], prm["beta"]
+        comm, rest = _reduced(i, a, b)
+        exprs = [comm, rest] + [-_reduced(j, a, b)[1] for j in negated]
+        return _ops_equal(prm, exprs, prm["vector_bound"])
 
-
-def _chk_commutators_3(prm):
-    a, b = prm["alpha"], prm["beta"]
-    sa, sb = sf.schur(a), sf.schur(b)
-    comm = op.D(sa) * op.KB(sb) - op.KB(sb) * op.D(sa)
-    rhs = op.zero_op()
-    for nu, f in _kbu_terms(a, b):
-        if nu != b:
-            rhs = rhs + op.KB(sf.schur(nu)) * op.D(f)
-    return _ops_equal(prm, [comm, rhs], prm["vector_bound"])
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -457,13 +439,11 @@ def _chk_straightcorners(prm):
 
 def _chk_kbk_ud(prm):
     k = prm["k"]
-    lhs = op.KB(_row(k))
-    rhs = op.zero_op()
-    for lam in pt.partitions_of(k):
-        rhs = rhs + op.U(sf.schur(lam)) * op.D(sf.schur(lam))
-    for lam in pt.partitions_of(k - 1):
-        rhs = rhs - op.U(sf.schur(lam)) * op.D(sf.schur(lam))
-    return _ops_equal(prm, [lhs, rhs], prm["vector_bound"])
+    # U_l D_l is relation 1's word at (s_l, s_l)
+    terms = [(c, sf.schur(lam), sf.schur(lam))
+             for c, n in ((1, k), (-1, k - 1)) for lam in pt.partitions_of(n)]
+    rhs = _word_sum(_RELATIONS[1][1], terms)
+    return _ops_equal(prm, [op.KB(_row(k)), rhs], prm["vector_bound"])
 
 
 def _chk_kbf_ud(prm):
@@ -474,10 +454,13 @@ def _chk_kbf_ud(prm):
 def _chk_tworow_hook(prm):
     a, k, vb = prm["alpha"], prm["k"], prm["vector_bound"]
     sa = sf.schur(a)
-    forms = []
+    gammas = pt.partitions_upto(vb)
+    checked = 0
+    failures = []
     for conj, idx in ((False, _row), (True, _col)):
-        lhs = op.KB(idx(k)) * op.U(sa)
-        rhs = op.zero_op()
+        params = {**prm, "index": "hook" if conj else "two-row"}
+        # relation 5's terms (1, f_j, s_(j) or s_(1^j)), f_j nonzero
+        terms = []
         for j in range(k + 1):
             f = sf.linear_combination(
                 (1, sf.mul(sf.skew_schur(a, rho),
@@ -485,18 +468,24 @@ def _chk_tworow_hook(prm):
                 for rho in pt.partitions_of(k - j)
             )
             if not f.is_zero():
-                rhs = rhs + op.U(f) * op.KB(idx(j))
-        forms.append(({**prm, "index": "hook" if conj else "two-row"}, [lhs, rhs]))
-    # The operator form and the straightened product form
-    # KB_k(s_a g) = sum_j f_j KB_j(g) evaluate the same words on s_gamma;
-    # each is checked and counted.
-    checked = 0
-    failures = []
-    for _pass in ("operator", "product"):
-        for params, exprs in forms:
-            c, fl = _ops_equal(params, exprs, vb)
-            checked += c
-            failures += fl
+                terms.append((1, f, idx(j)))
+        rhs = _word_sum(_RELATIONS[5][1], terms)
+        n, fl = _ops_equal(params, [op.KB(idx(k)) * op.U(sa), rhs], vb)
+        checked += n
+        failures += fl
+        # the straightened product form KB_k(s_a g) = sum_j f_j KB_j(g),
+        # one check per g = s_gamma
+        for gamma in gammas:
+            g = sf.schur(gamma)
+            lhs = op.apply_KB(idx(k), sf.mul(sa, g))
+            rhs = sf.linear_combination(
+                (c, sf.mul(f, op.apply_KB(kb, g))) for c, f, kb in terms
+            )
+            if lhs != rhs:
+                failures.append(
+                    Failure({**params, "form": "product", "gamma": gamma}, lhs, rhs)
+                )
+        checked += len(gammas)
     return checked, failures
 
 
@@ -504,8 +493,6 @@ def _chk_littlewood_sum(prm):
     a, q = prm["alpha"], prm["q"]
     n = sum(a)
     sa = sf.schur(a)
-    checked = 0
-    failures = []
     pieces = [(rho, sf.skew_schur(a, rho)) for rho in pt.partitions_of(q)]
     lhs_h = sf.linear_combination(
         (1, sf.mul(piece, sf.schur(rho))) for rho, piece in pieces
@@ -515,11 +502,11 @@ def _chk_littlewood_sum(prm):
     )
     rhs_h = sf.kronecker(sa, sf.mul(sf.h(n - q), sf.h(q)))
     rhs_e = sf.kronecker(sa, sf.mul(sf.h(n - q), sf.e(q)))
-    for tag, lhs, rhs in (("h", lhs_h, rhs_h), ("e", lhs_e, rhs_e)):
-        checked += 1
-        if lhs != rhs:
-            failures.append(Failure({**prm, "version": tag}, lhs, rhs))
-    return checked, failures
+    return 2, [
+        Failure({**prm, "version": tag}, lhs, rhs)
+        for tag, lhs, rhs in (("h", lhs_h, rhs_h), ("e", lhs_e, rhs_e))
+        if lhs != rhs
+    ]
 
 
 def _theta_instances(min_gap):
@@ -565,21 +552,14 @@ def _chk_tabmanip2(prm):
     )
     checked, failures = _sym_equal(prm, lhs, rhs)
     bij = tb.verify_jdt_bijection(a, t)
-    checked += bij.instances
-    failures += bij.failures
-    return checked, failures
+    return checked + bij.instances, failures + bij.failures
 
 
 # ---------------------------------------------------------------------------
 # the catalog
 
-def _single(**fixed):
-    def gen(bounds):
-        prm = dict(fixed)
-        prm.setdefault("vector_bound", bounds.max_g)
-        return [prm]
-
-    return gen
+def _single(bounds):
+    return [{"vector_bound": bounds.max_g}]
 
 
 def _alpha_instances(bounds):
@@ -647,13 +627,13 @@ for _form, (_prefix, _formulas) in enumerate((
 _register("commutators_1",
           "[D_b, U_a] = sum_{l != 0} U_{a/l} D_{b/l} "
           "= sum_{l != 0} (-1)^{|l|-1} D_{b/l'} U_{a/l}",
-          _ab_instances, _chk_commutators_1)
+          _ab_instances, _commutator_check(1, 2))
 _register("commutators_2",
           "[KB_b, U_a] = sum_{(t,n) != (0,b)} U_{(s_{b/n} * s_t) s_{a/t}} KB_n",
-          _ab_instances, _chk_commutators_2)
+          _ab_instances, _commutator_check(5))
 _register("commutators_3",
           "[D_a, KB_b] = sum_{(t,n) != (0,b)} KB_n D_{(s_{b/n} * s_t) s_{a/t}}",
-          _ab_instances, _chk_commutators_3)
+          _ab_instances, _commutator_check(6))
 _register("foulkes", "D_b(fg) = sum c^b_{l,m} D_l(f) D_m(g)",
           _fg_instances, _chk_foulkes)
 _register("littlewood", "s_b * (fg) = sum c^b_{l,m} (s_m * f)(s_l * g)",
@@ -669,7 +649,7 @@ _register("gessel_2", "U_m D_n = D_n U_m - D_{n-1} U_{m-1}",
           _gessel_instances(1), _chk_gessel_2)
 _register("gessel_3", "D_{1^n} U_m = U_m D_{1^n} + U_{m-1} D_{1^{n-1}}",
           _gessel_instances(1), _chk_gessel_3)
-_register("kb1", "KB_1 = U_1 D_1 - 1", _single(), _chk_kb1)
+_register("kb1", "KB_1 = U_1 D_1 - 1", _single, _chk_kb1)
 _register("straightcorners",
           "KB_1 s_a = (noc(a) - 1) s_a + sum_{b in addremove(a)} s_b",
           _alpha_instances, _chk_straightcorners)
@@ -697,40 +677,33 @@ _register("tabmanip2",
           _theta_instances(0), _chk_tabmanip2)
 
 
-def verify_instance(ident, params):
-    """Check one catalog identity at explicit parameters."""
-    if ident not in CATALOG:
-        raise ValueError(f"unknown identity {ident!r}")
-    entry = CATALOG[ident]
-    start = time.perf_counter()
-    try:
-        checked, failures = entry.check(dict(params))
-    except KeyError as exc:
-        raise ValueError(f"malformed params for {ident}: missing {exc}") from None
-    return VerificationReport(
-        identity=ident,
-        params=dict(params),
-        instances=checked,
-        failures=failures,
-        elapsed=time.perf_counter() - start,
-    )
-
-
-def _run_entry(entry, bounds):
+def _report(entry, params, instances):
+    """Run the entry's check on each params dict of instances, timed, as
+    one report."""
     start = time.perf_counter()
     checked = 0
     failures = []
-    for prm in entry.instances(bounds):
+    for prm in instances:
         c, fl = entry.check(prm)
         checked += c
         failures += fl
     return VerificationReport(
         identity=entry.ident,
-        params=f"bounds max_ab={bounds.max_ab} max_g={bounds.max_g}",
+        params=params,
         instances=checked,
         failures=failures,
         elapsed=time.perf_counter() - start,
     )
+
+
+def verify_instance(ident, params):
+    """Check one catalog identity at explicit parameters."""
+    if ident not in CATALOG:
+        raise ValueError(f"unknown identity {ident!r}")
+    try:
+        return _report(CATALOG[ident], dict(params), [dict(params)])
+    except KeyError as exc:
+        raise ValueError(f"malformed params for {ident}: missing {exc}") from None
 
 
 def run_suite(bounds=Bounds(), ids=None):
@@ -748,4 +721,5 @@ def run_suite(bounds=Bounds(), ids=None):
         if unknown:
             raise ValueError(f"unknown identities {unknown}")
         entries = [CATALOG[i] for i in ids]
-    return [_run_entry(e, bounds) for e in entries]
+    params = f"bounds max_ab={bounds.max_ab} max_g={bounds.max_g}"
+    return [_report(e, params, e.instances(bounds)) for e in entries]

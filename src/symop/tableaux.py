@@ -7,15 +7,16 @@ top.  An ASSYT (anti-semistandard tableau) has rows strictly decreasing and
 columns weakly decreasing going up; equivalently, transposing and rotating
 by 180 degrees turns it into an SSYT.
 
-Every SSYT and ASSYT is validated when it is built, in O(cells): each key
-must be an integer cell of the shape, there must be as many keys as
-cells, every entry must be a positive integer, and each cell is compared
-with its right and upper neighbours.  The public entry points (the SSYT
-and ASSYT constructors, jdt_slide and jdt_case) validate every input.  The
-internal exhaustive check verify_jdt_bijection trusts the entry dicts that
-_fill yields, which are semistandard by construction: it slides them in
-place with the same _slide as jdt_slide and builds a tableau only to
-report a failure.
+SSYT and ASSYT share one base class, which validates every tableau when it
+is built, in O(cells): each key must be an integer cell of the shape,
+there must be as many keys as cells, every entry must be a positive
+integer, and each cell is compared with its right and upper neighbours.
+The two classes differ only in which of those comparisons is strict.  The
+public entry points (the SSYT and ASSYT constructors, jdt_slide and
+jdt_case) validate every input.  The internal exhaustive check
+verify_jdt_bijection trusts the entry dicts that _fill yields, which are
+semistandard by construction: it slides them in place with the same
+_slide as jdt_slide and builds a tableau only to report a failure.
 
 The skew Littlewood-Richardson rule runs one enumeration, the private
 _skew_lr_fillings, with three views of it.  skew_lr_pairs wraps its entry
@@ -64,40 +65,40 @@ def _checked_entries(shape, entries):
     return out
 
 
-class SSYT:
-    """Semistandard filling of a skew shape."""
+class _Tableau:
+    """A validated filling of a skew shape, immutable.  Each cell is tested
+    against its right neighbour by `v > right` and against the cell above
+    by `v >= above`; a subclass states, in _row_rule and _col_rule, whether
+    the test being true is the violation (True) or the requirement (False),
+    and the message of the violation."""
 
     __slots__ = ("shape", "entries")
 
     def __init__(self, shape, entries):
         entries = _checked_entries(shape, entries)
         get = entries.get
+        (row_bad, row_msg), (col_bad, col_msg) = self._row_rule, self._col_rule
         for cell, v in entries.items():
             r, c = cell
             right = get((r, c + 1))
-            if right is not None and v > right:
-                raise ValueError(f"row not weakly increasing at {cell}")
+            if right is not None and (v > right) is row_bad:
+                raise ValueError(f"{row_msg} at {cell}")
             above = get((r + 1, c))
-            if above is not None and v >= above:
-                raise ValueError(f"column not strictly increasing at {cell}")
+            if above is not None and (v >= above) is col_bad:
+                raise ValueError(f"{col_msg} at {cell}")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "entries", entries)
 
     def __setattr__(self, name, value):
-        raise AttributeError("SSYT is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def content(self):
-        if not self.entries:
-            return ()
-        top = max(self.entries.values())
-        counts = [0] * top
-        for v in self.entries.values():
-            counts[v - 1] += 1
-        return tuple(counts)
+        counts = Counter(self.entries.values())
+        return tuple(counts[v] for v in range(1, max(counts, default=0) + 1))
 
     def __eq__(self, other):
         return (
-            isinstance(other, SSYT)
+            type(other) is type(self)
             and self.shape == other.shape
             and self.entries == other.entries
         )
@@ -105,60 +106,31 @@ class SSYT:
     def __hash__(self):
         return hash((self.shape, frozenset(self.entries.items())))
 
+
+class SSYT(_Tableau):
+    """Semistandard filling of a skew shape."""
+
+    __slots__ = ()
+    _row_rule = (True, "row not weakly increasing")
+    _col_rule = (True, "column not strictly increasing")
+
     def __repr__(self):
-        rows = []
-        for r in range(len(self.shape.outer) - 1, -1, -1):
-            row = []
-            for c in range(self.shape.outer[r]):
-                if c < pt.part_at(self.shape.inner, r):
-                    row.append(".")
-                else:
-                    row.append(str(self.entries[Cell(r, c)]))
-            rows.append(" ".join(row))
-        return f"<SSYT {self.shape} [{' | '.join(rows)}]>"
+        # top row first; the cells of the inner shape show as "."
+        get = self.entries.get
+        rows = [
+            " ".join(str(get((r, c), ".")) for c in range(width))
+            for r, width in enumerate(self.shape.outer)
+        ]
+        return f"<SSYT {self.shape} [{' | '.join(reversed(rows))}]>"
 
 
-class ASSYT:
+class ASSYT(_Tableau):
     """Anti-semistandard filling: rows strictly decreasing, columns weakly
     decreasing bottom to top."""
 
-    __slots__ = ("shape", "entries")
-
-    def __init__(self, shape, entries):
-        entries = _checked_entries(shape, entries)
-        get = entries.get
-        for cell, v in entries.items():
-            r, c = cell
-            right = get((r, c + 1))
-            if right is not None and v <= right:
-                raise ValueError(f"row not strictly decreasing at {cell}")
-            above = get((r + 1, c))
-            if above is not None and v < above:
-                raise ValueError(f"column not weakly decreasing at {cell}")
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ASSYT is immutable")
-
-    def content(self):
-        if not self.entries:
-            return ()
-        top = max(self.entries.values())
-        counts = [0] * top
-        for v in self.entries.values():
-            counts[v - 1] += 1
-        return tuple(counts)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ASSYT)
-            and self.shape == other.shape
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.shape, frozenset(self.entries.items())))
+    __slots__ = ()
+    _row_rule = (False, "row not strictly decreasing")
+    _col_rule = (False, "column not weakly decreasing")
 
     def __repr__(self):
         return f"<ASSYT {self.shape} {sorted(self.entries.items())}>"
@@ -304,39 +276,36 @@ def _fill(cells, is_ssyt, content=None, max_entry=None, budget=None,
     yield from rec(0)
 
 
+def _tableaux(cls, shape, **fill):
+    """Every tableau of class cls on the shape, as `_fill` yields them."""
+    is_ssyt = cls is SSYT
+    cells = (_ssyt_reading_cells if is_ssyt else _assyt_reading_cells)(shape)
+    return [cls(shape, d) for d in _fill(cells, is_ssyt, **fill)]
+
+
 def enumerate_ssyt(shape, content):
     """All SSYT of the shape with the given content."""
-    content = tuple(map(pt._as_integer, content))
-    cells = _ssyt_reading_cells(shape)
-    return [SSYT(shape, d) for d in _fill(cells, True, content=content)]
+    return _tableaux(SSYT, shape, content=tuple(map(pt._as_integer, content)))
 
 
 def enumerate_ssyt_bounded(shape, max_entry):
     """All SSYT of the shape with entries in 1..max_entry."""
-    cells = _ssyt_reading_cells(shape)
-    return [SSYT(shape, d) for d in _fill(cells, True, max_entry=max_entry)]
+    return _tableaux(SSYT, shape, max_entry=max_entry)
 
 
 def enumerate_assyt(shape, content):
     """All ASSYT of the shape with the given content."""
-    content = tuple(map(pt._as_integer, content))
-    cells = _assyt_reading_cells(shape)
-    return [ASSYT(shape, d) for d in _fill(cells, False, content=content)]
+    return _tableaux(ASSYT, shape, content=tuple(map(pt._as_integer, content)))
 
 
 def enumerate_assyt_bounded(shape, max_entry):
-    cells = _assyt_reading_cells(shape)
-    return [ASSYT(shape, d) for d in _fill(cells, False, max_entry=max_entry)]
+    return _tableaux(ASSYT, shape, max_entry=max_entry)
 
 
 def enumerate_lr_fillings(shape, content):
     """SSYT of the shape and content whose reverse reading word is lattice."""
     content = tuple(map(pt._as_integer, content))
-    cells = _ssyt_reading_cells(shape)
-    return [
-        SSYT(shape, d)
-        for d in _fill(cells, True, content=content, init_counts={})
-    ]
+    return _tableaux(SSYT, shape, content=content, init_counts={})
 
 
 def count_lr_fillings(shape, content):
@@ -350,35 +319,31 @@ def count_lr_fillings(shape, content):
 # ---------------------------------------------------------------------------
 # the two content-transposing bijections
 
-def psi(t):
-    """Replace the i-th appearance (in reverse reading order) of the value j
-    by i.  Sends a lattice SSYT to a lattice ASSYT of the same shape and
-    conjugated content."""
-    cells = _ssyt_reading_cells(t.shape)
+def _relabel(t, cells, cls):
+    """The tableau of class cls on t's shape in which the i-th appearance
+    of each value, along the reading order cells, becomes i."""
     if not is_lattice(tuple(t.entries[c] for c in cells)):
         raise ValueError("reverse reading word is not a lattice permutation")
     seen = Counter()
     new = {}
     for cell in cells:
-        j = t.entries[cell]
-        seen[j] += 1
-        new[cell] = seen[j]
-    return ASSYT(t.shape, new)
+        v = t.entries[cell]
+        seen[v] += 1
+        new[cell] = seen[v]
+    return cls(t.shape, new)
+
+
+def psi(t):
+    """Replace the i-th appearance (in reverse reading order) of the value j
+    by i.  Sends a lattice SSYT to a lattice ASSYT of the same shape and
+    conjugated content."""
+    return _relabel(t, _ssyt_reading_cells(t.shape), ASSYT)
 
 
 def psi_inverse(t):
     """Inverse of psi: on an ASSYT, the j-th appearance (in the ASSYT reading
     order) of the value i becomes j."""
-    cells = _assyt_reading_cells(t.shape)
-    if not is_lattice(tuple(t.entries[c] for c in cells)):
-        raise ValueError("reverse reading word is not a lattice permutation")
-    seen = Counter()
-    new = {}
-    for cell in cells:
-        i = t.entries[cell]
-        seen[i] += 1
-        new[cell] = seen[i]
-    return SSYT(t.shape, new)
+    return _relabel(t, _assyt_reading_cells(t.shape), SSYT)
 
 
 # ---------------------------------------------------------------------------
@@ -659,10 +624,8 @@ def verify_jdt_bijection(alpha, theta):
     shape alpha/theta must occur exactly |add(alpha)| - |outside corners of
     theta not in alpha| times.
 
-    SSYT, jdt_slide and jdt_case validate every input; this check trusts
-    its tableaux instead.  It slides the entry dicts that `_fill` yields,
-    which are semistandard by construction, in place with the `_slide` of
-    `jdt_slide`, and keys each outcome by its shape and its values in SSYT
+    It slides the trusted entry dicts of `_fill` (see the module
+    docstring) and keys each outcome by its shape and its values in SSYT
     reading order.  A slid filling that is not one of the expected SSYT
     shows up as a mismatch.  A tableau is written out only for a failure:
     each failure names one from the symmetric difference of the slid and

@@ -294,6 +294,35 @@ def test_power_degree_limit(capsys):
     capsys.readouterr()
 
 
+def test_constant_powers_are_computed_directly(capsys):
+    # a constant base is raised in one step, and refused before it is
+    # computed when the result has more digits than Python prints
+    start = time.monotonic()
+    assert cli.main(["expand", "2^1000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"symop: error: power of 301030 digits exceeds the limit of "
+        f"{sys.get_int_max_str_digits()} digits\n"
+    )
+    assert cli.main(["expand", "1^10000000"]) == 0
+    assert capsys.readouterr().out == "s[0]\n"
+    assert time.monotonic() - start < 2
+    for expr, want in (("(-1/2)^5", "-1/32*s[0]"), ("0^0", "s[0]"),
+                       ("(s[1] + 3 - s[1])^2", "9*s[0]")):
+        assert cli.main(["expand", expr]) == 0
+        assert capsys.readouterr().out == want + "\n"
+
+
+def test_collapsed_option_is_gone(capsys):
+    # the collapsed Schur expansion is the only default; --terms remains
+    for argv in (["skewlr", "1/0", "1/0"], ["skewpieri", "1", "1/0"]):
+        assert cli.main(argv + ["--collapsed"]) == 2
+        assert "unrecognized arguments: --collapsed" in capsys.readouterr().err
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == "s[2] + s[1,1]\n"
+
+
 # A budget low enough that every hostile input below meets it within a few
 # hundredths of a second, which shows that its path charges the meter.
 _LOW_WORK = 20_000
@@ -528,6 +557,20 @@ def test_deep_nesting_exits_2(capsys):
                  ["apply", "(" * 3000 + "Id" + ")" * 3000, "s[1]"]):
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == "symop: error: expression nested too deeply\n"
+
+
+def test_recursion_over_input_size_is_not_called_nesting(capsys):
+    # neither input is nested: mn_character recurses once per part of rho
+    # and the tableau filler once per cell of the product shape
+    for argv in (["char", "1200", ",".join(["1"] * 1200)],
+                 ["expand", "s[500]*s[500]"],
+                 ["apply", "U(s[500]*s[500])", "s[1]"]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"symop: error: {cli._TOO_LARGE}\n"
+        assert "input too large" in captured.err
+        assert "nested" not in captured.err
 
 
 def test_negative_max_deg_rejected(capsys):

@@ -201,6 +201,34 @@ def test_report_json_shape():
     assert suite.to_json()["params"] == "bounds max_ab=1 max_g=1"
 
 
+def test_tworow_hook_checks_the_product_form_through_apply_KB(monkeypatch):
+    # the second pass applies KB_k to the product s_a s_gamma, so a wrong
+    # apply_KB breaks it, while the operator pass never calls apply_KB
+    prm = {"alpha": (1,), "k": 1, "vector_bound": 2}
+    gammas = pt.partitions_upto(2)
+    assert idn.verify_instance("tworow_hook", prm).passed
+    real = op.apply_KB
+    monkeypatch.setattr(op, "apply_KB", lambda f, g: real(f, g) + sf.schur((1,)))
+    report = idn.verify_instance("tworow_hook", prm)
+    assert report.instances == 4 * len(gammas)
+    assert [f.params for f in report.failures] == [
+        {**prm, "index": index, "form": "product", "gamma": gamma}
+        for index in ("two-row", "hook")
+        for gamma in gammas
+    ]
+
+
+def test_commutators_drop_exactly_one_skew_term():
+    # each commutator is its relation with the one skew term (1, s_a, s_b)
+    # moved to the left side; it comes first in relation 1 and last in 5
+    for i in (1, 2, 5, 6):
+        skew_terms = idn._RELATIONS[i][2]
+        for a in pt.partitions_upto(2):
+            for b in pt.partitions_upto(2):
+                swapped = (1, sf.schur(a), sf.schur(b))
+                assert [t == swapped for t in skew_terms(a, b)].count(True) == 1
+
+
 def test_ops_equal_reports_exactly_the_gammas_where_one_expression_differs():
     # DU = UD + Id holds; adding D(s[2]) to the third expression breaks it
     # exactly on the s_gamma with gamma containing (2)
