@@ -43,6 +43,7 @@ def _tokenize(text):
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
+            _refuse_digits("number", j - i)
             toks.append(("num", int(text[i:j]), i))
             i = j
             continue
@@ -304,22 +305,48 @@ MAX_POWER_DEGREE = 20
 MAX_WORK = 4_000_000
 
 
+def _refuse_digits(what, digits):
+    """Refuse a number of `digits` decimal digits when Python would not
+    convert it to text (`sys.get_int_max_str_digits()`, 0 for no limit)."""
+    limit = sys.get_int_max_str_digits()
+    if limit and digits > limit:
+        raise ValueError(
+            f"{what} of {digits} digits exceeds the limit of {limit} digits"
+        )
+
+
 def _constant_power(c, n):
     """c ** n for a rational c, refused before it is computed when its
-    numerator or denominator would have more digits than Python converts
-    to text (`sys.get_int_max_str_digits()`, 0 for no limit)."""
-    limit = sys.get_int_max_str_digits()
+    numerator or denominator would have too many digits (`_refuse_digits`)."""
     for part in (c.numerator, c.denominator):
         digits = int(n * math.log10(abs(part))) + 1 if abs(part) > 1 else 1
-        if limit and digits > limit:
-            raise ValueError(
-                f"power of {digits} digits exceeds the limit of {limit} digits"
-            )
+        _refuse_digits("power", digits)
     return c ** n
 
 
+def _checked(f):
+    """f, refused when a numerator of its coefficients or their denominator
+    has too many digits (`_refuse_digits`)."""
+    top = max([f._d, *map(abs, f._num.values())])
+    # the logarithm of 10**k - 1 rounds up to k
+    digits = int(math.log10(top)) + 1
+    _refuse_digits("coefficient", digits - (top < 10 ** (digits - 1)))
+    return f
+
+
+def _sub(f, g):
+    return sf.add(f, sf.scale(-1, g))
+
+
+# The parser builds '+', '-' and '*' chains left-deep; `evaluate` folds
+# each chain in a loop, so a flat sum or product does not recurse per term.
+_CHAINS = {"add": sf.add, "sub": _sub, "mul": sf.mul}
+
+
 def evaluate(node):
-    """Evaluate a parse tree to a SymFunc in the Schur basis."""
+    """Evaluate a parse tree to a SymFunc in the Schur basis.  Every sum,
+    product, Kronecker product and power is refused once a coefficient has
+    more digits than Python prints (`_checked`)."""
     kind = node[0]
     if kind == "num":
         return sf.scale(node[1], sf.one())
@@ -327,14 +354,17 @@ def evaluate(node):
         return sf.to_basis(_ATOM_BUILDERS[kind](node[1]), "s")
     if kind == "sk":
         return sf.skew_schur(node[1], node[2])
-    if kind == "add":
-        return sf.add(evaluate(node[1]), evaluate(node[2]))
-    if kind == "sub":
-        return sf.add(evaluate(node[1]), sf.scale(-1, evaluate(node[2])))
+    if kind in _CHAINS:
+        chain = []
+        while node[0] in _CHAINS:
+            chain.append(node)
+            node = node[1]
+        value = evaluate(node)
+        for kind, _left, right in reversed(chain):
+            value = _checked(_CHAINS[kind](value, evaluate(right)))
+        return value
     if kind == "neg":
         return sf.scale(-1, evaluate(node[1]))
-    if kind == "mul":
-        return sf.mul(evaluate(node[1]), evaluate(node[2]))
     if kind == "pow":
         base, exponent = evaluate(node[1]), node[2]
         if base.max_degree() == 0:
@@ -346,10 +376,10 @@ def evaluate(node):
             )
         out = sf.one()
         for _ in range(exponent):
-            out = sf.mul(out, base)
+            out = _checked(sf.mul(out, base))
         return out
     if kind == "kron":
-        return sf.kronecker(evaluate(node[1]), evaluate(node[2]))
+        return _checked(sf.kronecker(evaluate(node[1]), evaluate(node[2])))
     raise ValueError(f"bad node {node!r}")
 
 

@@ -199,11 +199,11 @@ def _cor_coeffs_kbu(alpha, beta):
 
 
 def _word_sum(word, terms):
-    """The operator sum of c * word(x, y) over the (c, x, y) terms."""
-    total = op.zero_op()
-    for c, x, y in terms:
-        total = total + c * word(x, y)
-    return total
+    """The operator sum of c * word(x, y) over the (c, x, y) terms, built
+    as one expression from the words of every term in order."""
+    return op.OperatorExpr._trusted(tuple(
+        w for c, x, y in terms for w in (c * word(x, y)).words
+    ))
 
 
 # Each row is (lhs, word, skew_terms, coef_table): lhs builds the left side

@@ -7,15 +7,18 @@ An OperatorExpr is a rational linear combination of words in the
 generators; words are composed like functions, the rightmost generator
 acts first.  Expressions are never normalized automatically; equality of
 operators is decided extensionally (by matrices or by applying to basis
-vectors).
+vectors).  The constructor and U, D, K, KB check what they are given;
+sums, products and scalings of expressions put together words that are
+already checked and check nothing again.
 
 Everything runs on integers from the image to the rank.  An expression,
 or a signed sum of expressions, is compiled into one list of words over
 one denominator, each word an integer multiplier and its generators in
 the order they act, each generator a memoized Schur table of symfunc and
 its Schur numerators.  One kernel runs the words on the numerators of a
-Schur function and adds them into one integer dict, the last generator
-of each word writing straight into it: `apply` builds its image from
+Schur function and adds them into one integer dict, with the bilinear
+loop of each generator inline and the last generator of each word
+writing straight into the dict: `apply` builds its image from
 that dict, and `disagreements` decides an operator identity on s_gamma
 by testing the dict of a compiled difference for zero.  The rank of
 a family of expressions is built one basis vector s_lam at a time: the
@@ -63,12 +66,23 @@ class OperatorExpr:
                 cleaned.append((coef, tuple(word)))
         object.__setattr__(self, "words", tuple(cleaned))
 
+    @classmethod
+    def _trusted(cls, words):
+        """Build from a tuple of words already known to be clean, each a
+        nonzero Fraction and a tuple of (kind, nonzero SymFunc), without
+        checking them again.  For sums and products of expressions: a sum
+        concatenates clean words, and a product of two nonzero Fractions is
+        never zero."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "words", words)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("OperatorExpr is immutable")
 
     def __add__(self, other):
         if isinstance(other, OperatorExpr):
-            return OperatorExpr(self.words + other.words)
+            return OperatorExpr._trusted(self.words + other.words)
         return NotImplemented
 
     def __sub__(self, other):
@@ -80,13 +94,15 @@ class OperatorExpr:
     def __mul__(self, other):
         """Composition when other is an OperatorExpr, scaling otherwise."""
         if isinstance(other, OperatorExpr):
-            return OperatorExpr(
+            return OperatorExpr._trusted(tuple(
                 (c1 * c2, w1 + w2)
                 for c1, w1 in self.words
                 for c2, w2 in other.words
-            )
+            ))
         scalar = sf._rational(other)
-        return OperatorExpr((scalar * c, w) for c, w in self.words)
+        if not scalar:
+            return OperatorExpr._trusted(())
+        return OperatorExpr._trusted(tuple((scalar * c, w) for c, w in self.words))
 
     def __rmul__(self, other):
         return self * other
@@ -168,25 +184,39 @@ def _compile(signed):
 def _accumulate(words, xs, out):
     """Run every compiled word (m, steps) on the integer pairs xs and add m
     times its value into out, in place; out may be left holding zeros.
-    Each step but the last builds the word's next value as a fresh list of
-    nonzero pairs, a value that becomes zero ends the word, and the last
-    step adds straight into out through `symfunc._bilinear_into`; a word
-    with no steps is the identity."""
-    bilinear_into = sf._bilinear_into
+    Each step adds a * b * table(lam, mu)[nu] into nu for every pair of a
+    term (lam, a) of its first argument and (mu, b) of its second, the
+    first argument's terms in the outer loop, as `symfunc._bilinear_into`
+    does, here run inline with one loop per argument order.  Each step but
+    the last builds the word's next value as a fresh list of nonzero pairs,
+    a value that becomes zero ends the word, and the last step adds m
+    times its terms straight into out; a word with no steps is the
+    identity."""
     for m, steps in words:
-        last = len(steps) - 1
-        if last < 0:
+        last = len(steps)
+        if not last:
             sf._add_into(out, xs, m)
             continue
         num = xs
-        for i, (table, value_first, ys) in enumerate(steps):
-            a, b = (num, ys) if value_first else (ys, num)
-            if i == last:
-                bilinear_into(out, a, b, table, m)
+        for i, (table, value_first, ys) in enumerate(steps, 1):
+            acc, c = (out, m) if i == last else ({}, 1)
+            get = acc.get
+            if value_first:
+                for lam, a in num:
+                    ca = c * a
+                    for mu, b in ys:
+                        w = ca * b
+                        for nu, t in table(lam, mu):
+                            acc[nu] = get(nu, 0) + w * t
             else:
-                nxt = {}
-                bilinear_into(nxt, a, b, table)
-                num = [(k, n) for k, n in nxt.items() if n]
+                for lam, a in ys:
+                    ca = c * a
+                    for mu, b in num:
+                        w = ca * b
+                        for nu, t in table(lam, mu):
+                            acc[nu] = get(nu, 0) + w * t
+            if i < last:
+                num = [(k, n) for k, n in acc.items() if n]
                 if not num:
                     break
 

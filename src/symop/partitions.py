@@ -188,9 +188,10 @@ def add_complement(theta, alpha):
     return [d for d in add_set(theta) if not contains(d, alpha)]
 
 
-# One tuple object per partition, shared by partitions_of and the Schur
-# tables that build their own keys, so that dict lookups and merges across
-# them find equal keys by identity instead of comparing tuples.
+# One tuple object per partition, shared by partitions_of, sub_partitions
+# and the Schur tables that build their own keys, so that dict lookups and
+# merges across them find equal keys by identity instead of comparing
+# tuples.
 _INTERNED = {}
 
 
@@ -241,8 +242,19 @@ def partitions_upto(n):
 
 
 def sub_partitions(lam, max_size=None):
-    """All partitions contained in lam, ordered by (size, reverse-lex)."""
-    out = [()]
+    """All partitions contained in lam, ordered by (size, reverse-lex), as
+    a fresh list."""
+    subs = _sub_partitions(tuple(lam))
+    if max_size is not None:
+        return [mu for mu in subs if sum(mu) <= max_size]
+    return list(subs)
+
+
+@cache
+def _sub_partitions(lam):
+    """The partitions contained in lam as a sorted tuple of interned
+    tuples, one enumeration per lam."""
+    out = [_intern(())]
     charge = _work.charge
 
     def rec(i, cap, prefix):
@@ -251,14 +263,12 @@ def sub_partitions(lam, max_size=None):
             return
         for v in range(1, min(cap, lam[i]) + 1):
             prefix.append(v)
-            out.append(tuple(prefix))
+            out.append(_intern(tuple(prefix)))
             rec(i + 1, v, prefix)
             prefix.pop()
 
     rec(0, lam[0] if lam else 0, [])
-    if max_size is not None:
-        out = [mu for mu in out if sum(mu) <= max_size]
-    return sorted(set(out), key=sort_key)
+    return tuple(sorted(out, key=sort_key))
 
 
 def z_factor(lam):
@@ -276,7 +286,11 @@ def horizontal_strips_above(gamma, k):
     """Partitions g+ containing gamma with g+/gamma a k-horizontal strip.
 
     Horizontal strip: at most one new box per column, which is the
-    interlacing condition gamma_{i-1} >= g+_i >= gamma_i.
+    interlacing condition gamma_{i-1} >= g+_i >= gamma_i.  Row j > 0 takes
+    at most gamma_{j-1} - gamma_j boxes, so the rows above row i take at
+    most gamma_i in all, and row i itself must reach at least the number
+    of boxes still to place; with that bound every branch ends in a
+    strip.
     """
     rows = len(gamma) + 1
     out = []
@@ -290,7 +304,7 @@ def horizontal_strips_above(gamma, k):
             return
         lo = part_at(gamma, i)
         hi = part_at(gamma, i - 1) if i > 0 else lo + remaining
-        for v in range(lo, min(hi, lo + remaining) + 1):
+        for v in range(max(lo, remaining), min(hi, lo + remaining) + 1):
             prefix.append(v)
             rec(i + 1, remaining - (v - lo), prefix)
             prefix.pop()

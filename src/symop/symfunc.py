@@ -10,9 +10,10 @@ common factor), so sums, products and basis changes run on ints against
 the integer structure constants (characters, LR and Kronecker
 coefficients).  The public view `terms` maps each partition to its
 coefficient as a fractions.Fraction; it is read-only and is built on first
-access.  Every coefficient given from outside passes through one coercion,
-`_rational`, which takes ints, Fractions and rational strings and refuses
-floats, which are already rounded.
+access.  SymFuncs are immutable, so `schur`, `h`, `e` and `p` share one
+SymFunc per basis and partition.  Every coefficient given from outside
+passes through one coercion, `_rational`, which takes ints, Fractions and
+rational strings and refuses floats, which are already rounded.
 
 Between s and p, conversions route through characters: s_lam =
 sum_rho chi^lam(rho)/z_rho p_rho and p_rho = sum_lam chi^lam(rho) s_lam.
@@ -201,8 +202,20 @@ def _as_parts(parts):
     return tuple(parts)
 
 
+# One shared SymFunc per (basis, canonical partition): SymFuncs are
+# immutable, and nothing writes into the `_num` of a SymFunc it did not
+# build.  Keyed after validation, so every spelling of a partition finds
+# one entry and bad input raises before it reaches the memo.
+_BASIS_ELEMENTS = {}
+
+
 def _basis_element(basis, parts):
-    return SymFunc._trusted(basis, {pt.make_partition(_as_parts(parts)): 1})
+    lam = pt._canonical(_as_parts(parts))
+    key = (basis, lam)
+    f = _BASIS_ELEMENTS.get(key)
+    if f is None:
+        f = _BASIS_ELEMENTS[key] = SymFunc._trusted(basis, {lam: 1})
+    return f
 
 
 def schur(parts=()):
@@ -307,18 +320,17 @@ def _bilinear(f, g, table):
     return _from_ints("s", out, f._d * g._d)
 
 
-def _bilinear_into(out, xs, ys, table, c=1):
-    """out[nu] += c * a * b * table(lam, mu)[nu] for every integer pair
+def _bilinear_into(out, xs, ys, table):
+    """out[nu] += a * b * table(lam, mu)[nu] for every integer pair
     (lam, a) of xs, (mu, b) of ys and term (nu, t) of the table entry,
     in place; out may be left holding zeros.  ys is iterated once per pair
     of xs, so it is a view or a sequence.  The one bilinear loop of
-    products, skewing, Kronecker products and KB, here and in the compiled
-    operator words of `operators`."""
+    products, skewing, Kronecker products and KB; the compiled operator
+    words of `operators` run the same loop inline (`_accumulate`)."""
     get = out.get
     for lam, a in xs:
-        ca = c * a
         for mu, b in ys:
-            w = ca * b
+            w = a * b
             for nu, t in table(lam, mu):
                 out[nu] = get(nu, 0) + w * t
 
@@ -601,8 +613,8 @@ def skew_schur(shape, inner=None):
     if isinstance(shape, pt.SkewShape):
         outer, inner = shape.outer, shape.inner
     else:
-        outer = pt.make_partition(shape)
-        inner = pt.make_partition(inner if inner is not None else ())
+        outer = pt._canonical(shape)
+        inner = pt._canonical(inner if inner is not None else ())
     return SymFunc._trusted("s", dict(_schur_skew_terms(outer, inner)))
 
 

@@ -494,6 +494,16 @@ def test_work_budget_is_restored_and_verify_is_unmetered(capsys, monkeypatch):
     assert "thm_main_1: PASS" in capsys.readouterr().out
 
 
+def test_verify_is_unmetered_when_sub_partitions_are_cold(capsys, monkeypatch):
+    # sub_partitions is memoized, so it charges only on a cold entry: clear
+    # it, so that a metered verify would be refused at a budget of 0
+    monkeypatch.setattr(cli, "MAX_WORK", 0)
+    pt._sub_partitions.cache_clear()
+    assert cli.main(["verify", "thm_main_1", "--max-ab", "2", "--max-g", "2"]) == 0
+    assert "thm_main_1: PASS" in capsys.readouterr().out
+    assert pt._sub_partitions.cache_info().misses > 0
+
+
 @pytest.mark.parametrize("argv, units", [
     (["expand", "kron(s[2,1],s[2,1])*p[2]+h[2]"], 255),
     (["skewlr", "2,1/1", "2,1/1"], 352),
@@ -557,6 +567,54 @@ def test_deep_nesting_exits_2(capsys):
                  ["apply", "(" * 3000 + "Id" + ")" * 3000, "s[1]"]):
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == "symop: error: expression nested too deeply\n"
+
+
+def test_flat_chains_are_folded_without_recursion(capsys):
+    # the parser builds '+', '-' and '*' chains left-deep; evaluating one
+    # does not recurse per term, however long the chain
+    n = 3000
+    for flat, want in (("+".join(["s[1]"] * n), f"{n}*s[1]"),
+                       ("s[1]" + "-s[1]+s[1]" * n, "s[1]"),
+                       ("*".join(["1"] * n) + "*s[1]", "s[1]"),
+                       ("+".join(["2*s[1]*s[1]"] * n),
+                        cli.evaluate_text(f"{2 * n}*s[1]^2"))):
+        assert cli.main(["expand", flat]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == f"{want}\n"
+    assert cli.main(["expand", f"{n}*s[1]"]) == 0
+    assert capsys.readouterr().out == f"{n}*s[1]\n"
+    assert cli.main(["apply", "+".join(["U[1]"] * n), "s[1]"]) == 0
+    assert capsys.readouterr().out == f"{n}*s[2] + {n}*s[1,1]\n"
+
+
+def test_constants_beyond_the_printable_digits_are_refused(capsys):
+    # a sum, product or literal with more digits than Python converts to
+    # text is refused with one line, like a power, not CPython's message
+    limit = sys.get_int_max_str_digits()
+    big = "9" * limit
+    for expr, what, digits in (
+        ("2^4000*2^4000*2^4000*2^4000", "coefficient", 4817),
+        ("2^4000*s[1]*2^4000*2^4000*2^4000", "coefficient", 4817),
+        (f"{big} + 1", "coefficient", limit + 1),
+        (f"kron({big}*s[1], {big}*s[1])", "coefficient", 2 * limit),
+        (f"({big}*s[1] + s[2])^2", "coefficient", 2 * limit),
+        (big + "9", "number", limit + 1),
+    ):
+        assert cli.main(["expand", expr]) == 2, expr
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"symop: error: {what} of {digits} digits exceeds the limit of "
+            f"{limit} digits\n"
+        ), expr
+        assert "set_int_max_str_digits" not in captured.err
+    # up to the limit the constants are printed
+    for expr, want in (("2^4000*2^4000*2^4000", f"{2**12000}*s[0]"),
+                       (big, f"{big}*s[0]"),
+                       (f"{big} - {big}", "0")):
+        assert cli.main(["expand", expr]) == 0
+        assert capsys.readouterr().out == want + "\n"
 
 
 def test_recursion_over_input_size_is_not_called_nesting(capsys):

@@ -495,3 +495,56 @@ def test_generator_denominator_above_its_schur_one():
     for gen in (op.U, op.D, op.K, op.KB):
         assert gen(half_p).apply(g) == gen(sf.schur((2,))).apply(g)
         assert op.disagreements([gen(half_p), gen((2,))], pt.partitions_upto(4)) == []
+
+
+def _gens(expr):
+    """The words of expr with each generator as (kind, its terms), so that
+    words can be compared without SymFunc equality."""
+    return [(type(c), c, [(k, dict(f.terms)) for k, f in w]) for c, w in expr.words]
+
+
+def test_composition_builds_the_words_the_constructor_builds(monkeypatch):
+    a = Fraction(3, 4) * op.U(sf.schur((1,))) - op.D(sf.h((2,)))
+    b = op.K(sf.schur((2,))) + 2 * op.identity_op() + op.KB(sf.p((1,)))
+    c = op.U(sf.SymFunc("s", {(1,): "1/3", (2,): 1}))
+    want = {
+        "sum": op.OperatorExpr(a.words + b.words),
+        "product": op.OperatorExpr((c1 * c2, w1 + w2)
+                                   for c1, w1 in a.words for c2, w2 in b.words),
+        "triple": op.OperatorExpr((c1 * c2 * c3, w1 + w2 + w3)
+                                  for c1, w1 in a.words for c2, w2 in b.words
+                                  for c3, w3 in c.words),
+        "fraction": op.OperatorExpr((Fraction(-5, 6) * k, w) for k, w in b.words),
+        "string": op.OperatorExpr((Fraction(1, 10) * k, w) for k, w in a.words),
+        "int": op.OperatorExpr((-3 * k, w) for k, w in c.words),
+        "zero": op.OperatorExpr((0 * k, w) for k, w in a.words),
+        "neg": op.OperatorExpr((-k, w) for k, w in a.words),
+        "difference": op.OperatorExpr(a.words + tuple((-k, w) for k, w in b.words)),
+    }
+    # composing checks nothing again: no call reaches the constructor
+    calls = []
+    init = op.OperatorExpr.__init__
+    monkeypatch.setattr(op.OperatorExpr, "__init__",
+                        lambda self, *args: calls.append(args) or init(self, *args))
+    got = {
+        "sum": a + b,
+        "product": a * b,
+        "triple": a * b * c,
+        "fraction": Fraction(-5, 6) * b,
+        "string": a * "1/10",
+        "int": -3 * c,
+        "zero": 0 * a,
+        "neg": -a,
+        "difference": a - b,
+    }
+    assert calls == []
+    monkeypatch.undo()
+    for name, expr in got.items():
+        assert type(expr.words) is tuple, name
+        assert _gens(expr) == _gens(want[name]), name
+        assert all(type(k) is Fraction for k, _w in expr.words), name
+    assert got["zero"].words == () and (a * op.zero_op()).words == ()
+    g = sf.schur((2, 1))
+    assert got["product"].apply(g) == a.apply(b.apply(g))
+    with pytest.raises(TypeError, match="float"):
+        a * 0.0

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from symop import partitions as pt
+from symop import _work, partitions as pt
 from symop.partitions import Cell, SkewShape
 
 
@@ -199,3 +199,61 @@ def test_cell_edits():
         pt.remove_cell((3, 1), Cell(0, 0))
     with pytest.raises(ValueError):
         pt.add_cell((3, 1), Cell(0, 0))
+
+
+def test_sub_partitions_returns_a_fresh_list():
+    want = [(), (1,), (2,), (1, 1), (2, 1)]
+    for max_size in (None, 3):
+        subs = pt.sub_partitions((2, 1), max_size)
+        assert subs == want
+        subs.append((9,))
+        subs[0] = (7,)
+        assert pt.sub_partitions((2, 1), max_size) == want
+    assert pt.sub_partitions([2, 1], max_size=1) == [(), (1,)]
+    # one enumeration per lam, of shared tuples
+    before = pt._sub_partitions.cache_info()
+    subs = pt.sub_partitions((2, 1))
+    after = pt._sub_partitions.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert all(pt._INTERNED.get(mu) is mu for mu in subs)
+
+
+def _strips_by_interlacing(gamma, k):
+    """Every partition of |gamma| + k with gamma_{i-1} >= g+_i >= gamma_i,
+    in the order of partitions_of, then sorted as the enumeration sorts."""
+    n = len(gamma) + 1
+    out = [
+        gp for gp in pt.partitions_of(sum(gamma) + k)
+        if len(gp) <= n and all(
+            pt.part_at(gamma, i) <= pt.part_at(gp, i)
+            and (i == 0 or pt.part_at(gp, i) <= gamma[i - 1])
+            for i in range(n)
+        )
+    ]
+    return sorted(out, key=pt.sort_key)
+
+
+def _strips_and_nodes(gamma, k):
+    """horizontal_strips_above(gamma, k) and the nodes it charged."""
+    units = 10**9
+    _work.set_budget(units)
+    try:
+        out = pt.horizontal_strips_above(gamma, k)
+        return out, units - _work._left
+    finally:
+        _work.set_budget(None)
+
+
+def test_horizontal_strips_are_output_sensitive():
+    # the same strips in the same order as the interlacing condition gives,
+    # and every node of the enumeration is on the path of some strip: at
+    # most (rows + 1) nodes per strip, rows = len(gamma) + 1
+    for gamma in pt.partitions_upto(8):
+        for k in range(11):
+            out, nodes = _strips_and_nodes(gamma, k)
+            assert out == _strips_by_interlacing(gamma, k), (gamma, k)
+            assert nodes <= (len(gamma) + 2) * len(out), (gamma, k)
+    for gamma, k in (((8, 6, 4, 2), 10), ((5, 5, 5), 3)):
+        out, nodes = _strips_and_nodes(gamma, k)
+        assert nodes <= (len(gamma) + 2) * len(out), (gamma, k)
+    assert pt.horizontal_strips_above((2, 1), -1) == []

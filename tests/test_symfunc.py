@@ -657,3 +657,41 @@ def test_float_coefficients_are_refused():
     assert sf.from_json(sf.to_json(tenth)) == tenth
     assert sf.linear_combination([("-1/5", s1), (Fraction(3, 10), s1)]) == tenth
     assert 3 * s1 == sf.SymFunc("s", {(1,): 3}) == sf.SymFunc("s", {(1,): True + 2})
+
+
+def test_basis_elements_are_shared():
+    for build in (sf.schur, sf.h, sf.e, sf.p):
+        lam = build((3, 1))
+        assert build((3, 1)) is lam
+        assert build([3, 1, 0, 0]) is lam
+        assert build(iter((3, 1))) is lam
+        assert lam.terms == {(3, 1): 1}
+    assert sf.schur(2) is sf.schur((2,)) and sf.one() is sf.schur(())
+    assert sf.h((3, 1)) is not sf.schur((3, 1))
+    # bad partitions raise as before and leave the memo as it was
+    size = len(sf._BASIS_ELEMENTS)
+    for parts, message in (((1, 2), "weakly decreasing"),
+                           ((2, -1), "negative part"),
+                           ((2.9,), "2.9 is not an integer"),
+                           ((Fraction(7, 2),), "is not an integer")):
+        for build in (sf.schur, sf.h, sf.e, sf.p):
+            with pytest.raises(ValueError, match=message):
+                build(parts)
+    assert len(sf._BASIS_ELEMENTS) == size
+    # results built from a shared element leave it unchanged
+    s1 = sf.schur((1,))
+    assert sf.add(s1, s1).terms == {(1,): 2}
+    assert sf.scale(3, s1).terms == {(1,): 3}
+    assert sf.to_basis(s1, "s") is s1
+    assert s1.terms == {(1,): 1} and s1._d == 1
+
+
+def test_skew_schur_of_raw_pairs_still_validates():
+    assert sf.skew_schur((2, 1), (1,)) == sf.skew_schur(pt.SkewShape((2, 1), (1,)))
+    assert sf.skew_schur([2, 1, 0], [1, 0]) == sf.skew_schur((2, 1), (1,))
+    assert sf.skew_schur((1,), (2,)).is_zero()
+    for outer, inner, message in (((1, 2), (), "weakly decreasing"),
+                                  ((2, 1), (1, -1), "negative part"),
+                                  ((2.5,), (), "2.5 is not an integer")):
+        with pytest.raises(ValueError, match=message):
+            sf.skew_schur(outer, inner)
