@@ -229,8 +229,8 @@ class _Parser:
         else:
             expr = factors[0]
             for fac in factors[1:]:
-                expr = expr * fac
-        return (sign * coef) * expr
+                expr = _checked_op(expr * fac)
+        return _checked_op((sign * coef) * expr)
 
     def try_op_factor(self):
         tok = self.peek()
@@ -324,14 +324,29 @@ def _constant_power(c, n):
     return c ** n
 
 
-def _checked(f):
-    """f, refused when a numerator of its coefficients or their denominator
-    has too many digits (`_refuse_digits`)."""
-    top = max([f._d, *map(abs, f._num.values())])
+def _refuse_large(numbers):
+    """Refuse a coefficient when the largest in absolute value of the ints
+    `numbers`, its numerators and denominators, has too many digits
+    (`_refuse_digits`)."""
+    top = max(map(abs, numbers), default=0) or 1
     # the logarithm of 10**k - 1 rounds up to k
     digits = int(math.log10(top)) + 1
     _refuse_digits("coefficient", digits - (top < 10 ** (digits - 1)))
+
+
+def _checked(f):
+    """f, refused when a numerator of its coefficients or their denominator
+    has too many digits (`_refuse_large`)."""
+    _refuse_large((f._d, *f._num.values()))
     return f
+
+
+def _checked_op(expr):
+    """The operator expression expr, refused when the numerator or the
+    denominator of a word's coefficient has too many digits
+    (`_refuse_large`)."""
+    _refuse_large(n for c, _w in expr.words for n in c.as_integer_ratio())
+    return expr
 
 
 def _sub(f, g):
@@ -508,13 +523,18 @@ def _cmd_matrix(args):
     expr = parse_operator(args.op)
     _check_truncation([expr], args.max_deg)
     mat = op.matrix_of(expr, args.max_deg)
+    _refuse_large(n for row in mat.entries for x in row
+                  for n in x.as_integer_ratio())
+    # rendered whole before anything is printed
     if args.format == "json":
-        print(json.dumps(mat.to_json()))
+        text = json.dumps(mat.to_json())
     else:
-        print("cols: " + "  ".join(pt.render_partition(c) for c in mat.cols))
-        for lam, row in zip(mat.rows, mat.entries):
-            cells = " ".join(str(x) for x in row)
-            print(f"{pt.render_partition(lam)}: {cells}")
+        text = "\n".join(
+            ["cols: " + "  ".join(pt.render_partition(c) for c in mat.cols)]
+            + [f"{pt.render_partition(lam)}: {' '.join(str(x) for x in row)}"
+               for lam, row in zip(mat.rows, mat.entries)]
+        )
+    print(text)
     return 0
 
 
@@ -537,7 +557,7 @@ def _cmd_rank(args):
 
 def _cmd_apply(args):
     expr = parse_operator(args.op)
-    _emit_symfunc(args, expr.apply(evaluate_text(args.expr)))
+    _emit_symfunc(args, _checked(expr.apply(evaluate_text(args.expr))))
     return 0
 
 

@@ -14,11 +14,16 @@ by guesswork.
 The six normal ordering relations are rows of one table, and the three
 commutators are derived from it as the paper derives them: each is the
 left side of relation 1, 5 or 6 minus its swapped word, against the
-relation's skew sum without that term.
+relation's skew sum without that term.  A row gives the left side and
+the word of its right sides as letters (kind, slot), a generator and the
+slot of its argument, and every sum of words is built from the letters
+as the word tuples themselves (`_word_sum`), not through U, D, K, KB and
+composition.
 """
 
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 from typing import Callable
 
@@ -198,39 +203,47 @@ def _cor_coeffs_kbu(alpha, beta):
     return acc
 
 
-def _word_sum(word, terms):
-    """The operator sum of c * word(x, y) over the (c, x, y) terms, built
-    as one expression from the words of every term in order."""
-    return op.OperatorExpr._trusted(tuple(
-        w for c, x, y in terms for w in (c * word(x, y)).words
-    ))
+def _word_sum(letters, terms):
+    """The operator sum of c * word(x, y) over the (c, x, y) terms, one
+    word per term in order, where the two letters (kind, slot) of the
+    word name a generator and its argument, x at slot 0 and y at slot 1.
+    Each word is built as the tuple (Fraction(c), ((kind, x or y), ...))
+    that U, D, K, KB and composition would give, and a term with c == 0
+    or a zero x or y gives no word, as in the OperatorExpr constructor."""
+    (k1, i1), (k2, i2) = letters
+    words = []
+    for c, x, y in terms:
+        if c and not x.is_zero() and not y.is_zero():
+            xy = (x, y)
+            words.append((Fraction(c), ((k1, xy[i1]), (k2, xy[i2]))))
+    return op.OperatorExpr._trusted(tuple(words))
 
 
-# Each row is (lhs, word, skew_terms, coef_table): lhs builds the left side
-# from (s_a, s_b), and skew_terms(a, b) and coef_table(a, b) give the terms
-# of the two right sides described above.
+# Each row is (lhs, word, skew_terms, coef_table): lhs and word are two
+# letters (kind, slot), the leftmost generator first; the left side is the
+# word of lhs at x = s_a, y = s_b (`_word_sum`), and skew_terms(a, b) and
+# coef_table(a, b) give the terms of the two right sides described above.
 _RELATIONS = {
-    1: (lambda sa, sb: op.D(sb) * op.U(sa),
-        lambda x, y: op.U(x) * op.D(y),
+    1: ((("D", 1), ("U", 0)), (("U", 0), ("D", 1)),
         partial(_du_terms, twisted=False),
         partial(_cor_coeffs_du, twisted=False)),
-    2: (lambda sa, sb: op.U(sa) * op.D(sb),
-        lambda x, y: op.D(y) * op.U(x),
+    2: ((("U", 0), ("D", 1)), (("D", 1), ("U", 0)),
         partial(_du_terms, twisted=True),
         partial(_cor_coeffs_du, twisted=True)),
-    3: (lambda sa, sb: op.K(sb) * op.U(sa),
-        lambda x, y: op.U(x) * op.K(y),
+    3: ((("K", 1), ("U", 0)), (("U", 0), ("K", 1)),
         _skew_kron_terms, _cor_coeffs_ku),
-    4: (lambda sa, sb: op.D(sa) * op.K(sb),
-        lambda x, y: op.K(y) * op.D(x),
+    4: ((("D", 0), ("K", 1)), (("K", 1), ("D", 0)),
         _skew_kron_terms, _cor_coeffs_ku),
-    5: (lambda sa, sb: op.KB(sb) * op.U(sa),
-        lambda x, y: op.U(x) * op.KB(y),
+    5: ((("KB", 1), ("U", 0)), (("U", 0), ("KB", 1)),
         _kbu_terms, _cor_coeffs_kbu),
-    6: (lambda sa, sb: op.D(sa) * op.KB(sb),
-        lambda x, y: op.KB(y) * op.D(x),
+    6: ((("D", 0), ("KB", 1)), (("KB", 1), ("D", 0)),
         _kbu_terms, _cor_coeffs_kbu),
 }
+
+
+def _lhs(i, sa, sb):
+    """Relation i's left side at s_a, s_b."""
+    return _word_sum(_RELATIONS[i][0], [(1, sa, sb)])
 
 
 def _rhs(i, form, a, b):
@@ -255,18 +268,17 @@ def normal_order_forms(i, alpha, beta):
         raise ValueError(f"relation index {i} not in 1..6")
     a = pt.make_partition(alpha)
     b = pt.make_partition(beta)
-    lhs = _RELATIONS[i][0](sf.schur(a), sf.schur(b))
+    lhs = _lhs(i, sf.schur(a), sf.schur(b))
     return lhs, _rhs(i, 1, a, b), _rhs(i, 2, a, b)
 
 
 def _normal_order_check(i, form):
     """Catalog check of relation i against its skew form (form 1) or its
     structure-constant form (form 2); builds only that right side."""
-    lhs = _RELATIONS[i][0]
 
     def check(prm):
         a, b = prm["alpha"], prm["beta"]
-        exprs = [lhs(sf.schur(a), sf.schur(b)), _rhs(i, form, a, b)]
+        exprs = [_lhs(i, sf.schur(a), sf.schur(b)), _rhs(i, form, a, b)]
         return _ops_equal(prm, exprs, prm["vector_bound"])
 
     return check
@@ -278,10 +290,11 @@ def _normal_order_check(i, form):
 def _reduced(i, a, b):
     """Relation i with its one skew term (1, s_a, s_b) moved to the left
     side: (lhs - w(s_a, s_b), the sum of the other skew terms)."""
-    lhs, word, skew_terms, _coef_table = _RELATIONS[i]
+    _left, word, skew_terms, _coef_table = _RELATIONS[i]
     sa, sb = sf.schur(a), sf.schur(b)
     rest = [t for t in skew_terms(a, b) if t != (1, sa, sb)]
-    return lhs(sa, sb) - word(sa, sb), _word_sum(word, rest)
+    comm = _lhs(i, sa, sb) + _word_sum(word, [(-1, sa, sb)])
+    return comm, _word_sum(word, rest)
 
 
 def _commutator_check(i, *negated):
@@ -470,7 +483,7 @@ def _chk_tworow_hook(prm):
             if not f.is_zero():
                 terms.append((1, f, idx(j)))
         rhs = _word_sum(_RELATIONS[5][1], terms)
-        n, fl = _ops_equal(params, [op.KB(idx(k)) * op.U(sa), rhs], vb)
+        n, fl = _ops_equal(params, [_lhs(5, sa, idx(k)), rhs], vb)
         checked += n
         failures += fl
         # the straightened product form KB_k(s_a g) = sum_j f_j KB_j(g),

@@ -18,9 +18,12 @@ the order they act, each generator a memoized Schur table of symfunc and
 its Schur numerators.  One kernel runs the words on the numerators of a
 Schur function and adds them into one integer dict, with the bilinear
 loop of each generator inline and the last generator of each word
-writing straight into the dict: `apply` builds its image from
-that dict, and `disagreements` decides an operator identity on s_gamma
-by testing the dict of a compiled difference for zero.  The rank of
+writing straight into the dict; a step that meets one Schur term with a
+one-term generator builds nothing, since the memoized table entry is its
+next value and the scalar is carried to the last step: `apply` builds
+its image from that dict, and `disagreements` decides an operator
+identity on s_gamma by testing the dict of a compiled difference for
+zero.  The rank of
 a family of expressions is built one basis vector s_lam at a time: the
 integer rows of the images on s_lam are pushed into one echelon of
 sparse primitive integer rows, with no modulus and no float, and no
@@ -184,22 +187,34 @@ def _compile(signed):
 def _accumulate(words, xs, out):
     """Run every compiled word (m, steps) on the integer pairs xs and add m
     times its value into out, in place; out may be left holding zeros.
-    Each step adds a * b * table(lam, mu)[nu] into nu for every pair of a
-    term (lam, a) of its first argument and (mu, b) of its second, the
-    first argument's terms in the outer loop, as `symfunc._bilinear_into`
-    does, here run inline with one loop per argument order.  Each step but
-    the last builds the word's next value as a fresh list of nonzero pairs,
-    a value that becomes zero ends the word, and the last step adds m
-    times its terms straight into out; a word with no steps is the
-    identity."""
+    A value is a sequence of nonzero pairs times a carried integer scalar
+    s, which starts at 1.  Each step adds s * a * b * table(lam, mu)[nu]
+    into nu for every pair of a term (lam, a) of its first argument and
+    (mu, b) of its second, the first argument's terms in the outer loop,
+    as `symfunc._bilinear_into` does, here run inline with one loop per
+    argument order.  A step but the last whose value and generator are one
+    pair each takes the memoized table entry itself as the next value and
+    multiplies s by a * b, since a table entry holds distinct nonzero terms;
+    any other step but the last builds the next value as a fresh list of
+    nonzero pairs and resets s to 1.  A value that becomes zero ends the
+    word, and the last step adds m * s times its terms straight into out;
+    a word with no steps is the identity.  Either way the terms reach out
+    in the same order."""
     for m, steps in words:
         last = len(steps)
         if not last:
             sf._add_into(out, xs, m)
             continue
-        num = xs
+        num, s = xs, 1
         for i, (table, value_first, ys) in enumerate(steps, 1):
-            acc, c = (out, m) if i == last else ({}, 1)
+            if i < last and len(num) == 1 and len(ys) == 1:
+                ((lam, a),), ((mu, b),) = num, ys
+                num = table(lam, mu) if value_first else table(mu, lam)
+                if not num:
+                    break
+                s *= a * b
+                continue
+            acc, c = (out, m * s) if i == last else ({}, s)
             get = acc.get
             if value_first:
                 for lam, a in num:
@@ -219,6 +234,7 @@ def _accumulate(words, xs, out):
                 num = [(k, n) for k, n in acc.items() if n]
                 if not num:
                     break
+                s = 1
 
 
 def disagreements(exprs, gammas):

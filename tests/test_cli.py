@@ -617,6 +617,55 @@ def test_constants_beyond_the_printable_digits_are_refused(capsys):
         assert capsys.readouterr().out == want + "\n"
 
 
+def _operator_digit_cases(limit):
+    """(operator, input, digits) triples whose coefficients exceed Python's
+    digit limit: in a composition, a scaling, a denominator, or only in the
+    image."""
+    big = "9" * limit
+    return (
+        (f"({big} U[1])({big} U[1])", "s[1]", 2 * limit),
+        (f"{big} ({big} U[1] + D[1])", "s[1]", 2 * limit),
+        (f"(1/{big} U[1]) - (1/{big} U[1])(1/{big} D[1])", "s[1]", 2 * limit),
+        (f"{big} U[1]U[1]U[1]", "1", limit + 1),
+    )
+
+
+def test_apply_refuses_operator_coefficients_past_the_digit_limit(capsys):
+    # refused with one line and nothing on stdout, not CPython's message
+    limit = sys.get_int_max_str_digits()
+    for expr, g, digits in _operator_digit_cases(limit):
+        assert cli.main(["apply", expr, g]) == 2, expr
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"symop: error: coefficient of {digits} digits exceeds the limit "
+            f"of {limit} digits\n"
+        ), expr
+    big = "9" * limit
+    assert cli.main(["apply", f"{big} U[1]", f"{big}*s[1] - {big}*s[1]"]) == 0
+    assert capsys.readouterr().out == "0\n"
+    assert cli.main(["apply", f"{big} U[1]", "s[1]"]) == 0
+    assert capsys.readouterr().out == f"{big}*s[2] + {big}*s[1,1]\n"
+
+
+def test_matrix_refuses_operator_coefficients_past_the_digit_limit(capsys):
+    # the whole matrix is checked and rendered before a line is printed
+    limit = sys.get_int_max_str_digits()
+    for expr, _g, digits in _operator_digit_cases(limit):
+        for fmt in ("text", "json"):
+            argv = ["matrix", expr, "--max-deg", "1", "--format", fmt]
+            assert cli.main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"symop: error: coefficient of {digits} digits exceeds the "
+                f"limit of {limit} digits\n"
+            ), argv
+    big = "9" * limit
+    assert cli.main(["matrix", f"{big} U[1]", "--max-deg", "0"]) == 0
+    assert capsys.readouterr().out == f"cols: 0\n0: 0\n1: {big}\n"
+
+
 def test_recursion_over_input_size_is_not_called_nesting(capsys):
     # neither input is nested: mn_character recurses once per part of rho
     # and the tableau filler once per cell of the product shape

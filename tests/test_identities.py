@@ -248,3 +248,61 @@ def test_ops_equal_reports_exactly_the_gammas_where_one_expression_differs():
         assert f.rhs == exprs[2].apply(s_g)
         assert f.lhs != f.rhs
     assert idn._ops_equal({}, exprs[:2], bound) == (len(gammas), [])
+
+
+# each relation's left side at (s_a, s_b) and its word at (x, y), composed
+# through the generators of `operators`
+_COMPOSED = {
+    1: (lambda sa, sb: op.D(sb) * op.U(sa), lambda x, y: op.U(x) * op.D(y)),
+    2: (lambda sa, sb: op.U(sa) * op.D(sb), lambda x, y: op.D(y) * op.U(x)),
+    3: (lambda sa, sb: op.K(sb) * op.U(sa), lambda x, y: op.U(x) * op.K(y)),
+    4: (lambda sa, sb: op.D(sa) * op.K(sb), lambda x, y: op.K(y) * op.D(x)),
+    5: (lambda sa, sb: op.KB(sb) * op.U(sa), lambda x, y: op.U(x) * op.KB(y)),
+    6: (lambda sa, sb: op.D(sa) * op.KB(sb), lambda x, y: op.KB(y) * op.D(x)),
+}
+
+
+def _composed_sum(word, terms):
+    total = op.zero_op()
+    for c, x, y in terms:
+        total = total + c * word(x, y)
+    return total
+
+
+def _gens(expr):
+    """The words of expr with each generator as (kind, its terms), so that
+    words can be compared without SymFunc equality."""
+    return [(type(c), c, [(k, dict(f.terms)) for k, f in w]) for c, w in expr.words]
+
+
+def test_letter_words_equal_the_composed_words():
+    # coefficients, order and dropped zero terms, for every relation in
+    # both forms and for the reduced relations of the three commutators
+    for a in pt.partitions_upto(2):
+        for b in pt.partitions_upto(2):
+            sa, sb = sf.schur(a), sf.schur(b)
+            for i, (lhs, word) in _COMPOSED.items():
+                _lhs, _word, skew_terms, coef_table = idn._RELATIONS[i]
+                table = coef_table(a, b)
+                want = [
+                    lhs(sa, sb),
+                    _composed_sum(word, skew_terms(a, b)),
+                    _composed_sum(word, [(c, sf.schur(mu), sf.schur(nu))
+                                         for (mu, nu), c in table.items()]),
+                ]
+                got = idn.normal_order_forms(i, a, b)
+                assert [_gens(e) for e in got] == [_gens(e) for e in want], (i, a, b)
+            for i in (1, 2, 5, 6):
+                lhs, word = _COMPOSED[i]
+                rest = [t for t in idn._RELATIONS[i][2](a, b) if t != (1, sa, sb)]
+                want = (lhs(sa, sb) - word(sa, sb), _composed_sum(word, rest))
+                got = idn._reduced(i, a, b)
+                assert [_gens(e) for e in got] == [_gens(e) for e in want], (i, a, b)
+    # a zero coefficient or a zero factor gives no word
+    s1 = sf.schur((1,))
+    terms = [(2, s1, s1), (0, s1, s1), (1, sf.zero(), s1), (-1, s1, sf.zero()),
+             (Fraction(1, 3), sf.schur((2,)), s1)]
+    for i, (_lhs, word) in _COMPOSED.items():
+        got = idn._word_sum(idn._RELATIONS[i][1], terms)
+        assert _gens(got) == _gens(_composed_sum(word, terms))
+        assert len(got.words) == 2

@@ -548,3 +548,56 @@ def test_composition_builds_the_words_the_constructor_builds(monkeypatch):
     assert got["product"].apply(g) == a.apply(b.apply(g))
     with pytest.raises(TypeError, match="float"):
         a * 0.0
+
+
+def _by_route(word, g):
+    """The image of one word (coef, generators) on g through the products of
+    symfunc and apply_KB, the rightmost generator first."""
+    coef, gens = word
+    route = {
+        "U": sf.mul,
+        "D": lambda f, v: sf.skew(v, f),
+        "K": sf.kronecker,
+        "KB": op.apply_KB,
+    }
+    for kind, f in reversed(gens):
+        g = route[kind](f, g)
+    return sf.scale(coef, g)
+
+
+def test_one_pair_steps_carry_their_scalar():
+    # K(-4 s[3]) fixes s[2,1], and s_{21/2} = s_1, so on g = 3/2 s[2,1] every
+    # step but the last sees one pair in and one generator pair, with
+    # scalars other than 1 to carry into the last step
+    s1, s2, s21 = sf.schur((1,)), sf.schur((2,)), sf.schur((2, 1))
+    words = [
+        Fraction(-7, 3) * op.U(2 * s1) * op.D(sf.scale(Fraction(1, 5), s2))
+        * op.K(-4 * sf.schur((3,))),
+        Fraction(5, 2) * op.KB(3 * s1) * op.D(-6 * s1) * op.U(s1)
+        * op.D(7 * s2),
+        op.D(2 * s1) * op.D(sf.scale(Fraction(-3, 4), s1))
+        * op.KB(sf.scale(Fraction(2, 9), s21)),
+        -3 * op.U(sf.h((2,))) * op.K(5 * s21) * op.D(sf.p((1,))),
+    ]
+    inputs = [
+        sf.scale(Fraction(3, 2), s21),
+        sf.scale(-5, sf.schur((3, 1))),
+        sf.SymFunc("s", {(2, 1): Fraction(-2, 7), (3,): 4, (1,): Fraction(1, 3)}),
+        sf.h((2, 1)),
+    ]
+    for expr in words:
+        (word,) = expr.words
+        for g in inputs:
+            assert expr.apply(g) == _by_route(word, g), (expr, g)
+    total = words[0] + words[1] - 2 * words[2] + words[3]
+    for g in inputs:
+        assert total.apply(g) == sf.linear_combination(
+            (c, _by_route((1, w), g)) for c, w in total.words)
+    # a scalar moved from the first step to the last leaves the word equal;
+    # 3 against 2 differs on every s_gamma that D(s[1]) does not kill
+    gammas = pt.partitions_upto(4)
+    assert op.disagreements(
+        [op.U(2 * s1) * op.D(s1), op.U(s1) * op.D(2 * s1)], gammas) == []
+    assert op.disagreements(
+        [op.U(3 * s1) * op.D(s1), op.U(s1) * op.D(2 * s1)], gammas
+    ) == [(gamma, 1) for gamma in gammas if gamma]
