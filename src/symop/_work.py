@@ -2,10 +2,13 @@
 
 The layers charge it where their work grows: every miss of a memo table,
 every partition that an enumeration visits, every `tableaux._fill` call
-and every filling it yields, each charge weighted so that one unit costs
-about the same time everywhere.  A budget set by `set_budget(units)` is
-spent by those charges, and the charge that overdraws it raises
-WorkLimitExceeded, a ValueError, before the work it pays for is done.
+and every filling it yields, every entry of the dense matrix that
+`operators.matrix_of` allocates and every nonzero image term that
+`operators.stacked_rank` turns into rows, each charge weighted so that
+one unit costs about the same time everywhere.  A budget set by
+`set_budget(units)` is spent by those charges, and the charge that
+overdraws it raises WorkLimitExceeded, a ValueError, before the work it
+pays for is done.
 The charges depend only on the inputs and on which memo entries are
 already filled, so a cold process spends the same units on every run.
 With no budget set, the default, a charge only tests one global.

@@ -5,13 +5,12 @@ schema.
 
 Every subcommand but verify runs under one work budget, MAX_WORK, spent
 by the layers as they compute (see `_work`); a command that overruns it
-is refused like any other input error, with one line and exit 2.  Powers
-and truncated matrices keep limits of their own, on costs that are not
-charged."""
+is refused like any other input error, with one line and exit 2."""
 
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 from fractions import Fraction
@@ -290,18 +289,14 @@ def parse(text):
 
 _ATOM_BUILDERS = {"s": sf.schur, "h": sf.h, "e": sf.e, "p": sf.p}
 
-# Highest degree a power f^n may reach.  Multiplying out costs about twice
-# as much per extra degree; s[1]^20 takes 1.5 s on a 2-core machine.  The
-# growth of its big-integer coefficients is not charged to MAX_WORK.  A
-# constant base is raised in one step instead (`_constant_power`).
-MAX_POWER_DEGREE = 20
-
-# Most work one command may do, in the units that the layers charge to
-# `_work` as they compute: memo-table misses, enumerated partitions, and
-# tableau fillings, weighted so that a unit takes about 1 us on a 2-core
-# machine (0.4-2 us measured).  Cold runs there: `kroncoeff 23,23 23,23 46`
-# charges 2.3M units in 2.7-4.4 s, `matrix "KB[1]" --max-deg 16` 1.8M in
-# 2.4-2.8 s; refused inputs stop within 1.5-7.5 s.
+# Most work one command may do, and the only bound on powers, matrices and
+# ranks, in the units that the layers charge to `_work` as they compute:
+# memo-table misses, enumerated partitions, tableau fillings, the entries
+# of a dense truncated matrix and the image terms of a rank, weighted so
+# that a unit takes about 1 us on a 2-core machine (0.4-2 us measured).
+# Cold runs there: `kroncoeff 23,23 23,23 46` charges 2.3M units in
+# 2.7-4.4 s, `matrix "KB[1]" --max-deg 16` 2.6M in 1.9-2.7 s; refused
+# inputs stop within 1.5-7.5 s.
 MAX_WORK = 4_000_000
 
 
@@ -349,13 +344,9 @@ def _checked_op(expr):
     return expr
 
 
-def _sub(f, g):
-    return sf.add(f, sf.scale(-1, g))
-
-
 # The parser builds '+', '-' and '*' chains left-deep; `evaluate` folds
 # each chain in a loop, so a flat sum or product does not recurse per term.
-_CHAINS = {"add": sf.add, "sub": _sub, "mul": sf.mul}
+_CHAINS = {"add": sf.add, "sub": operator.sub, "mul": sf.mul}
 
 
 def evaluate(node):
@@ -384,11 +375,6 @@ def evaluate(node):
         base, exponent = evaluate(node[1]), node[2]
         if base.max_degree() == 0:
             return sf.scale(_constant_power(base.coeff(()), exponent), sf.one())
-        degree = exponent * base.max_degree()
-        if degree > MAX_POWER_DEGREE:
-            raise ValueError(
-                f"power of degree {degree} exceeds the limit {MAX_POWER_DEGREE}"
-            )
         out = sf.one()
         for _ in range(exponent):
             out = _checked(sf.mul(out, base))
@@ -496,32 +482,8 @@ def _cmd_skewcorners(args):
     return 0
 
 
-# Highest codomain degree of the truncation in `matrix` and `rank`: the
-# domain bound plus the largest degree raise.  The cost grows 1.3-1.9x per
-# degree; on a 2-core machine `matrix "U[1]" --max-deg 15` takes 0.35-0.45
-# s, `matrix "KB[1]" --max-deg 16` 4-5 s (nearly all of it the Kronecker
-# table at degree 16) and a `rank` of 12 words U_a D_b, D_b U_a and Id
-# with |a|, |b| <= 2 at `--max-deg 14` 0.85-0.9 s (a dependent family, so
-# every basis vector is evaluated; the 36 independent words U_a D_b with
-# nonempty |a|, |b| <= 3 take 0.2 s at `--max-deg 13`, the rank stopping
-# at full rank after degree 3), while the dense matrix of
-# `matrix "U[1]" --max-deg 40` would have 5.6e10 entries, allocated by
-# `operators.matrix_of` before any work charged to MAX_WORK.
-MAX_TRUNCATION_DEGREE = 16
-
-
-def _check_truncation(exprs, max_deg):
-    cod = max_deg + max(max(0, e.max_degree_shift()) for e in exprs)
-    if cod > MAX_TRUNCATION_DEGREE:
-        raise ValueError(
-            f"truncation of codomain degree {cod} exceeds the limit "
-            f"{MAX_TRUNCATION_DEGREE}"
-        )
-
-
 def _cmd_matrix(args):
     expr = parse_operator(args.op)
-    _check_truncation([expr], args.max_deg)
     mat = op.matrix_of(expr, args.max_deg)
     _refuse_large(n for row in mat.entries for x in row
                   for n in x.as_integer_ratio())
@@ -542,7 +504,6 @@ def _cmd_rank(args):
     exprs = [parse_operator(chunk) for chunk in args.ops.split(";") if chunk.strip()]
     if not exprs:
         raise ValueError("no operator expressions given")
-    _check_truncation(exprs, args.max_deg)
     rank = op.stacked_rank(exprs, args.max_deg)
     verdict = (
         "independent" if rank == len(exprs) else "dependent at this truncation"
@@ -561,22 +522,31 @@ def _cmd_apply(args):
     return 0
 
 
+def _json_tuples(items, key, size):
+    """The value items of the JSON field key, a list of lists of `size`
+    integers, as tuples of ints; a TypeError names the first item, or the
+    whole value, that has the wrong form."""
+    if not isinstance(items, list):
+        raise TypeError(f"{key} {json.dumps(items)} is not a list")
+    for item in items:
+        if not isinstance(item, list) or len(item) != size:
+            raise TypeError(
+                f"{key} item {json.dumps(item)} is not a list of {size} integers"
+            )
+    return [tuple(map(pt._as_integer, item)) for item in items]
+
+
 def _cmd_jdt(args):
     """Batch jeu de taquin: a JSON tableau plus a list of holes; each slide
     is applied in order and the trace reported."""
     try:
         blob = json.loads(args.tableau)
         shape = pt.parse_skew(blob["shape"])
-        entries = {
-            (pt._as_integer(r), pt._as_integer(c)): pt._as_integer(v)
-            for r, c, v in blob["entries"]
-        }
-        holes = [
-            (pt._as_integer(r), pt._as_integer(c)) for r, c in blob.get("holes", [])
-        ]
+        entries = _json_tuples(blob["entries"], "entries", 3)
+        holes = _json_tuples(blob.get("holes", []), "holes", 2)
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ValueError(f"bad tableau JSON: {exc}") from None
-    t = tb.SSYT(shape, entries)
+    t = tb.SSYT(shape, {(r, c): v for r, c, v in entries})
     steps = []
     for hole in holes:
         t, vacated = tb.jdt_slide(t, pt.Cell(*hole))

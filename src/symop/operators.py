@@ -29,13 +29,18 @@ integer rows of the images on s_lam are pushed into one echelon of
 sparse primitive integer rows, with no modulus and no float, and no
 further basis vector is evaluated once the rank equals the number of
 expressions.  The tables charge each of their misses to the work meter
-(`_work`), so a budget bounds an application like any other computation.
+(`_work`), `matrix_of` charges one unit per entry of its dense matrix
+before it allocates it, and `stacked_rank` one unit per nonzero image
+term, the terms it turns into rows; so a budget bounds an application,
+a truncated matrix and a rank like any other computation.
 """
 
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
+from . import _work
 from . import partitions as pt
 from . import symfunc as sf
 
@@ -191,7 +196,7 @@ def _accumulate(words, xs, out):
     s, which starts at 1.  Each step adds s * a * b * table(lam, mu)[nu]
     into nu for every pair of a term (lam, a) of its first argument and
     (mu, b) of its second, the first argument's terms in the outer loop,
-    as `symfunc._bilinear_into` does, here run inline with one loop per
+    as `symfunc._bilinear` does, here run inline with one loop per
     argument order.  A step but the last whose value and generator are one
     pair each takes the memoized table entry itself as the next value and
     multiplies s by a * b, since a table entry holds distinct nonzero terms;
@@ -392,11 +397,13 @@ def _check_degree(top, cod):
 def matrix_of(expr, dom_max_degree, cod_max_degree=None):
     """Exact truncated matrix: column lam holds the Schur coordinates of
     expr(s_lam).  The codomain bound defaults to the domain bound plus the
-    largest degree shift of the expression."""
+    largest degree shift of the expression.  Each entry of the dense
+    matrix is charged to the work meter before the matrix is allocated."""
     if cod_max_degree is None:
         cod_max_degree = dom_max_degree + max(0, expr.max_degree_shift())
     cols = pt.partitions_upto(dom_max_degree)
     rows = pt.partitions_upto(cod_max_degree)
+    _work.charge(len(rows) * len(cols))
     row_index = {mu: i for i, mu in enumerate(rows)}
     entries = [[Fraction(0)] * len(cols) for _ in rows]
     for j, lam in enumerate(cols):
@@ -476,17 +483,19 @@ def stacked_rank(exprs, dom_max_degree):
     sharing one codomain bound.
 
     The stacked matrix has one column per expression and one row per entry
-    (lam, mu), built one basis vector s_lam at a time in the (degree,
-    reverse-lex) order of `partitions_upto`.  Each expression is compiled
-    once, its word multipliers put over the one denominator of all the
-    expressions, and at s_lam its words are added into one integer dict
-    by `_accumulate`, so no image is built and no Fraction either; an
-    image of degree above the codomain bound is an AssertionError.  Each
-    row (lam, mu) is divided by its content, and each row not seen before
-    is pushed into one echelon by `_push_row`; zero and repeated rows do
-    not change the row space, so the rank is exact.  The rank never
-    exceeds the number of expressions, so once it reaches it no later
-    basis vector is evaluated."""
+    (lam, mu), built one basis vector s_lam at a time in (degree,
+    reverse-lex) order, the partitions of each degree enumerated only once
+    the ones below it are done.  Each expression is compiled once, its
+    word multipliers put over the one denominator of all the expressions,
+    and at s_lam its words are added into one integer dict by
+    `_accumulate`, so no image is built and no Fraction either; an image
+    of degree above the codomain bound is an AssertionError.  Each nonzero
+    image term is charged to the work meter.  Each row (lam, mu) is
+    divided by its content, and each row not seen before is pushed into
+    one echelon by `_push_row`; zero and repeated rows do not change the
+    row space, so the rank is exact.  The rank never exceeds the number of
+    expressions, so once it reaches it no later basis vector is evaluated,
+    nor are the partitions of a later degree enumerated."""
     exprs = list(exprs)
     if not exprs:
         return 0
@@ -498,13 +507,15 @@ def stacked_rank(exprs, dom_max_degree):
         for words, dk in compiled
     ]
     pivots, seen = {}, set()
-    for lam in pt.partitions_upto(dom_max_degree):
+    degrees = map(pt.partitions_of, range(dom_max_degree + 1))
+    for lam in chain.from_iterable(degrees):
         xs = ((lam, 1),)
         rows = {}
         for k, words in enumerate(compiled):
             image = {}
             _accumulate(words, xs, image)
             image = [(mu, n) for mu, n in image.items() if n]
+            _work.charge(len(image))
             _check_degree(max((sum(mu) for mu, _n in image), default=0), cod)
             for mu, n in image:
                 rows.setdefault(mu, {})[k] = n

@@ -314,25 +314,19 @@ def _union_product(*factors):
 
 def _bilinear(f, g, table):
     """Schur sum of a * b * table(lam, mu) over the terms a s_lam of f and
-    b s_mu of g; one `_bilinear_into` into an empty dict."""
+    b s_mu of g, added into one integer dict with the terms of f in the
+    outer loop.  The one bilinear loop of products, skewing, Kronecker
+    products and KB; the compiled operator words of `operators` run the
+    same loop inline (`_accumulate`)."""
     out = {}
-    _bilinear_into(out, f._num.items(), g._num.items(), table)
-    return _from_ints("s", out, f._d * g._d)
-
-
-def _bilinear_into(out, xs, ys, table):
-    """out[nu] += a * b * table(lam, mu)[nu] for every integer pair
-    (lam, a) of xs, (mu, b) of ys and term (nu, t) of the table entry,
-    in place; out may be left holding zeros.  ys is iterated once per pair
-    of xs, so it is a view or a sequence.  The one bilinear loop of
-    products, skewing, Kronecker products and KB; the compiled operator
-    words of `operators` run the same loop inline (`_accumulate`)."""
     get = out.get
-    for lam, a in xs:
+    ys = g._num.items()
+    for lam, a in f._num.items():
         for mu, b in ys:
             w = a * b
             for nu, t in table(lam, mu):
                 out[nu] = get(nu, 0) + w * t
+    return _from_ints("s", out, f._d * g._d)
 
 
 # ---------------------------------------------------------------------------
@@ -678,10 +672,6 @@ def gamma1_component(f, n):
 # ---------------------------------------------------------------------------
 # text and JSON forms
 
-def _coef_str(c):
-    return str(c)
-
-
 def render(f):
     """Canonical text: terms ordered by (degree, reverse-lex partition)."""
     if f.is_zero():
@@ -690,7 +680,7 @@ def render(f):
     for parts, c in f.sorted_terms():
         body = f"{f.basis}[{pt.render_partition(parts)}]"
         mag = abs(c)
-        piece = body if mag == 1 else f"{_coef_str(mag)}*{body}"
+        piece = body if mag == 1 else f"{mag}*{body}"
         atoms.append(("-" if c < 0 else "+", piece))
     sign0, first = atoms[0]
     text = ("-" if sign0 == "-" else "") + first
@@ -703,7 +693,7 @@ def to_json(f):
     return {
         "basis": f.basis,
         "terms": [
-            {"part": list(parts), "coef": _coef_str(c)}
+            {"part": list(parts), "coef": str(c)}
             for parts, c in f.sorted_terms()
         ],
     }

@@ -252,6 +252,23 @@ def test_cmd_jdt(capsys):
     assert cli.main(["jdt", "{bad json"]) == 2
 
 
+def test_jdt_names_a_malformed_item(capsys):
+    # an entry or hole of the wrong length, or entries that are not a
+    # list, is one `bad tableau JSON` line that names it
+    for fields, bad in (
+        ({"entries": [[1, 0]]}, "entries item [1, 0] is not a list of 3 integers"),
+        ({"entries": [[1, 0, 5], [1, 1, 5]], "holes": [[0, 1, 2]]},
+         "holes item [0, 1, 2] is not a list of 2 integers"),
+        ({"entries": {"a": 1}}, 'entries {"a": 1} is not a list'),
+        ({"entries": [[1, 0, 5], [1, 1, 5]], "holes": 5}, "holes 5 is not a list"),
+    ):
+        blob = json.dumps({"shape": "2,2/2", **fields})
+        assert cli.main(["jdt", blob]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"symop: error: bad tableau JSON: {bad}\n"
+
+
 def test_cmd_jdt_text(capsys):
     blob = json.dumps(
         {"shape": "2,2/2", "entries": [[1, 0, 5], [1, 1, 5]], "holes": [[0, 1]]}
@@ -276,22 +293,24 @@ def test_jdt_rejects_non_integral_values(capsys):
             assert captured.err == f"symop: error: {bad} is not an integer\n"
 
 
-def test_power_degree_limit(capsys):
+def test_powers_run_under_the_work_budget(capsys, monkeypatch):
+    # a power is multiplied out under the work budget, with no cap on its
+    # degree: a huge one is refused by the budget
+    monkeypatch.setattr(cli, "MAX_WORK", _LOW_WORK)
     start = time.monotonic()
-    assert cli.main(["expand", "s[1]^5000"]) == 2
+    _assert_refused(capsys, [["expand", "s[1]^5000"]], _LOW_WORK)
     assert time.monotonic() - start < 5
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        f"symop: error: power of degree 5000 exceeds the limit "
-        f"{cli.MAX_POWER_DEGREE}\n"
-    )
-    top = cli.MAX_POWER_DEGREE
-    assert cli.main(["expand", f"s[{top}]^1"]) == 0
-    assert cli.main(["expand", f"(s[{top}] + 1)^1"]) == 0
-    assert cli.main(["expand", f"s[{top + 1}]^1"]) == 2
-    assert cli.main(["expand", "(s[1]-s[1])^5000"]) == 0
-    capsys.readouterr()
+    monkeypatch.undo()
+    assert cli.main(["expand", "s[1]^21"]) == 0
+    power = capsys.readouterr().out
+    assert cli.main(["expand", "s[1]^20*s[1]"]) == 0
+    assert capsys.readouterr().out == power
+    for argv, want in ((["expand", "s[20]^1"], "s[20]\n"),
+                       (["expand", "(s[20] + 1)^1"], "s[0] + s[20]\n"),
+                       (["expand", "s[21]^1"], "s[21]\n"),
+                       (["expand", "(s[1]-s[1])^5000"], "0\n")):
+        assert cli.main(argv) == 0, argv
+        assert capsys.readouterr().out == want, argv
 
 
 def test_constant_powers_are_computed_directly(capsys):
@@ -690,20 +709,26 @@ def test_negative_max_deg_rejected(capsys):
         capsys.readouterr()
 
 
-def test_truncation_degree_capped(capsys):
-    # rejected before any image is computed: the codomain degree is the
-    # domain bound plus the largest degree raise
-    limit = cli.MAX_TRUNCATION_DEGREE
-    for argv in (["matrix", "U[1]", "--max-deg", "40"],
-                 ["rank", "U[1]", "--max-deg", "40"],
-                 ["rank", "Id;U[2]", "--max-deg", str(limit - 1)],
-                 ["matrix", "U[1]", "--max-deg", str(limit)]):
-        assert cli.main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"exceeds the limit {limit}" in captured.err
-    assert cli.main(["rank", "Id;D[1]U[1]", "--max-deg", str(limit - 1)]) == 0
-    assert capsys.readouterr().out == "rank 2 of 2: independent\n"
+def test_truncations_run_under_the_work_budget(capsys, monkeypatch):
+    # `matrix` charges its dense entries before it allocates them and
+    # `rank` its image terms, so a huge truncation is refused by the budget
+    monkeypatch.setattr(cli, "MAX_WORK", _LOW_WORK)
+    start = time.monotonic()
+    _assert_refused(capsys, [
+        ["matrix", "U[1]", "--max-deg", "40"],
+        ["rank", "U[1];U[1]", "--max-deg", "40"],
+    ], _LOW_WORK)
+    assert time.monotonic() - start < 5
+    monkeypatch.undo()
+    # a family at full rank on the first basis vectors pays nothing for
+    # the bound
+    start = time.monotonic()
+    assert cli.main(["rank", "U[1]", "--max-deg", "40"]) == 0
+    assert capsys.readouterr().out == "rank 1 of 1: independent\n"
+    assert time.monotonic() - start < 1
+    for ops in ("Id;U[2]", "Id;D[1]U[1]"):
+        assert cli.main(["rank", ops, "--max-deg", "15"]) == 0
+        assert capsys.readouterr().out == "rank 2 of 2: independent\n"
 
 
 def _random_symfunc(rng):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from symop import cli, operators as op, partitions as pt, symfunc as sf
+from symop import _work, cli, operators as op, partitions as pt, symfunc as sf
 
 
 def test_apply_examples():
@@ -432,6 +432,53 @@ def test_stacked_rank_image_beyond_codomain_raises(monkeypatch):
     monkeypatch.setattr(op.OperatorExpr, "max_degree_shift", lambda self: 0)
     with pytest.raises(AssertionError, match="image degree 1 exceeds codomain bound 0"):
         op.stacked_rank([op.U(sf.schur((1,)))], 0)
+
+
+def _units_spent(fn, *args):
+    """The work units that fn(*args) charges, run under a large budget."""
+    budget = 10 ** 9
+    _work.set_budget(budget)
+    try:
+        fn(*args)
+        return budget - _work._left
+    finally:
+        _work.set_budget(None)
+
+
+def test_matrix_of_charges_its_dense_entries_before_any_image(monkeypatch):
+    # 67 columns of degree <= 8 and 97 rows of degree <= 9: a budget one
+    # unit short of the 6,499 entries is refused before anything is applied
+    expr = op.U(sf.schur((1,)))
+    cells = len(pt.partitions_upto(8)) * len(pt.partitions_upto(9))
+    assert cells == 6499
+    calls = _counting_evaluations(monkeypatch)
+    _work.set_budget(cells - 1)
+    try:
+        with pytest.raises(_work.WorkLimitExceeded):
+            op.matrix_of(expr, 8)
+    finally:
+        _work.set_budget(None)
+    assert calls[0] == 0
+    enumeration = _units_spent(pt.partitions_upto, 8) + _units_spent(
+        pt.partitions_upto, 9)
+    assert _units_spent(op.matrix_of, expr, 8) >= enumeration + cells
+
+
+def test_stacked_rank_charges_each_nonzero_image_term():
+    # a dependent family evaluates every basis vector; with its tables
+    # warm, a rank spends the partitions it enumerates and one unit per
+    # nonzero term of each image
+    words = [op.U(sf.schur((1,))) * op.D(sf.schur((1,))),
+             op.D(sf.schur((1,))) * op.U(sf.schur((1,))), op.identity_op()]
+    assert op.stacked_rank(words, 5) == 2
+    terms = sum(len(e.apply(sf.schur(lam)).terms)
+                for lam in pt.partitions_upto(5) for e in words)
+    enumeration = sum(_units_spent(pt.partitions_of, n) for n in range(6))
+    assert _units_spent(op.stacked_rank, words, 5) == enumeration + terms
+    # a family at full rank on s_0 enumerates no partition of a later
+    # degree, whatever the bound
+    spent = _units_spent(op.stacked_rank, [op.U(sf.schur((1,)))], 40)
+    assert spent == _units_spent(pt.partitions_of, 0) + 1
 
 
 def _kb_operands(count, seed):
