@@ -2,16 +2,16 @@
 
 The layers charge it where their work grows: every miss of a memo table,
 every partition that an enumeration visits, every `tableaux._fill` call
-and every filling it yields, every entry of the dense matrix that
-`operators.matrix_of` allocates and every nonzero image term that
-`operators.stacked_rank` turns into rows, each charge weighted so that
+and filling, the pairs of terms that a power or a step of an operator
+word multiplies out, the dense entries of a truncated matrix, and the
+image terms and row eliminations of a rank, each charge weighted so that
 one unit costs about the same time everywhere.  A budget set by
 `set_budget(units)` is spent by those charges, and the charge that
 overdraws it raises WorkLimitExceeded, a ValueError, before the work it
-pays for is done.
-The charges depend only on the inputs and on which memo entries are
-already filled, so a cold process spends the same units on every run.
-With no budget set, the default, a charge only tests one global.
+pays for is done.  The charges depend only on the inputs and on which
+memo entries are already filled, so a cold process spends the same units
+on every run.  With no budget set, the default, a charge only tests one
+global, and a charge that takes work to size is skipped (`metered`).
 """
 
 # units left in the current budget, and the budget itself; None for none
@@ -32,6 +32,11 @@ def charge(units=1):
             raise WorkLimitExceeded(
                 f"the computation exceeds the work budget of {_limit} units"
             )
+
+
+def metered():
+    """Whether a budget is set, for work that is only worth counting then."""
+    return _left is not None
 
 
 def set_budget(units):

@@ -290,13 +290,12 @@ def parse(text):
 _ATOM_BUILDERS = {"s": sf.schur, "h": sf.h, "e": sf.e, "p": sf.p}
 
 # Most work one command may do, and the only bound on powers, matrices and
-# ranks, in the units that the layers charge to `_work` as they compute:
-# memo-table misses, enumerated partitions, tableau fillings, the entries
-# of a dense truncated matrix and the image terms of a rank, weighted so
-# that a unit takes about 1 us on a 2-core machine (0.4-2 us measured).
-# Cold runs there: `kroncoeff 23,23 23,23 46` charges 2.3M units in
-# 2.7-4.4 s, `matrix "KB[1]" --max-deg 16` 2.6M in 1.9-2.7 s; refused
-# inputs stop within 1.5-7.5 s.
+# ranks, in the units that the layers charge to `_work` (see there),
+# weighted so that a unit takes about 1 us on a 2-core machine (0.4-2 us
+# measured).  Cold runs there: `kroncoeff 23,23 23,23 46` charges 2.3M
+# units in 2.7-4.4 s, `matrix "KB[1]" --max-deg 16` 2.6M in 1.9-3.0 s;
+# refused inputs stop within 1.5-7.5 s, but powers of s[1], whose product
+# tables cost 1.5-2 us a unit, only within 6-8.5 s.
 MAX_WORK = 4_000_000
 
 
@@ -377,6 +376,7 @@ def evaluate(node):
             return sf.scale(_constant_power(base.coeff(()), exponent), sf.one())
         out = sf.one()
         for _ in range(exponent):
+            _work.charge(2 * len(out._num) * len(base._num))
             out = _checked(sf.mul(out, base))
         return out
     if kind == "kron":
@@ -530,9 +530,8 @@ def _json_tuples(items, key, size):
         raise TypeError(f"{key} {json.dumps(items)} is not a list")
     for item in items:
         if not isinstance(item, list) or len(item) != size:
-            raise TypeError(
-                f"{key} item {json.dumps(item)} is not a list of {size} integers"
-            )
+            bad = f"{key} item {json.dumps(item)}"
+            raise TypeError(f"{bad} is not a list of {size} integers")
     return [tuple(map(pt._as_integer, item)) for item in items]
 
 

@@ -28,11 +28,11 @@ a family of expressions is built one basis vector s_lam at a time: the
 integer rows of the images on s_lam are pushed into one echelon of
 sparse primitive integer rows, with no modulus and no float, and no
 further basis vector is evaluated once the rank equals the number of
-expressions.  The tables charge each of their misses to the work meter
-(`_work`), `matrix_of` charges one unit per entry of its dense matrix
-before it allocates it, and `stacked_rank` one unit per nonzero image
-term, the terms it turns into rows; so a budget bounds an application,
-a truncated matrix and a rank like any other computation.
+expressions.  The work meter (`_work`) is charged for each table miss,
+each pair a step of a word multiplies out, each entry of the dense
+matrix of `matrix_of` before it is allocated, and each image term and
+row elimination of `stacked_rank`; so a budget bounds an application, a
+truncated matrix and a rank like any other computation.
 """
 
 from collections.abc import Mapping
@@ -152,6 +152,10 @@ class OperatorExpr:
         return "<OperatorExpr " + " + ".join(parts) + ">"
 
 
+# bits of a step's largest weight that cost about one unit more per pair
+_BITS_PER_UNIT = 1024
+
+
 def _step(kind, f):
     """The compiled step of the generator (kind, f): its memoized Schur
     table, whether the current value is the table's first argument, and
@@ -165,6 +169,11 @@ def _step(kind, f):
         m = f._d // fs._d
         pairs = [(lam, n * m) for lam, n in pairs]
     return table, value_first, pairs
+
+
+def _top_bits(pairs):
+    """The bit length of the largest |n| over the (key, int n) pairs."""
+    return max((abs(n) for _k, n in pairs), default=0).bit_length()
 
 
 def _compile(signed):
@@ -204,7 +213,13 @@ def _accumulate(words, xs, out):
     nonzero pairs and resets s to 1.  A value that becomes zero ends the
     word, and the last step adds m * s times its terms straight into out;
     a word with no steps is the identity.  Either way the terms reach out
-    in the same order."""
+    in the same order.
+
+    Under a budget, each step but the one-pair ones charges the work meter
+    (`_work`) before its loop: two units per pair, and one more per pair
+    for every `_BITS_PER_UNIT` bits of its largest weight, since the
+    coefficients of a long word grow with every step."""
+    metered = _work.metered()
     for m, steps in words:
         last = len(steps)
         if not last:
@@ -220,6 +235,10 @@ def _accumulate(words, xs, out):
                 s *= a * b
                 continue
             acc, c = (out, m * s) if i == last else ({}, s)
+            if metered:
+                pairs = len(num) * len(ys)
+                top = _top_bits(num) + _top_bits(ys) + c.bit_length()
+                _work.charge(2 * pairs + pairs * top // _BITS_PER_UNIT)
             get = acc.get
             if value_first:
                 for lam, a in num:
@@ -438,7 +457,8 @@ def _push_row(pivots, row):
     column until it is zero or lands in a free column.  Each step
     multiplies a row by a nonzero integer, adds a multiple of another row
     or divides by a content, so the span and the rank are exact; there is
-    no modulus and no float."""
+    no modulus and no float.  An elimination charges a quarter of a work
+    unit per entry of its two rows."""
     while True:
         col = min(row)
         pivot = pivots.get(col)
@@ -447,6 +467,7 @@ def _push_row(pivots, row):
             return
         if abs(row[col]) < abs(pivot[col]):
             pivots[col], row, pivot = row, pivot, row
+        _work.charge((len(row) + len(pivot)) // 4)
         p, a = pivot[col], row[col]
         g = gcd(p, a)
         pg, ag = p // g, a // g

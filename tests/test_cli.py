@@ -709,6 +709,21 @@ def test_negative_max_deg_rejected(capsys):
         capsys.readouterr()
 
 
+def test_long_words_run_under_the_work_budget(capsys, monkeypatch):
+    # each step of a word that meets several pairs is charged, so a long
+    # word whose value spreads over many terms is refused by the budget
+    # whether it is applied, truncated to a matrix or ranked
+    word = "D[1]U[1]" * 500
+    monkeypatch.setattr(cli, "MAX_WORK", _LOW_WORK)
+    start = time.monotonic()
+    _assert_refused(capsys, [
+        ["apply", word, "s[6,5,4,3,2,1]"],
+        ["matrix", word, "--max-deg", "6"],
+        ["rank", f"{word};{word}", "--max-deg", "20"],
+    ], _LOW_WORK)
+    assert time.monotonic() - start < 5
+
+
 def test_truncations_run_under_the_work_budget(capsys, monkeypatch):
     # `matrix` charges its dense entries before it allocates them and
     # `rank` its image terms, so a huge truncation is refused by the budget

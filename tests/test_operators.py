@@ -464,21 +464,70 @@ def test_matrix_of_charges_its_dense_entries_before_any_image(monkeypatch):
     assert _units_spent(op.matrix_of, expr, 8) >= enumeration + cells
 
 
-def test_stacked_rank_charges_each_nonzero_image_term():
+def test_push_row_charges_its_eliminations():
+    # one elimination of a row of 4 entries against a pivot of 4: a
+    # quarter of a unit per entry of the two
+    pivots = {0: {0: 1, 1: 2, 2: 3, 3: 4}}
+    assert _units_spent(op._push_row, pivots, {0: 2, 1: 1, 2: 1, 3: 1}) == 2
+    assert pivots[1] == {1: -3, 2: -5, 3: -7}
+    # a row that lands in a free column eliminates nothing
+    assert _units_spent(op._push_row, pivots, {4: 1, 5: 1}) == 0
+
+
+def test_stacked_rank_charges_its_steps_and_image_terms(monkeypatch):
     # a dependent family evaluates every basis vector; with its tables
-    # warm, a rank spends the partitions it enumerates and one unit per
-    # nonzero term of each image
-    words = [op.U(sf.schur((1,))) * op.D(sf.schur((1,))),
-             op.D(sf.schur((1,))) * op.U(sf.schur((1,))), op.identity_op()]
+    # warm, a rank spends the partitions it enumerates, two units per pair
+    # that a step multiplies out, one unit per nonzero term of each image
+    # and what its eliminations charge.  The first step of U(s_1) D(s_1)
+    # and D(s_1) U(s_1) meets one pair with one generator pair and charges
+    # nothing; the second meets the terms of the first step's image with
+    # the one generator pair.
+    pushed = [0]
+    push_row = op._push_row
+
+    def counted(pivots, row):
+        left = _work._left
+        push_row(pivots, row)
+        if left is not None:
+            pushed[0] += left - _work._left
+
+    monkeypatch.setattr(op, "_push_row", counted)
+    s1 = sf.schur((1,))
+    words = [op.U(s1) * op.D(s1), op.D(s1) * op.U(s1), op.identity_op()]
     assert op.stacked_rank(words, 5) == 2
-    terms = sum(len(e.apply(sf.schur(lam)).terms)
-                for lam in pt.partitions_upto(5) for e in words)
+    lams = pt.partitions_upto(5)
+    terms = sum(len(e.apply(sf.schur(lam)).terms) for lam in lams for e in words)
+    pairs = sum(len(sf.skew(sf.schur(lam), s1).terms)
+                + len(sf.mul(s1, sf.schur(lam)).terms) for lam in lams)
     enumeration = sum(_units_spent(pt.partitions_of, n) for n in range(6))
-    assert _units_spent(op.stacked_rank, words, 5) == enumeration + terms
+    assert _units_spent(op.stacked_rank, words, 5) == (
+        enumeration + 2 * pairs + terms + pushed[0])
+    assert pushed[0] > 0
     # a family at full rank on s_0 enumerates no partition of a later
-    # degree, whatever the bound
-    spent = _units_spent(op.stacked_rank, [op.U(sf.schur((1,)))], 40)
-    assert spent == _units_spent(pt.partitions_of, 0) + 1
+    # degree, whatever the bound: it spends one step of one pair and one
+    # image term
+    spent = _units_spent(op.stacked_rank, [op.U(s1)], 40)
+    assert spent == _units_spent(pt.partitions_of, 0) + 2 + 1
+
+
+def test_steps_charge_more_for_larger_weights():
+    # U(s_1) on the five Schur functions of degree 4 is one step of five
+    # pairs: two units each, and one more per pair for every
+    # `_BITS_PER_UNIT` bits of the largest weight, here the input's 2**4096
+    # times the generator's 1 and the carried scalar 1
+    expr = op.U(sf.schur((1,)))
+    g = sf.linear_combination((1, sf.schur(lam)) for lam in pt.partitions_of(4))
+    big = sf.scale(2 ** 4096, g)
+    assert expr.apply(big) == sf.scale(2 ** 4096, expr.apply(g))
+    assert _units_spent(expr.apply, g) == 2 * 5
+    top = 4097 + 1 + 1
+    assert _units_spent(expr.apply, big) == 2 * 5 + 5 * top // op._BITS_PER_UNIT
+    # the coefficients of (D(s_1) U(s_1))^k grow with k, and so does the
+    # charge of each of its steps
+    spent = [_units_spent(op.stacked_rank, [op.OperatorExpr(
+        [(1, (("D", sf.schur((1,))), ("U", sf.schur((1,)))) * k)])] * 2, 3)
+        for k in (100, 1000)]
+    assert spent[1] > 10 * spent[0]
 
 
 def _kb_operands(count, seed):
