@@ -267,8 +267,9 @@ class _Parser:
 
 # The parser recurses once per nesting level of the input.  Any other
 # recursion that overflows grows with the size of the input instead:
-# `coeffs.mn_character` recurses once per part of rho, `tableaux._fill` once
-# per cell.
+# `coeffs.mn_character` recurses once per part of rho.  (`tableaux._fill`
+# keeps its own stack, so a product of any number of cells meets only the
+# work budget.)
 _TOO_LARGE = "input too large for Python's recursion limit"
 
 
@@ -522,16 +523,26 @@ def _cmd_apply(args):
     return 0
 
 
+def _bad_tableau(what):
+    """The error for a `jdt` argument that is not a tableau JSON object."""
+    return ValueError(f"bad tableau JSON: {what}")
+
+
 def _json_tuples(items, key, size):
     """The value items of the JSON field key, a list of lists of `size`
-    integers, as tuples of ints; a TypeError names the first item, or the
-    whole value, that has the wrong form."""
+    integers, as tuples of ints.  The first item, or the whole value, that
+    has the wrong form is named in a `bad tableau JSON` error; a number
+    that is not integral in the usual `is not an integer` one."""
     if not isinstance(items, list):
-        raise TypeError(f"{key} {json.dumps(items)} is not a list")
+        raise _bad_tableau(f"{key} {json.dumps(items)} is not a list")
     for item in items:
-        if not isinstance(item, list) or len(item) != size:
-            bad = f"{key} item {json.dumps(item)}"
-            raise TypeError(f"{bad} is not a list of {size} integers")
+        # a number, not a bool, NaN or an infinity
+        if not (isinstance(item, list) and len(item) == size and all(
+                type(x) is int or (type(x) is float and math.isfinite(x))
+                for x in item)):
+            raise _bad_tableau(
+                f"{key} item {json.dumps(item)} is not a list of {size} integers"
+            )
     return [tuple(map(pt._as_integer, item)) for item in items]
 
 
@@ -540,11 +551,16 @@ def _cmd_jdt(args):
     is applied in order and the trace reported."""
     try:
         blob = json.loads(args.tableau)
-        shape = pt.parse_skew(blob["shape"])
-        entries = _json_tuples(blob["entries"], "entries", 3)
-        holes = _json_tuples(blob.get("holes", []), "holes", 2)
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise ValueError(f"bad tableau JSON: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise _bad_tableau(exc) from None
+    if not isinstance(blob, dict):
+        raise _bad_tableau(f"{json.dumps(blob)} is not an object")
+    shape = blob.get("shape")
+    if not isinstance(shape, str):
+        raise _bad_tableau(f"shape {json.dumps(shape)} is not a string")
+    shape = pt.parse_skew(shape)
+    entries = _json_tuples(blob.get("entries"), "entries", 3)
+    holes = _json_tuples(blob.get("holes", []), "holes", 2)
     t = tb.SSYT(shape, {(r, c): v for r, c, v in entries})
     steps = []
     for hole in holes:

@@ -210,12 +210,23 @@ def _fill(cells, is_ssyt, content=None, max_entry=None, budget=None,
     Cells must come in the reading order of the tableau family, so the
     right neighbour and the neighbour below (SSYT), or the right neighbour
     and the one below in the column (ASSYT), are already placed when a cell
-    is filled; the lattice condition can then be checked online.
+    is filled; the lattice condition can then be checked online.  A
+    neighbour that comes later in the order, or is not among the cells,
+    does not bound the cell.
 
-    Yields entry dicts.  `content` fixes the multiplicity of each value
-    exactly, `budget` only caps it, `max_entry` leaves it free.  When
-    `init_counts` is given (value -> count), every prefix of the reading
-    word must keep count(i) >= count(i+1) starting from those counts.
+    Yields entry dicts, keyed in the order of cells, with the values of
+    each cell tried in increasing order: the first cell varies slowest.
+    `content` fixes the multiplicity of each value exactly, `budget` only
+    caps it, `max_entry` leaves it free.  When `init_counts` is given
+    (value -> count), every prefix of the reading word must keep count(i)
+    >= count(i+1) starting from those counts.  The counts must not increase
+    with the value, as they do not for {} or a partition, and a lattice
+    word keeps them so; then once count(v-1) is 0 no value from v up can
+    be placed, and the scan of a cell stops there.
+
+    One loop walks the cells with an explicit stack, the value and upper
+    bound of each placed cell, so the depth of the search is not bounded
+    by Python's recursion limit.
 
     The call and each filling are charged to the work meter (`_work`),
     by the cells and the values they run over.
@@ -234,46 +245,73 @@ def _fill(cells, is_ssyt, content=None, max_entry=None, budget=None,
     else:
         remaining = None
         nvals = max_entry
-    counts = dict(init_counts) if init_counts is not None else None
-    entries = {}
-    # fitted to the time of the Schur skew tables: a filling climbs one
-    # generator frame per cell, and dead ends try up to nvals values at each
+    # counts[v] for the values 1..nvals; no larger value is ever read
+    counts = (None if init_counts is None
+              else [init_counts.get(v, 0) for v in range(nvals + 1)])
+    # fitted to the time of the Schur skew tables when the filler recursed
+    # once per cell and tried up to nvals values at each.  Kept on purpose
+    # although the loop is faster: every command charges the units it did
+    # (test_work_charge_is_deterministic pins two of them in its ids), and
+    # a re-fit belongs with counting the fillings instead of enumerating
+    # them.
     per_filling = 4 + ncells * (2 + nvals) // 32
-
-    def rec(k):
+    # vals[k] is the value at cell k.  Past the cells, vals[ncells] = 0 and
+    # vals[ncells + 1] = nvals stand in for a missing neighbour, so the
+    # values of cell k run from vals[lo_at[k]] + 1 to vals[hi_at[k]]: the
+    # row and column conditions on the neighbours placed before it, the
+    # one below and the one to the right (SSYT) or the other way round.
+    (lo_dr, lo_dc), (hi_dr, hi_dc) = (
+        ((-1, 0), (0, 1)) if is_ssyt else ((0, 1), (-1, 0))
+    )
+    index = {}  # the cells before k
+    lo_at, hi_at = [], []
+    for k, cell in enumerate(cells):
+        r, c = cell
+        lo_at.append(index.get((r + lo_dr, c + lo_dc), ncells))
+        hi_at.append(index.get((r + hi_dr, c + hi_dc), ncells + 1))
+        index[cell] = k
+    # past the last cell no value is tried: a filling is complete there
+    lo_at.append(ncells)
+    hi_at.append(ncells)
+    vals = [0] * ncells + [0, nvals]
+    highs = [0] * ncells
+    # cell k is tried with the values above v up to hi
+    k = 0
+    v, hi = vals[lo_at[0]], vals[hi_at[0]]
+    while True:
         if k == ncells:
             charge(per_filling)
-            yield dict(entries)
-            return
-        cell = cells[k]
-        r, c = cell
-        right = entries.get((r, c + 1))
-        below = entries.get((r - 1, c))
-        # the row and column conditions bound v to the range lo..hi
-        if is_ssyt:
-            lo = 1 if below is None else below + 1
-            hi = nvals if right is None else min(right, nvals)
-        else:
-            lo = 1 if right is None else right + 1
-            hi = nvals if below is None else min(below, nvals)
-        for v in range(lo, hi + 1):
+            yield dict(zip(cells, vals))
+        while v < hi:
+            v += 1
             if remaining is not None and remaining[v - 1] == 0:
                 continue
             if counts is not None:
-                if v > 1 and counts.get(v, 0) + 1 > counts.get(v - 1, 0):
-                    continue
-                counts[v] = counts.get(v, 0) + 1
+                if v > 1:
+                    above = counts[v - 1]
+                    if counts[v] >= above:
+                        if above == 0:
+                            hi = v  # the lattice cut: end the scan
+                        continue
+                counts[v] += 1
             if remaining is not None:
                 remaining[v - 1] -= 1
-            entries[cell] = v
-            yield from rec(k + 1)
-            del entries[cell]
+            vals[k] = v
+            highs[k] = hi
+            k += 1
+            v, hi = vals[lo_at[k]], vals[hi_at[k]]
+            break
+        else:
+            # cell k has no value left: take back the value of the cell
+            # before it and try that cell's next value
+            k -= 1
+            if k < 0:
+                return
+            v, hi = vals[k], highs[k]
             if remaining is not None:
                 remaining[v - 1] += 1
             if counts is not None:
                 counts[v] -= 1
-
-    yield from rec(0)
 
 
 def _tableaux(cls, shape, **fill):

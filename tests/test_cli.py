@@ -269,6 +269,28 @@ def test_jdt_names_a_malformed_item(capsys):
         assert captured.err == f"symop: error: bad tableau JSON: {bad}\n"
 
 
+def test_jdt_names_a_malformed_blob(capsys):
+    # a blob that is not an object, a shape that is not a string and an
+    # entry that is not a number are each one `bad tableau JSON` line in
+    # the program's own words, not Python's
+    for blob, bad in (
+        ("[1]", "[1] is not an object"),
+        ('{"shape": 5, "entries": []}', "shape 5 is not a string"),
+        ('{"shape": [2], "entries": []}', "shape [2] is not a string"),
+        ('{"shape": "2,2/2", "entries": [[1, 0, 5], [1, 1, "x"]]}',
+         'entries item [1, 1, "x"] is not a list of 3 integers'),
+        ('{"shape": "2,2/2", "entries": [[1, 0, 5], [1, 1, true]]}',
+         "entries item [1, 1, true] is not a list of 3 integers"),
+        ('{"shape": "2,2/2", "entries": [[1, 0, 5], [1, 1, NaN]]}',
+         "entries item [1, 1, NaN] is not a list of 3 integers"),
+        ('{"shape": "2,2/2"}', "entries null is not a list"),
+    ):
+        assert cli.main(["jdt", blob]) == 2, blob
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"symop: error: bad tableau JSON: {bad}\n"
+
+
 def test_cmd_jdt_text(capsys):
     blob = json.dumps(
         {"shape": "2,2/2", "entries": [[1, 0, 5], [1, 1, 5]], "holes": [[0, 1]]}
@@ -385,8 +407,9 @@ def test_product_work_limit(capsys, monkeypatch):
         ["expand", "s[6,5,4,3,2,1]*s[6,5,4,3,2,1]"],
     ], _LOW_WORK)
     assert time.monotonic() - start < 5
-    # a product of 1,000 cells recurses once per cell, past Python's
-    # recursion limit: still one line and exit 2
+    # a product of 1,000 cells answers under the real budget (see
+    # test_recursion_over_input_size_is_not_called_nesting); this low
+    # budget refuses it, still with one line and exit 2
     assert cli.main(["expand", "s[500]*s[500]"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and len(captured.err.splitlines()) == 1
@@ -686,17 +709,22 @@ def test_matrix_refuses_operator_coefficients_past_the_digit_limit(capsys):
 
 
 def test_recursion_over_input_size_is_not_called_nesting(capsys):
-    # neither input is nested: mn_character recurses once per part of rho
-    # and the tableau filler once per cell of the product shape
-    for argv in (["char", "1200", ",".join(["1"] * 1200)],
-                 ["expand", "s[500]*s[500]"],
-                 ["apply", "U(s[500]*s[500])", "s[1]"]):
-        assert cli.main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"symop: error: {cli._TOO_LARGE}\n"
-        assert "input too large" in captured.err
-        assert "nested" not in captured.err
+    # rho = 1^1200 is not nested: mn_character recurses once per part of rho
+    argv = ["char", "1200", ",".join(["1"] * 1200)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"symop: error: {cli._TOO_LARGE}\n"
+    assert "input too large" in captured.err
+    assert "nested" not in captured.err
+    # the tableau filler keeps its own stack, so a product of 1,000 cells
+    # answers under the real budget
+    assert cli.main(["expand", "s[500]*s[500]"]) == 0
+    terms = capsys.readouterr().out.rstrip("\n").split(" + ")
+    assert len(terms) == 501
+    assert terms[0] == "s[1000]" and terms[-1] == "s[500,500]"
+    assert cli.main(["apply", "U(s[500]*s[500])", "s[1]"]) == 0
+    assert capsys.readouterr().out.startswith("s[1001] + 2*s[1000,1] + ")
 
 
 def test_negative_max_deg_rejected(capsys):

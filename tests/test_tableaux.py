@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from symop import cli, partitions as pt, symfunc as sf, tableaux as tb
+from symop import _work, cli, partitions as pt, symfunc as sf, tableaux as tb
 from symop.partitions import Cell, SkewShape
 
 # the worked ASSYT/SSYT pair used throughout: an ASSYT of shape (3,3)/(1)
@@ -17,6 +17,121 @@ T2_ENTRIES = {
     (2, 4): 3,
     (3, 1): 5, (3, 2): 6,
 }
+
+
+def _recursive_fill(cells, is_ssyt, content=None, max_entry=None,
+                    budget=None, init_counts=None):
+    """The recursive generator that `tb._fill` replaced, kept as the
+    reference for its yield order and its work charges."""
+    ncells = len(cells)
+    charge = _work.charge
+    charge(2 + 3 * ncells)
+    if content is not None:
+        if sum(content) != ncells:
+            return
+        remaining = list(content)
+        nvals = len(content)
+    elif budget is not None:
+        remaining = list(budget)
+        nvals = len(budget)
+    else:
+        remaining = None
+        nvals = max_entry
+    counts = dict(init_counts) if init_counts is not None else None
+    entries = {}
+    per_filling = 4 + ncells * (2 + nvals) // 32
+
+    def rec(k):
+        if k == ncells:
+            charge(per_filling)
+            yield dict(entries)
+            return
+        cell = cells[k]
+        r, c = cell
+        right = entries.get((r, c + 1))
+        below = entries.get((r - 1, c))
+        if is_ssyt:
+            lo = 1 if below is None else below + 1
+            hi = nvals if right is None else min(right, nvals)
+        else:
+            lo = 1 if right is None else right + 1
+            hi = nvals if below is None else min(below, nvals)
+        for v in range(lo, hi + 1):
+            if remaining is not None and remaining[v - 1] == 0:
+                continue
+            if counts is not None:
+                if v > 1 and counts.get(v, 0) + 1 > counts.get(v - 1, 0):
+                    continue
+                counts[v] = counts.get(v, 0) + 1
+            if remaining is not None:
+                remaining[v - 1] -= 1
+            entries[cell] = v
+            yield from rec(k + 1)
+            del entries[cell]
+            if remaining is not None:
+                remaining[v - 1] += 1
+            if counts is not None:
+                counts[v] -= 1
+
+    yield from rec(0)
+
+
+def _fill_modes(size):
+    """Keyword sets for `_fill` on a shape of the given size: every
+    content of at most three values, a few budgets and max_entry 1-4."""
+    contents = [(a, b, size - a - b) for a in range(size + 1)
+                for b in range(size + 1 - a)]
+    contents += [(size,), (), (1,) * size]
+    budgets = [(2,), (2, 2), (3, 1, 1), (1, 2, 2), (2, 0, 3)]
+    return ([{"content": c} for c in contents]
+            + [{"budget": b} for b in budgets]
+            + [{"max_entry": m} for m in range(1, 5)])
+
+
+def _spent(fill, cells, is_ssyt, **kw):
+    """The dicts fill yields and the work units it charges for them."""
+    start = 10**12
+    _work.set_budget(start)
+    try:
+        got = list(fill(cells, is_ssyt, **kw))
+        return got, start - _work._left
+    finally:
+        _work.set_budget(None)
+
+
+def test_fill_matches_the_recursive_filler_up_to_5():
+    # same dicts, in the same order and with the same key order, and the
+    # same units, for both reading orders of every skew shape with outer
+    # size <= 5 and every mode, with and without a lattice condition
+    calls = fillings = 0
+    for outer in pt.partitions_upto(5):
+        for inner in pt.sub_partitions(outer):
+            shape = SkewShape(outer, inner)
+            for is_ssyt, reading in ((True, tb._ssyt_reading_cells),
+                                     (False, tb._assyt_reading_cells)):
+                cells = reading(shape)
+                for mode in _fill_modes(shape.size):
+                    for init_counts in (None, {}, {1: 2, 2: 1}):
+                        kw = dict(mode, init_counts=init_counts)
+                        want, want_units = _spent(
+                            _recursive_fill, cells, is_ssyt, **kw)
+                        got, units = _spent(tb._fill, cells, is_ssyt, **kw)
+                        assert got == want, (shape, is_ssyt, kw)
+                        assert [list(d) for d in got] == [list(d) for d in want]
+                        assert units == want_units, (shape, is_ssyt, kw)
+                        calls += 1
+                        fillings += len(got)
+    assert calls > 10_000 and fillings > 10_000
+
+
+def test_fill_of_1000_cells_needs_no_recursion():
+    # deeper than Python's recursion limit: the filler keeps its own stack
+    row = tb._ssyt_reading_cells(SkewShape((1000,)))
+    assert [len(d) for d in tb._fill(row, True, max_entry=1)] == [1000]
+    two_rows = tb._ssyt_reading_cells(SkewShape((500, 500)))
+    (lr,) = tb._fill(two_rows, True, content=(500, 500), init_counts={})
+    assert sorted(Counter(lr.values()).items()) == [(1, 500), (2, 500)]
+    assert tb.count_lr_fillings(SkewShape((1000,), (500,)), (500,)) == 1
 
 
 def _pair_tableaux():
