@@ -18,13 +18,16 @@ verify_jdt_bijection trusts the entry dicts that _fill yields, which are
 semistandard by construction: it slides them in place with the same
 _slide as jdt_slide and builds a tableau only to report a failure.
 
-The skew Littlewood-Richardson rule runs one enumeration, the private
-_skew_lr_fillings, with three views of it.  skew_lr_pairs wraps its entry
-dicts in validated ASSYT/SSYT pairs, the explicit bijection.
-skew_lr_terms and skew_lr_product build no tableau: the terms are the
-signed shapes of the pairs, in the same order, and the product counts the
-fillings with their signs per shape and adds one memoized skew table per
-distinct shape.
+The skew Littlewood-Richardson rule runs one enumeration in two halves,
+the private _skew_lr_halves: the outer half yields the ASSYT fillings
+with their contents, and the inner half the SSYT completions of one
+content.  There are three views of it.  skew_lr_pairs wraps the entry
+dicts of both halves, run per ASSYT filling (_skew_lr_fillings), in
+validated ASSYT/SSYT pairs, the explicit bijection.  skew_lr_terms and
+skew_lr_product build no tableau: the terms are the signed shapes of the
+pairs, in the same order, and the product counts the completions of each
+content once, adds them with their signs per (gamma_plus, beta_minus)
+and adds one memoized skew table per pair whose count is nonzero.
 """
 
 from collections import Counter
@@ -203,8 +206,37 @@ def is_delta_lattice(word, delta):
 # ---------------------------------------------------------------------------
 # enumeration
 
+def _plan(cells, is_ssyt):
+    """The neighbour plan of `_fill` for cells in the reading order of the
+    tableau family: (lo_at, hi_at), where the values of cell k run from
+    vals[lo_at[k]] + 1 to vals[hi_at[k]] over the values vals of the cells.
+
+    lo_at[k] and hi_at[k] index the neighbours placed before cell k that
+    bound it by the row and column conditions: the one below and the one
+    to the right (SSYT), or the other way round (ASSYT).  A missing
+    neighbour is the sentinel len(cells), which holds 0, or len(cells) +
+    1, which holds the largest value.  One more entry, past the last
+    cell, points both bounds at the sentinel 0, so no value is tried
+    there: a filling is complete.
+    """
+    ncells = len(cells)
+    (lo_dr, lo_dc), (hi_dr, hi_dc) = (
+        ((-1, 0), (0, 1)) if is_ssyt else ((0, 1), (-1, 0))
+    )
+    index = {}  # the cells before k
+    lo_at, hi_at = [], []
+    for k, cell in enumerate(cells):
+        r, c = cell
+        lo_at.append(index.get((r + lo_dr, c + lo_dc), ncells))
+        hi_at.append(index.get((r + hi_dr, c + hi_dc), ncells + 1))
+        index[cell] = k
+    lo_at.append(ncells)
+    hi_at.append(ncells)
+    return tuple(lo_at), tuple(hi_at)
+
+
 def _fill(cells, is_ssyt, content=None, max_entry=None, budget=None,
-          init_counts=None):
+          init_counts=None, plan=None):
     """Backtracking filler shared by the enumerators.
 
     Cells must come in the reading order of the tableau family, so the
@@ -226,7 +258,10 @@ def _fill(cells, is_ssyt, content=None, max_entry=None, budget=None,
 
     One loop walks the cells with an explicit stack, the value and upper
     bound of each placed cell, so the depth of the search is not bounded
-    by Python's recursion limit.
+    by Python's recursion limit.  Each cell is bounded through the
+    neighbour plan of `_plan`; a caller that fills one reading order many
+    times passes the plan it keeps with the cells as `plan`, and without
+    one the call builds it.
 
     The call and each filling are charged to the work meter (`_work`),
     by the cells and the values they run over.
@@ -251,28 +286,12 @@ def _fill(cells, is_ssyt, content=None, max_entry=None, budget=None,
     # fitted to the time of the Schur skew tables when the filler recursed
     # once per cell and tried up to nvals values at each.  Kept on purpose
     # although the loop is faster: every command charges the units it did
-    # (test_work_charge_is_deterministic pins two of them in its ids), and
-    # a re-fit belongs with counting the fillings instead of enumerating
-    # them.
+    # (test_work_charge_is_deterministic pins two of them), and a re-fit
+    # belongs with counting the fillings instead of enumerating them.
     per_filling = 4 + ncells * (2 + nvals) // 32
-    # vals[k] is the value at cell k.  Past the cells, vals[ncells] = 0 and
-    # vals[ncells + 1] = nvals stand in for a missing neighbour, so the
-    # values of cell k run from vals[lo_at[k]] + 1 to vals[hi_at[k]]: the
-    # row and column conditions on the neighbours placed before it, the
-    # one below and the one to the right (SSYT) or the other way round.
-    (lo_dr, lo_dc), (hi_dr, hi_dc) = (
-        ((-1, 0), (0, 1)) if is_ssyt else ((0, 1), (-1, 0))
-    )
-    index = {}  # the cells before k
-    lo_at, hi_at = [], []
-    for k, cell in enumerate(cells):
-        r, c = cell
-        lo_at.append(index.get((r + lo_dr, c + lo_dc), ncells))
-        hi_at.append(index.get((r + hi_dr, c + hi_dc), ncells + 1))
-        index[cell] = k
-    # past the last cell no value is tried: a filling is complete there
-    lo_at.append(ncells)
-    hi_at.append(ncells)
+    # vals[k] is the value at cell k, and vals[ncells] = 0 and
+    # vals[ncells + 1] = nvals stand in for a missing neighbour (`_plan`)
+    lo_at, hi_at = _plan(cells, is_ssyt) if plan is None else plan
     vals = [0] * ncells + [0, nvals]
     highs = [0] * ncells
     # cell k is tried with the values above v up to hi
@@ -471,49 +490,81 @@ def skew_pieri(k, shape):
     )
 
 
-def _skew_lr_fillings(a, b):
-    """The one enumeration of the skew Littlewood-Richardson rule for the
-    product of the skew Schur functions of shapes a and b, as raw entry
-    dicts: no tableau is built and none is validated.
+def _skew_lr_halves(a, b):
+    """The two halves of the one enumeration of the skew
+    Littlewood-Richardson rule for the product of the skew Schur functions
+    of shapes a and b, as raw entry dicts: no tableau is built and none is
+    validated.  Returns (fillings, completions).
 
-    Yields (sign, shape1, d1, shape2, d2, shape), one per pair of
-    `skew_lr_pairs` and in its order: d1 holds the entries of its ASSYT
-    of shape1 and d2 those of its SSYT of shape2, both semistandard by
-    construction (`_fill`).  The loop runs over bm in
-    `sub_partitions(b.inner)`, then the fillings d1, then gp in the
-    `_growths` order, then the fillings d2; one shape object gp/bm is
-    shared by every d2 of one (d1, gp).
+    The outer half, the generator `fillings`, runs over bm in
+    `sub_partitions(b.inner)` and then the ASSYT fillings d1 of
+    shape1 = b.inner/bm (`_fill`).  It yields (sign, bm, shape1, d1,
+    used), with used the content of d1 as a tuple over the values 1 to
+    len(a.outer).
+
+    The inner half, `completions(used)`, depends on d1 only through used:
+    for each gp in the `_growths` order it yields (gp, shape2, d2s), where
+    d2s is the `_fill` generator of the SSYT d2 of shape2 = gp/b.outer
+    that complete any d1 of that content.  The entry dicts of both halves
+    are semistandard by construction.
     """
     alpha, delta = a.outer, a.inner
     gamma, beta = b.outer, b.inner
     nvals = len(alpha)
     target = [alpha[i] - pt.part_at(delta, i) for i in range(nvals)]
-    if any(x < 0 for x in target):
-        return
     total = sum(target)
     init_counts = {i: part for i, part in enumerate(delta, start=1)}
-    # every shape below nests by construction: beta_minus <= beta <= gamma
-    # <= gamma_plus, all canonical
-    for beta_minus in pt.sub_partitions(beta):
-        shape1 = SkewShape._trusted(beta, beta_minus)
-        size1 = shape1.size
-        if size1 > total:
-            continue
-        sign = -1 if size1 % 2 else 1
-        cells1 = _assyt_reading_cells(shape1)
-        growths = _growths(gamma, sum(gamma) + total - size1)
-        for d1 in _fill(cells1, False, budget=target,
-                        init_counts=init_counts):
-            used = Counter(d1.values())
-            remaining = tuple(target[i] - used.get(i + 1, 0) for i in range(nvals))
-            counts1 = dict(init_counts)
-            for v, m in used.items():
-                counts1[v] = counts1.get(v, 0) + m
-            for gamma_plus, shape2, cells2 in growths:
-                shape = SkewShape._trusted(gamma_plus, beta_minus)
-                for d2 in _fill(cells2, True, content=remaining,
-                                init_counts=counts1):
-                    yield sign, shape1, d1, shape2, d2, shape
+    size = sum(gamma)
+
+    def fillings():
+        if any(x < 0 for x in target):
+            return
+        # every shape below nests by construction: beta_minus <= beta <=
+        # gamma <= gamma_plus, all canonical
+        for beta_minus in pt.sub_partitions(beta):
+            shape1 = SkewShape._trusted(beta, beta_minus)
+            size1 = shape1.size
+            if size1 > total:
+                continue
+            sign = -1 if size1 % 2 else 1
+            cells1 = _assyt_reading_cells(shape1)
+            for d1 in _fill(cells1, False, budget=target,
+                            init_counts=init_counts):
+                used = [0] * nvals
+                for v in d1.values():
+                    used[v - 1] += 1
+                yield sign, beta_minus, shape1, d1, tuple(used)
+
+    def completions(used):
+        remaining = tuple(t - u for t, u in zip(target, used))
+        counts1 = {v: pt.part_at(delta, v - 1) + m
+                   for v, m in enumerate(used, start=1)}
+        for gamma_plus, shape2, cells2, plan2 in _growths(
+                gamma, size + sum(remaining)):
+            yield gamma_plus, shape2, _fill(
+                cells2, True, content=remaining, init_counts=counts1,
+                plan=plan2)
+
+    return fillings(), completions
+
+
+def _skew_lr_fillings(a, b):
+    """The fillings of the skew Littlewood-Richardson rule, both halves of
+    `_skew_lr_halves` run per ASSYT filling d1.
+
+    Yields (sign, shape1, d1, shape2, d2, shape), one per pair of
+    `skew_lr_pairs` and in its order: d1 holds the entries of its ASSYT
+    of shape1 and d2 those of its SSYT of shape2.  The loop runs over bm,
+    then the fillings d1, then gp in the `_growths` order, then the
+    fillings d2; one shape object gp/bm is shared by every d2 of one
+    (d1, gp).
+    """
+    fillings, completions = _skew_lr_halves(a, b)
+    for sign, beta_minus, shape1, d1, used in fillings:
+        for gamma_plus, shape2, d2s in completions(used):
+            shape = SkewShape._trusted(gamma_plus, beta_minus)
+            for d2 in d2s:
+                yield sign, shape1, d1, shape2, d2, shape
 
 
 def skew_lr_pairs(a, b):
@@ -534,16 +585,47 @@ def skew_lr_pairs(a, b):
 
 @cache
 def _growths(gamma, n):
-    """(gamma_plus, gamma_plus/gamma, its SSYT reading order) for every
-    gamma_plus of size n containing gamma, in partitions_of order."""
+    """(gamma_plus, gamma_plus/gamma, its SSYT reading order, the `_plan`
+    of that order) for every gamma_plus of size n containing gamma, in
+    partitions_of order (reverse lexicographic).
+
+    Only those partitions are visited, row by row from the bottom.  The
+    first takes each row as long as the rows above it leave room for the
+    rows of gamma there.  Each next one takes a cell off the highest row
+    that can lose one and stay at least 1 and at least gamma's row, then
+    refills the rows above it the same way, none longer than the row
+    below.  Each partition is charged by its rows.
+    """
+    rows = len(gamma)
+    # rest[i]: the cells of gamma in row i and above
+    rest = [0] * (rows + 1)
+    for i in range(rows - 1, -1, -1):
+        rest[i] = rest[i + 1] + gamma[i]
+    if n < rest[0]:
+        return ()
     out = []
-    parts = pt.partitions_of(n)
-    _work.charge(len(parts) // 4)
-    for gamma_plus in parts:
-        if pt.contains(gamma, gamma_plus):
-            shape2 = SkewShape._trusted(gamma_plus, gamma)
-            out.append((gamma_plus, shape2, tuple(_ssyt_reading_cells(shape2))))
-    return tuple(out)
+    parts, left, cap = [], n, n
+    while True:
+        while left:
+            i = len(parts)
+            v = min(cap, left - (rest[i + 1] if i < rows else 0))
+            parts.append(v)
+            left -= v
+            cap = v
+        _work.charge(len(parts))
+        gamma_plus = pt._intern(tuple(parts))
+        shape2 = SkewShape._trusted(gamma_plus, gamma)
+        cells2 = tuple(_ssyt_reading_cells(shape2))
+        out.append((gamma_plus, shape2, cells2, _plan(cells2, True)))
+        i = len(parts) - 1
+        while i >= 0 and parts[i] <= max(1, pt.part_at(gamma, i)):
+            i -= 1
+        if i < 0:
+            return tuple(out)
+        cap = parts[i] - 1
+        left = sum(parts[i + 1:]) + 1
+        parts[i] = cap
+        del parts[i + 1:]
 
 
 def skew_lr_terms(a, b):
@@ -555,17 +637,32 @@ def skew_lr_terms(a, b):
 
 def skew_lr_product(a, b):
     """Product of two skew Schur functions via the skew LR rule, collapsed
-    to the Schur basis.  No tableau is built: the fillings are counted
-    with their signs per shape gp/bm, and each shape whose count is
-    nonzero adds that count times its memoized skew table
-    (`symfunc._schur_skew_terms`) into one integer dict."""
+    to the Schur basis.  No tableau is built and no filling is kept.
+
+    The completions depend on an ASSYT filling only through its content
+    (`_skew_lr_halves`), so each content's SSYT completions are counted
+    once per call, as [(gp, count)] over its nonzero counts, and every
+    ASSYT filling of that content adds sign * count under (gp, bm).  Each
+    (gp, bm) whose total is nonzero then adds that total times its
+    memoized skew table (`symfunc._schur_skew_terms`) into one integer
+    dict.  The counts of a call are dropped when it returns."""
+    fillings, completions = _skew_lr_halves(a, b)
+    by_content = {}
     counts = {}
-    for sign, _s1, _d1, _s2, _d2, shape in _skew_lr_fillings(a, b):
-        counts[shape] = counts.get(shape, 0) + sign
+    for sign, beta_minus, _s1, _d1, used in fillings:
+        found = by_content.get(used)
+        if found is None:
+            found = by_content[used] = [
+                (gamma_plus, n) for gamma_plus, _s2, d2s in completions(used)
+                if (n := sum(1 for _ in d2s))
+            ]
+        for gamma_plus, n in found:
+            key = gamma_plus, beta_minus
+            counts[key] = counts.get(key, 0) + sign * n
     out = {}
-    for shape, n in counts.items():
+    for (outer, inner), n in counts.items():
         if n:
-            sf._add_into(out, sf._schur_skew_terms(shape.outer, shape.inner), n)
+            sf._add_into(out, sf._schur_skew_terms(outer, inner), n)
     return sf._from_ints("s", out)
 
 
@@ -618,15 +715,17 @@ _remove_cell = cache(pt.remove_cell)
 
 @cache
 def _reading_order(outer, inner):
-    """SSYT reading order of outer/inner, for canonical nested partitions."""
-    return tuple(_ssyt_reading_cells(SkewShape._trusted(outer, inner)))
+    """(SSYT reading order of outer/inner, its `_plan`), for canonical
+    nested partitions."""
+    cells = tuple(_ssyt_reading_cells(SkewShape._trusted(outer, inner)))
+    return cells, _plan(cells, True)
 
 
 def _reading_words(outer, inner, bound):
     """The values, in SSYT reading order, of every SSYT of outer/inner with
     entries in 1..bound."""
-    cells = _reading_order(outer, inner)
-    for entries in _fill(cells, True, max_entry=bound):
+    cells, plan = _reading_order(outer, inner)
+    for entries in _fill(cells, True, max_entry=bound, plan=plan):
         yield tuple(map(entries.__getitem__, cells))
 
 
@@ -636,7 +735,7 @@ def _tableau_json(outer, inner, values):
     # only a failure needs json, so `import symop` does not pay for it
     import json
 
-    cells = _reading_order(outer, inner)
+    cells, _ = _reading_order(outer, inner)
     return json.dumps({
         "shape": str(SkewShape._trusted(outer, inner)),
         "entries": sorted([r, c, v] for (r, c), v in zip(cells, values)),
@@ -683,13 +782,13 @@ def verify_jdt_bijection(alpha, theta):
     for gamma in pt.add_set(alpha):
         for delta in pt.add_restrict(theta, alpha):
             b_cell = _added_cell(theta, delta)
-            cells = _reading_order(gamma, delta)
-            for entries in _fill(cells, True, max_entry=bound):
+            cells, plan = _reading_order(gamma, delta)
+            for entries in _fill(cells, True, max_entry=bound, plan=plan):
                 checked += 1
                 # case (a) moves nothing, and b_cell leaves gamma instead
                 vacated = _slide(entries, b_cell, 1) or b_cell
                 beta = _remove_cell(gamma, vacated)
-                values = tuple(map(entries.__getitem__, _reading_order(beta, theta)))
+                values = tuple(map(entries.__getitem__, _reading_order(beta, theta)[0]))
                 # case (c) vacates gamma/alpha, cases (a) and (b) any other cell
                 if beta == alpha:
                     got_c[values] = got_c.get(values, 0) + 1

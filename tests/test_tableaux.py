@@ -124,6 +124,37 @@ def test_fill_matches_the_recursive_filler_up_to_5():
     assert calls > 10_000 and fillings > 10_000
 
 
+def test_fill_with_a_cached_plan_matches_its_own_plan():
+    # the plan that _growths keeps next to each reading order gives the
+    # same dicts, key order and units as the plan _fill builds per call
+    calls = 0
+    for gamma in pt.partitions_upto(4):
+        for n in range(sum(gamma), 8):
+            for _gp, shape2, cells2, plan2 in tb._growths(gamma, n):
+                for mode in _fill_modes(shape2.size):
+                    for init_counts in (None, {}, {1: 2, 2: 1}):
+                        kw = dict(mode, init_counts=init_counts)
+                        want, want_units = _spent(tb._fill, cells2, True, **kw)
+                        got, units = _spent(
+                            tb._fill, cells2, True, plan=plan2, **kw)
+                        assert got == want, (shape2, kw)
+                        assert [list(d) for d in got] == [list(d) for d in want]
+                        assert units == want_units, (shape2, kw)
+                        calls += 1
+    assert calls > 1000
+
+
+def test_growths_are_the_containing_partitions_in_order():
+    for gamma in pt.partitions_upto(7):
+        for n in range(11):
+            want = [gp for gp in pt.partitions_of(n) if pt.contains(gamma, gp)]
+            growths = tb._growths(gamma, n)
+            assert [gp for gp, *_ in growths] == want, (gamma, n)
+            for gp, shape2, cells2, _plan in growths:
+                assert shape2 == SkewShape(gp, gamma)
+                assert cells2 == tuple(tb._ssyt_reading_cells(shape2))
+
+
 def test_fill_of_1000_cells_needs_no_recursion():
     # deeper than Python's recursion limit: the filler keeps its own stack
     row = tb._ssyt_reading_cells(SkewShape((1000,)))
@@ -464,8 +495,8 @@ def test_in_place_slide_agrees_with_jdt_slide_up_to_4():
                 for delta in pt.add_restrict(theta, alpha):
                     hole = tb._added_cell(theta, delta)
                     shape = SkewShape(gamma, delta)
-                    cells = tb._reading_order(gamma, delta)
-                    for d in tb._fill(cells, True, max_entry=bound):
+                    cells, plan = tb._reading_order(gamma, delta)
+                    for d in tb._fill(cells, True, max_entry=bound, plan=plan):
                         t = tb.SSYT(shape, d)
                         vacated = tb._slide(d, hole, 1)
                         t2, want = tb.jdt_slide(t, hole)
@@ -625,6 +656,29 @@ def test_skew_lr_product_and_terms_build_no_tableau(monkeypatch):
         next(tb.skew_lr_pairs(a, b))
     assert tb.skew_lr_terms(a, b) == want_terms
     assert tb.skew_lr_product(a, b) == want
+
+
+def test_skew_lr_product_counts_each_content_once(monkeypatch):
+    # bm = (2) and bm = (1,1) leave one cell each, so their ASSYT fillings
+    # repeat every content of one cell; the product counts the SSYT
+    # completions of each content once, the terms run them per filling
+    a, b = pt.parse_skew("2,1"), pt.parse_skew("3,2,1/2,1")
+    want = sf.mul(sf.skew_schur(a), sf.skew_schur(b))
+    assert tb.skew_lr_product(a, b) == want  # fills the memo tables
+    fill = tb._fill
+    ssyt_calls = []
+
+    def counted(cells, is_ssyt, **kw):
+        ssyt_calls.append(is_ssyt)
+        return fill(cells, is_ssyt, **kw)
+
+    monkeypatch.setattr(tb, "_fill", counted)
+    assert tb.skew_lr_product(a, b) == want
+    product_calls = sum(ssyt_calls)
+    ssyt_calls.clear()
+    tb.skew_lr_terms(a, b)
+    terms_calls = sum(ssyt_calls)
+    assert 0 < product_calls < terms_calls
 
 
 def test_skew_lr_classical_case():
