@@ -267,9 +267,10 @@ class _Parser:
 
 # The parser recurses once per nesting level of the input.  Any other
 # recursion that overflows grows with the size of the input instead:
-# `coeffs.mn_character` recurses once per part of rho.  (`tableaux._fill`
-# keeps its own stack, so a product of any number of cells meets only the
-# work budget.)
+# `coeffs.mn_character` per part of rho, `symfunc._he_to_schur` per part
+# of an h or e index, `symfunc._schur_to_h` per row of its shape.
+# (`tableaux._fill` keeps its own stack and the partition families are one
+# loop, so a product or skew rule of any number of cells meets the budget.)
 _TOO_LARGE = "input too large for Python's recursion limit"
 
 

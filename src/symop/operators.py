@@ -35,7 +35,6 @@ row elimination of `stacked_rank`; so a budget bounds an application, a
 truncated matrix and a rank like any other computation.
 """
 
-from collections.abc import Mapping
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -479,24 +478,6 @@ def _push_row(pivots, row):
         if not new:
             return
         row = _primitive(new)
-
-
-def _integer_rank(rows):
-    """Rank of an exact rational matrix, given as rows that are dense
-    sequences or mappings column -> entry, the entries ints or Fractions.
-
-    Each nonzero row is put over the lcm of its denominators as a sparse
-    primitive integer row {column: int} (zero rows are dropped) and pushed
-    into one echelon by `_push_row`."""
-    pivots = {}
-    for row in rows:
-        pairs = row.items() if isinstance(row, Mapping) else enumerate(row)
-        row = {k: x for k, x in pairs if x}
-        if row:
-            d = lcm(*(x.denominator for x in row.values()))
-            row = {k: x.numerator * (d // x.denominator) for k, x in row.items()}
-            _push_row(pivots, _primitive(row))
-    return len(pivots)
 
 
 def stacked_rank(exprs, dom_max_degree):

@@ -6,11 +6,14 @@ convention throughout: row 0 is the bottom (longest) row and columns grow
 upward, so a cell is addressed as Cell(row, col) counted from the bottom
 left.
 
-The enumerations charge the work meter (`_work`) one unit per node of
-their recursion.
+Every partition family (partitions_of, sub_partitions and the strips)
+is listed by one reverse-lexicographic loop, `_between`, which charges
+the work meter (`_work`) by the rows each of its steps scans.
 """
 
+from bisect import bisect_right
 from functools import cache
+from itertools import accumulate
 from math import factorial
 from typing import NamedTuple
 
@@ -211,26 +214,61 @@ def _canonical(parts):
     return make_partition(parts)
 
 
+def _between(floor, cap, n):
+    """The partitions of n with floor_i <= nu_i <= cap_i in every row i, in
+    reverse-lexicographic order, from one loop with no recursion and no
+    sort.  floor and cap are weakly decreasing, missing rows and trailing
+    zeros read as 0, and floor is contained in cap unless |floor| > n.
+
+    The first nu takes each row as long as it can while the rows after it
+    still hold floor there.  Each next one takes a cell off the last row
+    that can lose one and still leave room for the cells after it, then
+    refills the rows after that row the same way: no step ends in a dead
+    end.  The room of the rows after i, none longer than v, is
+    sum_j min(cap_j, v), read off the suffix sums of cap.  Each partition
+    is charged by the rows that the step after it scans back over, so a
+    family costs as many units as its prefix tree has nodes.
+    """
+    rows = len(cap)
+    floor = tuple(floor) + (0,) * (rows - len(floor))
+    floor_rest = list(accumulate(reversed(floor), initial=0))[::-1]
+    cap_rest = list(accumulate(reversed(cap), initial=0))[::-1]
+    if not floor_rest[0] <= n <= cap_rest[0]:
+        return
+    neg_cap, low = [-c for c in cap], min(cap, default=0)
+    parts, left, prev = [], n, n
+    while True:
+        i = len(parts)
+        while left:
+            prev = min(cap[i], prev, left - floor_rest[i + 1])
+            parts.append(prev)
+            left -= prev
+            i += 1
+        yield tuple(parts)
+        top, after = i, 0
+        while i:
+            i -= 1
+            v = parts[i] - 1
+            # rows i+1 .. k-1 hold v cells each, the rows from k on their cap
+            k = rows if low >= v else bisect_right(neg_cap, -v, i + 1)
+            if v >= floor[i] and after < v * (k - i - 1) + cap_rest[k]:
+                break
+            after += parts[i]
+        else:
+            _work.charge(top + 1)
+            return
+        _work.charge(top - i)
+        parts[i] = prev = v
+        del parts[i + 1:]
+        left = after + 1
+
+
 @cache
 def partitions_of(n):
     """All partitions of n, in reverse-lexicographic order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out = []
-    charge = _work.charge
-
-    def rec(remaining, maxpart, prefix):
-        charge()
-        if remaining == 0:
-            out.append(_intern(tuple(prefix)))
-            return
-        for k in range(min(maxpart, remaining), 0, -1):
-            prefix.append(k)
-            rec(remaining - k, k, prefix)
-            prefix.pop()
-
-    rec(n, n, [])
-    return tuple(out)
+    return tuple(map(_intern, _between((), (n,) * n, n)))
 
 
 def partitions_upto(n):
@@ -254,21 +292,8 @@ def sub_partitions(lam, max_size=None):
 def _sub_partitions(lam):
     """The partitions contained in lam as a sorted tuple of interned
     tuples, one enumeration per lam."""
-    out = [_intern(())]
-    charge = _work.charge
-
-    def rec(i, cap, prefix):
-        charge()
-        if i >= len(lam):
-            return
-        for v in range(1, min(cap, lam[i]) + 1):
-            prefix.append(v)
-            out.append(_intern(tuple(prefix)))
-            rec(i + 1, v, prefix)
-            prefix.pop()
-
-    rec(0, lam[0] if lam else 0, [])
-    return tuple(sorted(out, key=sort_key))
+    return tuple(_intern(mu) for m in range(sum(lam) + 1)
+                 for mu in _between((), lam, m))
 
 
 def z_factor(lam):
@@ -286,31 +311,10 @@ def horizontal_strips_above(gamma, k):
     """Partitions g+ containing gamma with g+/gamma a k-horizontal strip.
 
     Horizontal strip: at most one new box per column, which is the
-    interlacing condition gamma_{i-1} >= g+_i >= gamma_i.  Row j > 0 takes
-    at most gamma_{j-1} - gamma_j boxes, so the rows above row i take at
-    most gamma_i in all, and row i itself must reach at least the number
-    of boxes still to place; with that bound every branch ends in a
-    strip.
+    interlacing condition gamma_{i-1} >= g+_i >= gamma_i.
     """
-    rows = len(gamma) + 1
-    out = []
-    charge = _work.charge
-
-    def rec(i, remaining, prefix):
-        charge()
-        if i == rows:
-            if remaining == 0:
-                out.append(tuple(x for x in prefix if x))
-            return
-        lo = part_at(gamma, i)
-        hi = part_at(gamma, i - 1) if i > 0 else lo + remaining
-        for v in range(max(lo, remaining), min(hi, lo + remaining) + 1):
-            prefix.append(v)
-            rec(i + 1, remaining - (v - lo), prefix)
-            prefix.pop()
-
-    rec(0, k, [])
-    return sorted(out, key=sort_key)
+    cap = (part_at(gamma, 0) + k, *gamma)
+    return list(_between(gamma, cap, sum(gamma) + k))
 
 
 def vertical_strips_below(beta, i):
@@ -318,25 +322,7 @@ def vertical_strips_below(beta, i):
 
     Vertical strip: at most one box removed per row.
     """
-    out = []
-    charge = _work.charge
-
-    def rec(r, remaining, prefix):
-        charge()
-        if r == len(beta):
-            if remaining == 0:
-                out.append(tuple(x for x in prefix if x))
-            return
-        for drop in (0, 1):
-            v = beta[r] - drop
-            if drop > remaining or (prefix and v > prefix[-1]):
-                continue
-            prefix.append(v)
-            rec(r + 1, remaining - drop, prefix)
-            prefix.pop()
-
-    rec(0, i, [])
-    return sorted(out, key=sort_key)
+    return list(_between([x - 1 for x in beta], beta, sum(beta) - i))
 
 
 class SkewShape:

@@ -587,45 +587,16 @@ def skew_lr_pairs(a, b):
 def _growths(gamma, n):
     """(gamma_plus, gamma_plus/gamma, its SSYT reading order, the `_plan`
     of that order) for every gamma_plus of size n containing gamma, in
-    partitions_of order (reverse lexicographic).
-
-    Only those partitions are visited, row by row from the bottom.  The
-    first takes each row as long as the rows above it leave room for the
-    rows of gamma there.  Each next one takes a cell off the highest row
-    that can lose one and stay at least 1 and at least gamma's row, then
-    refills the rows above it the same way, none longer than the row
-    below.  Each partition is charged by its rows.
-    """
-    rows = len(gamma)
-    # rest[i]: the cells of gamma in row i and above
-    rest = [0] * (rows + 1)
-    for i in range(rows - 1, -1, -1):
-        rest[i] = rest[i + 1] + gamma[i]
-    if n < rest[0]:
-        return ()
+    partitions_of order (reverse lexicographic).  Only those partitions
+    are visited (`partitions._between`), each charged by the rows that
+    its step scans."""
     out = []
-    parts, left, cap = [], n, n
-    while True:
-        while left:
-            i = len(parts)
-            v = min(cap, left - (rest[i + 1] if i < rows else 0))
-            parts.append(v)
-            left -= v
-            cap = v
-        _work.charge(len(parts))
-        gamma_plus = pt._intern(tuple(parts))
+    for gamma_plus in pt._between(gamma, (n,) * n, n):
+        gamma_plus = pt._intern(gamma_plus)
         shape2 = SkewShape._trusted(gamma_plus, gamma)
         cells2 = tuple(_ssyt_reading_cells(shape2))
         out.append((gamma_plus, shape2, cells2, _plan(cells2, True)))
-        i = len(parts) - 1
-        while i >= 0 and parts[i] <= max(1, pt.part_at(gamma, i)):
-            i -= 1
-        if i < 0:
-            return tuple(out)
-        cap = parts[i] - 1
-        left = sum(parts[i + 1:]) + 1
-        parts[i] = cap
-        del parts[i + 1:]
+    return tuple(out)
 
 
 def skew_lr_terms(a, b):

@@ -725,6 +725,16 @@ def test_recursion_over_input_size_is_not_called_nesting(capsys):
     assert terms[0] == "s[1000]" and terms[-1] == "s[500,500]"
     assert cli.main(["apply", "U(s[500]*s[500])", "s[1]"]) == 0
     assert capsys.readouterr().out.startswith("s[1001] + 2*s[1000,1] + ")
+    # the partition families keep no stack either, so the skew rules run
+    # over a column of 1,200 cells like the product they expand
+    col1, col2 = ",".join(["1"] * 1200), ",".join(["2"] * 1200)
+    for argv, expr in ((["skewpieri", "1", col1], f"s[1]*s[{col1}]"),
+                       (["skewlr", "1", f"{col2}/{col1}"],
+                        f"s[1]*sk[{col2}/{col1}]")):
+        assert cli.main(argv) == 0
+        got = capsys.readouterr().out
+        assert cli.main(["expand", expr]) == 0
+        assert got == capsys.readouterr().out != "0\n", argv
 
 
 def test_negative_max_deg_rejected(capsys):

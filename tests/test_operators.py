@@ -1,7 +1,9 @@
 import hashlib
 import json
 import random
+from collections.abc import Mapping
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -291,6 +293,26 @@ def _dense_rank(exprs, n):
     )
 
 
+def _integer_rank(rows):
+    """Rank of an exact rational matrix, given as rows that are dense
+    sequences or mappings column -> entry, the entries ints or Fractions,
+    by `operators._push_row`: a direct check of the echelon that
+    `stacked_rank` builds.
+
+    Each nonzero row is put over the lcm of its denominators as a sparse
+    primitive integer row {column: int} (zero rows are dropped) and pushed
+    into one echelon."""
+    pivots = {}
+    for row in rows:
+        pairs = row.items() if isinstance(row, Mapping) else enumerate(row)
+        row = {k: x for k, x in pairs if x}
+        if row:
+            d = lcm(*(x.denominator for x in row.values()))
+            row = {k: x.numerator * (d // x.denominator) for k, x in row.items()}
+            op._push_row(pivots, op._primitive(row))
+    return len(pivots)
+
+
 def test_integer_rank_against_fraction_elimination():
     rng = random.Random(7)
     for _ in range(60):
@@ -305,7 +327,7 @@ def test_integer_rank_against_fraction_elimination():
             rows.insert(rng.randint(0, len(rows)), [Fraction(0)] * m)
         for _ in range(rng.randint(0, 2)):
             rows.insert(rng.randint(0, len(rows)), list(rng.choice(rows)))
-        assert op._integer_rank(rows) == _fraction_rank(rows)
+        assert _integer_rank(rows) == _fraction_rank(rows)
 
 
 def _planted_sparse_matrix(rng, n_rows, n_cols, density, top):
@@ -336,23 +358,23 @@ def test_integer_rank_of_tall_sparse_planted_matrices():
         rows = _planted_sparse_matrix(rng, 300, 16, 0.1, 10**6)
         want = _fraction_rank(rows)
         ranks.add(want)
-        assert op._integer_rank(rows) == want
+        assert _integer_rank(rows) == want
         # the same matrix as sparse mappings, and scaled to rationals
         sparse = [{j: x for j, x in enumerate(r) if x} for r in rows]
-        assert op._integer_rank(sparse) == want
+        assert _integer_rank(sparse) == want
         scaled = [[Fraction(x, i % 7 + 1) for x in r] for i, r in enumerate(rows)]
-        assert op._integer_rank(scaled) == want
+        assert _integer_rank(scaled) == want
     assert len(ranks) > 1 and max(ranks) <= 16
 
 
 def test_integer_rank_edge_cases():
-    assert op._integer_rank([]) == 0
-    assert op._integer_rank([[], []]) == 0
-    assert op._integer_rank([{}, {}]) == 0
-    assert op._integer_rank([[0], [0]]) == 0
-    assert op._integer_rank([[0], [Fraction(-1, 2)], [3]]) == 1
-    assert op._integer_rank([[0, 0], [0, 5]]) == 1
-    assert op._integer_rank([{"b": 2}, {"a": 1, "b": 1}, {"a": 2, "b": 4}]) == 2
+    assert _integer_rank([]) == 0
+    assert _integer_rank([[], []]) == 0
+    assert _integer_rank([{}, {}]) == 0
+    assert _integer_rank([[0], [0]]) == 0
+    assert _integer_rank([[0], [Fraction(-1, 2)], [3]]) == 1
+    assert _integer_rank([[0, 0], [0, 5]]) == 1
+    assert _integer_rank([{"b": 2}, {"a": 1, "b": 1}, {"a": 2, "b": 4}]) == 2
     for n in range(4):
         assert op.stacked_rank([], n) == 0
         assert op.stacked_rank([op.zero_op()], n) == 0

@@ -120,6 +120,9 @@ def test_sub_partitions():
     subs = pt.sub_partitions((2, 1))
     assert set(subs) == {(), (1,), (2,), (1, 1), (2, 1)}
     assert subs == sorted(subs, key=pt.sort_key)
+    # a column longer than Python's recursion limit
+    column = pt.sub_partitions((1,) * 1200)
+    assert len(column) == 1201 and column[-1] == (1,) * 1200
 
 
 def test_z_factor():
@@ -218,27 +221,48 @@ def test_sub_partitions_returns_a_fresh_list():
     assert all(pt._INTERNED.get(mu) is mu for mu in subs)
 
 
+def _reference_partitions_of(n):
+    """(the partitions of n in reverse-lexicographic order, the nodes of
+    the recursion that lists them), by a recursion that shares no code
+    with `partitions._between`: the oracle of every partition family."""
+    out = []
+    nodes = 0
+
+    def rec(remaining, maxpart, prefix):
+        nonlocal nodes
+        nodes += 1
+        if remaining == 0:
+            out.append(tuple(prefix))
+            return
+        for k in range(min(maxpart, remaining), 0, -1):
+            prefix.append(k)
+            rec(remaining - k, k, prefix)
+            prefix.pop()
+
+    rec(n, n, [])
+    return out, nodes
+
+
 def _strips_by_interlacing(gamma, k):
     """Every partition of |gamma| + k with gamma_{i-1} >= g+_i >= gamma_i,
-    in the order of partitions_of, then sorted as the enumeration sorts."""
+    in reverse-lexicographic order."""
     n = len(gamma) + 1
-    out = [
-        gp for gp in pt.partitions_of(sum(gamma) + k)
+    return [
+        gp for gp in _reference_partitions_of(sum(gamma) + k)[0]
         if len(gp) <= n and all(
             pt.part_at(gamma, i) <= pt.part_at(gp, i)
             and (i == 0 or pt.part_at(gp, i) <= gamma[i - 1])
             for i in range(n)
         )
     ]
-    return sorted(out, key=pt.sort_key)
 
 
-def _strips_and_nodes(gamma, k):
-    """horizontal_strips_above(gamma, k) and the nodes it charged."""
+def _charged(f, *args):
+    """f(*args) and the units it charged to the work meter."""
     units = 10**9
     _work.set_budget(units)
     try:
-        out = pt.horizontal_strips_above(gamma, k)
+        out = f(*args)
         return out, units - _work._left
     finally:
         _work.set_budget(None)
@@ -250,10 +274,34 @@ def test_horizontal_strips_are_output_sensitive():
     # most (rows + 1) nodes per strip, rows = len(gamma) + 1
     for gamma in pt.partitions_upto(8):
         for k in range(11):
-            out, nodes = _strips_and_nodes(gamma, k)
+            out, nodes = _charged(pt.horizontal_strips_above, gamma, k)
             assert out == _strips_by_interlacing(gamma, k), (gamma, k)
             assert nodes <= (len(gamma) + 2) * len(out), (gamma, k)
     for gamma, k in (((8, 6, 4, 2), 10), ((5, 5, 5), 3)):
-        out, nodes = _strips_and_nodes(gamma, k)
+        out, nodes = _charged(pt.horizontal_strips_above, gamma, k)
         assert nodes <= (len(gamma) + 2) * len(out), (gamma, k)
     assert pt.horizontal_strips_above((2, 1), -1) == []
+
+
+def test_partitions_of_charges_the_nodes_of_the_reference_recursion():
+    for n in range(16):
+        out, units = _charged(pt.partitions_of.__wrapped__, n)
+        want, nodes = _reference_partitions_of(n)
+        assert list(out) == want and units == nodes, n
+
+
+def test_sub_partitions_and_vertical_strips_match_their_definitions():
+    # in (size, reverse-lex) order, as filters of the reference partitions
+    every = [_reference_partitions_of(m)[0] for m in range(11)]
+    for lam in pt.partitions_upto(10):
+        size = sum(lam)
+        want = [mu for m in range(size + 1) for mu in every[m]
+                if pt.contains(mu, lam)]
+        assert pt.sub_partitions(lam) == want, lam
+        for i in range(-1, len(lam) + 2):
+            # at most one box removed per row
+            want = [bm for bm in (every[size - i] if 0 <= i <= size else [])
+                    if pt.contains(bm, lam) and all(
+                        lam[r] - pt.part_at(bm, r) <= 1
+                        for r in range(len(lam)))]
+            assert pt.vertical_strips_below(lam, i) == want, (lam, i)
