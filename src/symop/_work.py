@@ -8,9 +8,14 @@ image terms and row eliminations of a rank, each charge weighted so that
 one unit costs about the same time everywhere.  A budget set by
 `set_budget(units)` is spent by those charges, and the charge that
 overdraws it raises WorkLimitExceeded, a ValueError, before the work it
-pays for is done.  The charges depend only on the inputs and on which
-memo entries are already filled, so a cold process spends the same units
-on every run.  With no budget set, the default, a charge only tests one
+pays for is done.  The rule for a charge is to come before anything
+that an input integer sizes is allocated, so that a huge size is refused
+by the budget instead of failing in the allocation; the cap tuple of a
+family of partitions of size n and the one-column factor of e_k follow
+it.  Where the work after the allocation is sure to charge at least its
+size anyway, `require` refuses the same computations without spending.
+The charges depend only on the inputs and on which memo entries are
+already filled, so a cold process spends the same units on every run.  With no budget set, the default, a charge only tests one
 global, and a charge that takes work to size is skipped (`metered`).
 """
 
@@ -23,15 +28,26 @@ class WorkLimitExceeded(ValueError):
     """The work of a computation overran its budget."""
 
 
+def _exceeded():
+    return WorkLimitExceeded(
+        f"the computation exceeds the work budget of {_limit} units"
+    )
+
+
 def charge(units=1):
     """Spend units of the current budget, if one is set."""
     global _left
     if _left is not None:
         _left -= units
         if _left < 0:
-            raise WorkLimitExceeded(
-                f"the computation exceeds the work budget of {_limit} units"
-            )
+            raise _exceeded()
+
+
+def require(units):
+    """Refuse, as `charge` does, when fewer than units are left in the
+    current budget, without spending them."""
+    if _left is not None and _left < units:
+        raise _exceeded()
 
 
 def metered():

@@ -267,10 +267,11 @@ class _Parser:
 
 # The parser recurses once per nesting level of the input.  Any other
 # recursion that overflows grows with the size of the input instead:
-# `coeffs.mn_character` per part of rho, `symfunc._he_to_schur` per part
-# of an h or e index, `symfunc._schur_to_h` per row of its shape.
-# (`tableaux._fill` keeps its own stack and the partition families are one
-# loop, so a product or skew rule of any number of cells meets the budget.)
+# `coeffs.mn_character` per part of rho, `symfunc._schur_to_h` per row of
+# its shape.  (`tableaux._fill` keeps its own stack, the partition families
+# are one loop and `symfunc._he_to_schur` folds the parts of an h or e
+# index in one, so a product, a skew rule or an h or e index of any size
+# meets the budget.)
 _TOO_LARGE = "input too large for Python's recursion limit"
 
 

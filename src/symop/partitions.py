@@ -268,6 +268,9 @@ def partitions_of(n):
     """All partitions of n, in reverse-lexicographic order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    # the cap is sized by n; the walk charges one unit per node, at least
+    # p(n) >= n in all, so a budget that cannot pay n refuses it at once
+    _work.require(n)
     return tuple(map(_intern, _between((), (n,) * n, n)))
 
 

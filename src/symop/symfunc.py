@@ -383,9 +383,9 @@ def _schur_skew_terms(lam, mu):
 
     cells = _ssyt_reading_cells(pt.SkewShape._trusted(lam, mu))
     out = {}
-    for entries in _fill(cells, True, max_entry=len(lam), init_counts={}):
+    for vals in _fill(cells, True, max_entry=len(lam), init_counts={}):
         # a lattice word uses every value from 1 to its largest
-        content = Counter(entries.values())
+        content = Counter(vals)
         nu = tuple(map(content.__getitem__, range(1, len(content) + 1)))
         out[nu] = out.get(nu, 0) + 1
     return tuple((pt._intern(nu), out[nu]) for nu in sorted(out, reverse=True))
@@ -434,17 +434,30 @@ def _schur_kb_terms(lam, mu):
     return terms if sign > 0 else tuple((nu, -c) for nu, c in terms)
 
 
-@cache
 def _he_to_schur(basis, lam):
     """Schur expansion of h_lam (basis "h") or e_lam (basis "e"): the
     product of the one-row Schur functions s_(k) = h_k (one-column
-    s_(1^k) = e_k) through the product table, one part at a time, with
-    every shorter prefix of lam memoized here as well."""
+    s_(1^k) = e_k) through the product table, one part at a time.  The
+    loop asks `_he_prefix` for every prefix of lam, shortest first, so
+    each is memoized and no call recurses over the parts."""
+    for i in range(len(lam) + 1):
+        terms = _he_prefix(basis, lam[:i])
+    return terms
+
+
+@cache
+def _he_prefix(basis, lam):
+    """The terms of `_he_to_schur(basis, lam)`, from the memoized terms of
+    lam[:-1], which `_he_to_schur` asks for first."""
     if not lam:
         return (((), 1),)
     k = lam[-1]
-    factor = (k,) if basis == "h" else (1,) * k
-    prefix = _he_to_schur(basis, lam[:-1])
+    if basis == "h":
+        factor = (k,)
+    else:
+        _work.charge(k)
+        factor = (1,) * k
+    prefix = _he_prefix(basis, lam[:-1])
     _work.charge(len(prefix))
     out = {}
     for nu, c in prefix:

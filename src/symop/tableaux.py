@@ -14,15 +14,16 @@ integer, and each cell is compared with its right and upper neighbours.
 The two classes differ only in which of those comparisons is strict.  The
 public entry points (the SSYT and ASSYT constructors, jdt_slide and
 jdt_case) validate every input.  The internal exhaustive check
-verify_jdt_bijection trusts the entry dicts that _fill yields, which are
-semistandard by construction: it slides them in place with the same
-_slide as jdt_slide and builds a tableau only to report a failure.
+verify_jdt_bijection trusts the value lists that _fill yields, which are
+semistandard by construction: it slides them in place through a slot plan
+cached per shape, with the same slide loop (_slide_slots) as jdt_slide,
+and builds a tableau only to report a failure.
 
 The skew Littlewood-Richardson rule runs one enumeration in two halves,
 the private _skew_lr_halves: the outer half yields the ASSYT fillings
 with their contents, and the inner half the SSYT completions of one
-content.  There are three views of it.  skew_lr_pairs wraps the entry
-dicts of both halves, run per ASSYT filling (_skew_lr_fillings), in
+content.  There are three views of it.  skew_lr_pairs wraps the
+fillings of both halves, run per ASSYT filling (_skew_lr_fillings), in
 validated ASSYT/SSYT pairs, the explicit bijection.  skew_lr_terms and
 skew_lr_product build no tableau: the terms are the signed shapes of the
 pairs, in the same order, and the product counts the completions of each
@@ -32,6 +33,7 @@ and adds one memoized skew table per pair whose count is nonzero.
 
 from collections import Counter
 from functools import cache
+from operator import itemgetter
 
 from . import _work
 from . import partitions as pt
@@ -246,8 +248,9 @@ def _fill(cells, is_ssyt, content=None, max_entry=None, budget=None,
     neighbour that comes later in the order, or is not among the cells,
     does not bound the cell.
 
-    Yields entry dicts, keyed in the order of cells, with the values of
-    each cell tried in increasing order: the first cell varies slowest.
+    Yields each filling as a fresh list of the values of the cells, in
+    their order, with the values of each cell tried in increasing order:
+    the first cell varies slowest.
     `content` fixes the multiplicity of each value exactly, `budget` only
     caps it, `max_entry` leaves it free.  When `init_counts` is given
     (value -> count), every prefix of the reading word must keep count(i)
@@ -300,7 +303,7 @@ def _fill(cells, is_ssyt, content=None, max_entry=None, budget=None,
     while True:
         if k == ncells:
             charge(per_filling)
-            yield dict(zip(cells, vals))
+            yield vals[:ncells]
         while v < hi:
             v += 1
             if remaining is not None and remaining[v - 1] == 0:
@@ -337,7 +340,8 @@ def _tableaux(cls, shape, **fill):
     """Every tableau of class cls on the shape, as `_fill` yields them."""
     is_ssyt = cls is SSYT
     cells = (_ssyt_reading_cells if is_ssyt else _assyt_reading_cells)(shape)
-    return [cls(shape, d) for d in _fill(cells, is_ssyt, **fill)]
+    return [cls(shape, dict(zip(cells, vals)))
+            for vals in _fill(cells, is_ssyt, **fill)]
 
 
 def enumerate_ssyt(shape, content):
@@ -414,7 +418,7 @@ def jdt_slide(t, hole):
     an addable cell of the outer shape starts a reverse slide.  Returns
     (new tableau, vacated cell); when no neighbour can move at all the
     tableau is returned unchanged with vacated None.  The tie rule is that
-    of `_slide`.
+    of `_slide_slots`.
     """
     hole = Cell(*map(pt._as_integer, hole))
     outer, inner = t.shape.outer, t.shape.inner
@@ -424,20 +428,36 @@ def jdt_slide(t, hole):
         step = -1
     else:
         raise ValueError(f"{hole} is not a legal slide position for {t.shape}")
-    entries = dict(t.entries)
-    vacated = _slide(entries, hole, step)
-    if vacated is None:
+    # slots 0..n-1 hold the cells of t, slot n the hole
+    cells = [*t.entries, hole]
+    vals = [*t.entries.values(), 0]
+    n = len(cells) - 1
+    end = _slide_slots(vals, n, *_neighbours(cells, step), step)
+    if end == n:
         return t, None
+    vacated = cells[end]
+    del cells[end], vals[end]
     if step == 1:
         shape = SkewShape(pt.remove_cell(outer, vacated), pt.remove_cell(inner, hole))
     else:
         shape = SkewShape(pt.add_cell(outer, hole), pt.add_cell(inner, vacated))
-    return SSYT(shape, entries), vacated
+    return SSYT(shape, dict(zip(cells, vals))), vacated
 
 
-def _slide(entries, hole, step):
-    """Slide the hole through a semistandard entry dict, in place, and
-    return the cell it vacates, or None when no neighbour can move.
+def _neighbours(cells, step):
+    """The neighbour tables of a slide by step over cells: the slot (index
+    into cells) of each cell's row neighbour (r, c + step) and column
+    neighbour (r + step, c), or -1 where that cell is not in cells."""
+    slot = {cell: k for k, cell in enumerate(cells)}
+    get = slot.get
+    return ([get((r, c + step), -1) for r, c in cells],
+            [get((r + step, c), -1) for r, c in cells])
+
+
+def _slide_slots(vals, hole, row_at, col_at, step):
+    """Slide the hole at slot `hole` through the semistandard values vals,
+    in place, along the neighbour tables of `_neighbours`, and return the
+    slot it vacates: `hole` itself when no neighbour can move.
 
     Step 1 is a forward slide: the smaller of the right and upper
     neighbours moves into the hole.  Step -1 is a reverse slide: the larger
@@ -446,23 +466,16 @@ def _slide(entries, hole, step):
     both directions.  This is the unique choice that preserves
     semistandardness and makes forward and reverse slides mutually inverse.
     """
-    get = entries.get
-    r, c = hole
     while True:
-        row_v = get((r, c + step))
-        col_v = get((r + step, c))
-        if col_v is not None and (row_v is None or step * col_v <= step * row_v):
-            entries[r, c] = col_v
-            r += step
-        elif row_v is not None:
-            entries[r, c] = row_v
-            c += step
+        row, col = row_at[hole], col_at[hole]
+        if col >= 0 and (row < 0 or step * vals[col] <= step * vals[row]):
+            nxt = col
+        elif row >= 0:
+            nxt = row
         else:
-            break
-        del entries[r, c]
-    if (r, c) == hole:
-        return None
-    return _cell(r, c)
+            return hole
+        vals[hole] = vals[nxt]
+        hole = nxt
 
 
 # ---------------------------------------------------------------------------
@@ -493,20 +506,22 @@ def skew_pieri(k, shape):
 def _skew_lr_halves(a, b):
     """The two halves of the one enumeration of the skew
     Littlewood-Richardson rule for the product of the skew Schur functions
-    of shapes a and b, as raw entry dicts: no tableau is built and none is
-    validated.  Returns (fillings, completions).
+    of shapes a and b, as the raw value lists of `_fill`: no tableau is
+    built and none is validated.  Returns (fillings, completions).
 
     The outer half, the generator `fillings`, runs over bm in
     `sub_partitions(b.inner)` and then the ASSYT fillings d1 of
-    shape1 = b.inner/bm (`_fill`).  It yields (sign, bm, shape1, d1,
-    used), with used the content of d1 as a tuple over the values 1 to
+    shape1 = b.inner/bm (`_fill`).  It yields (sign, bm, shape1, cells1,
+    d1, used): d1 holds the values of the ASSYT reading order cells1, and
+    used is the content of d1 as a tuple over the values 1 to
     len(a.outer).
 
     The inner half, `completions(used)`, depends on d1 only through used:
-    for each gp in the `_growths` order it yields (gp, shape2, d2s), where
-    d2s is the `_fill` generator of the SSYT d2 of shape2 = gp/b.outer
-    that complete any d1 of that content.  The entry dicts of both halves
-    are semistandard by construction.
+    for each gp in the `_growths` order it yields (gp, shape2, cells2,
+    d2s), where d2s is the `_fill` generator of the SSYT d2 of shape2 =
+    gp/b.outer, over its SSYT reading order cells2, that complete any d1
+    of that content.  The fillings of both halves are semistandard by
+    construction.
     """
     alpha, delta = a.outer, a.inner
     gamma, beta = b.outer, b.inner
@@ -531,9 +546,9 @@ def _skew_lr_halves(a, b):
             for d1 in _fill(cells1, False, budget=target,
                             init_counts=init_counts):
                 used = [0] * nvals
-                for v in d1.values():
+                for v in d1:
                     used[v - 1] += 1
-                yield sign, beta_minus, shape1, d1, tuple(used)
+                yield sign, beta_minus, shape1, cells1, d1, tuple(used)
 
     def completions(used):
         remaining = tuple(t - u for t, u in zip(target, used))
@@ -541,7 +556,7 @@ def _skew_lr_halves(a, b):
                    for v, m in enumerate(used, start=1)}
         for gamma_plus, shape2, cells2, plan2 in _growths(
                 gamma, size + sum(remaining)):
-            yield gamma_plus, shape2, _fill(
+            yield gamma_plus, shape2, cells2, _fill(
                 cells2, True, content=remaining, init_counts=counts1,
                 plan=plan2)
 
@@ -553,18 +568,19 @@ def _skew_lr_fillings(a, b):
     `_skew_lr_halves` run per ASSYT filling d1.
 
     Yields (sign, shape1, d1, shape2, d2, shape), one per pair of
-    `skew_lr_pairs` and in its order: d1 holds the entries of its ASSYT
-    of shape1 and d2 those of its SSYT of shape2.  The loop runs over bm,
+    `skew_lr_pairs` and in its order: d1 is the entry dict of its ASSYT
+    of shape1 and d2 that of its SSYT of shape2.  The loop runs over bm,
     then the fillings d1, then gp in the `_growths` order, then the
     fillings d2; one shape object gp/bm is shared by every d2 of one
     (d1, gp).
     """
     fillings, completions = _skew_lr_halves(a, b)
-    for sign, beta_minus, shape1, d1, used in fillings:
-        for gamma_plus, shape2, d2s in completions(used):
+    for sign, beta_minus, shape1, cells1, vals1, used in fillings:
+        d1 = dict(zip(cells1, vals1))
+        for gamma_plus, shape2, cells2, d2s in completions(used):
             shape = SkewShape._trusted(gamma_plus, beta_minus)
-            for d2 in d2s:
-                yield sign, shape1, d1, shape2, d2, shape
+            for vals2 in d2s:
+                yield sign, shape1, d1, shape2, dict(zip(cells2, vals2)), shape
 
 
 def skew_lr_pairs(a, b):
@@ -589,7 +605,8 @@ def _growths(gamma, n):
     of that order) for every gamma_plus of size n containing gamma, in
     partitions_of order (reverse lexicographic).  Only those partitions
     are visited (`partitions._between`), each charged by the rows that
-    its step scans."""
+    its step scans, after n is charged for the cap that bounds them."""
+    _work.charge(n)
     out = []
     for gamma_plus in pt._between(gamma, (n,) * n, n):
         gamma_plus = pt._intern(gamma_plus)
@@ -620,11 +637,11 @@ def skew_lr_product(a, b):
     fillings, completions = _skew_lr_halves(a, b)
     by_content = {}
     counts = {}
-    for sign, beta_minus, _s1, _d1, used in fillings:
+    for sign, beta_minus, _s1, _c1, _d1, used in fillings:
         found = by_content.get(used)
         if found is None:
             found = by_content[used] = [
-                (gamma_plus, n) for gamma_plus, _s2, d2s in completions(used)
+                (gamma_plus, n) for gamma_plus, _s2, _c2, d2s in completions(used)
                 if (n := sum(1 for _ in d2s))
             ]
         for gamma_plus, n in found:
@@ -681,7 +698,6 @@ def jdt_case(alpha, theta, gamma, delta, t):
 
 
 # Memo tables of the exhaustive bijection check, one entry per shape.
-_remove_cell = cache(pt.remove_cell)
 
 
 @cache
@@ -692,12 +708,41 @@ def _reading_order(outer, inner):
     return cells, _plan(cells, True)
 
 
+@cache
+def _slide_plan(gamma, delta, theta):
+    """The forward slides of the SSYT of gamma/delta into the hole
+    delta/theta, on value lists, for canonical nested partitions with
+    |delta/theta| = 1.
+
+    Slots 0..n-1 are the cells of gamma/delta in SSYT reading order and
+    slot n is the hole.  Returns (cells, plan, row_at, col_at, stops):
+    the reading order and `_plan` of `_reading_order`, the neighbour
+    tables of `_neighbours` over the n + 1 slots, and for each slot where
+    the hole can stop (a corner of gamma) the pair (beta, getter), with
+    beta the interned gamma minus that cell and getter reading the values
+    of beta/theta in SSYT reading order off the slots, as a tuple.  stops
+    is None at every other slot.
+    """
+    cells, plan = _reading_order(gamma, delta)
+    slots = [*cells, _added_cell(theta, delta)]
+    slot = {cell: k for k, cell in enumerate(slots)}
+    stops = [None] * len(slots)
+    for k, cell in enumerate(slots):
+        if pt.is_corner(gamma, cell):
+            beta = pt._intern(pt.remove_cell(gamma, cell))
+            at = [slot[c] for c in _reading_order(beta, theta)[0]]
+            # itemgetter of fewer than two items returns no tuple
+            getter = (itemgetter(*at) if len(at) > 1
+                      else lambda vals, at=at: tuple(vals[i] for i in at))
+            stops[k] = beta, getter
+    return (cells, plan, *_neighbours(slots, 1), stops)
+
+
 def _reading_words(outer, inner, bound):
     """The values, in SSYT reading order, of every SSYT of outer/inner with
     entries in 1..bound."""
     cells, plan = _reading_order(outer, inner)
-    for entries in _fill(cells, True, max_entry=bound, plan=plan):
-        yield tuple(map(entries.__getitem__, cells))
+    return map(tuple, _fill(cells, True, max_entry=bound, plan=plan))
 
 
 def _tableau_json(outer, inner, values):
@@ -732,9 +777,10 @@ def verify_jdt_bijection(alpha, theta):
     shape alpha/theta must occur exactly |add(alpha)| - |outside corners of
     theta not in alpha| times.
 
-    It slides the trusted entry dicts of `_fill` (see the module
-    docstring) and keys each outcome by its shape and its values in SSYT
-    reading order.  A slid filling that is not one of the expected SSYT
+    It slides the trusted value lists of `_fill` (see the module
+    docstring) through the slot plan of `_slide_plan`, one per (gamma,
+    delta, theta), and keys each outcome by its shape and its values in
+    SSYT reading order.  A slid filling that is not one of the expected SSYT
     shows up as a mismatch.  A tableau is written out only for a failure:
     each failure names one from the symmetric difference of the slid and
     the expected tableaux, under the param "tableau", in the JSON form that
@@ -752,14 +798,15 @@ def verify_jdt_bijection(alpha, theta):
     checked = 0
     for gamma in pt.add_set(alpha):
         for delta in pt.add_restrict(theta, alpha):
-            b_cell = _added_cell(theta, delta)
-            cells, plan = _reading_order(gamma, delta)
-            for entries in _fill(cells, True, max_entry=bound, plan=plan):
+            cells, plan, row_at, col_at, stops = _slide_plan(gamma, delta, theta)
+            hole = len(cells)
+            for vals in _fill(cells, True, max_entry=bound, plan=plan):
                 checked += 1
-                # case (a) moves nothing, and b_cell leaves gamma instead
-                vacated = _slide(entries, b_cell, 1) or b_cell
-                beta = _remove_cell(gamma, vacated)
-                values = tuple(map(entries.__getitem__, _reading_order(beta, theta)[0]))
+                vals.append(0)
+                # case (a) moves nothing, and the hole's own cell leaves
+                # gamma instead
+                beta, getter = stops[_slide_slots(vals, hole, row_at, col_at, 1)]
+                values = getter(vals)
                 # case (c) vacates gamma/alpha, cases (a) and (b) any other cell
                 if beta == alpha:
                     got_c[values] = got_c.get(values, 0) + 1

@@ -506,6 +506,36 @@ def test_partition_walk_limit(capsys, monkeypatch):
     ])
 
 
+_NINES = "9" * 30
+
+
+@pytest.mark.parametrize("argv", [
+    ["skewlr", _NINES, "2"],
+    ["skewlr", "2", _NINES],
+    ["expand", f"p[{_NINES}]"],
+], ids=["skewlr-outer", "skewlr-inner", "expand-p"])
+def test_partition_cap_of_a_huge_size_is_charged_first(capsys, argv):
+    # the partitions of a size n are bounded by a cap of n rows of n; the
+    # budget must hold n units before that cap is built, so a size past any
+    # index is refused by the budget instead of leaking an OverflowError
+    _assert_refused(capsys, [argv], cli.MAX_WORK)
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", f"h[{_ones(990)}]"],
+    ["expand", "e[999999999999]"],
+    ["expand", f"e[{_NINES}]"],
+], ids=["h-990-ones", "e-12-digits", "e-30-digits"])
+def test_h_and_e_expansions_meet_the_budget(capsys, monkeypatch, argv):
+    # h and e fold their parts in a loop, and e_k charges k before its
+    # one-column factor is built: each is refused by the budget, not by
+    # the recursion limit or a MemoryError
+    monkeypatch.setattr(cli, "MAX_WORK", _LOW_WORK)
+    start = time.monotonic()
+    _assert_refused(capsys, [argv], _LOW_WORK)
+    assert time.monotonic() - start < 5
+
+
 def test_tableau_rules_exit_2_under_the_work_budget(capsys, monkeypatch):
     # skew shapes, skew Pieri strips and skew LR fillings have no a-priori
     # estimate; the fillings and partitions they enumerate are charged
@@ -548,7 +578,7 @@ def test_verify_is_unmetered_when_sub_partitions_are_cold(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv, units", [
     (["expand", "kron(s[2,1],s[2,1])*p[2]+h[2]"], 255),
-    (["skewlr", "2,1/1", "2,1/1"], 340),
+    (["skewlr", "2,1/1", "2,1/1"], 349),
 ], ids=["expand", "skewlr"])
 def test_work_charge_is_deterministic(argv, units):
     # in a fresh process every memo table is cold, so a command charges the

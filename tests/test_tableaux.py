@@ -91,7 +91,7 @@ def _fill_modes(size):
 
 
 def _spent(fill, cells, is_ssyt, **kw):
-    """The dicts fill yields and the work units it charges for them."""
+    """What fill yields and the work units it charges for it."""
     start = 10**12
     _work.set_budget(start)
     try:
@@ -102,9 +102,10 @@ def _spent(fill, cells, is_ssyt, **kw):
 
 
 def test_fill_matches_the_recursive_filler_up_to_5():
-    # same dicts, in the same order and with the same key order, and the
-    # same units, for both reading orders of every skew shape with outer
-    # size <= 5 and every mode, with and without a lattice condition
+    # the value lists, zipped with the cells, are the same dicts, in the
+    # same order and with the same key order, and the same units, for both
+    # reading orders of every skew shape with outer size <= 5 and every
+    # mode, with and without a lattice condition
     calls = fillings = 0
     for outer in pt.partitions_upto(5):
         for inner in pt.sub_partitions(outer):
@@ -117,7 +118,9 @@ def test_fill_matches_the_recursive_filler_up_to_5():
                         kw = dict(mode, init_counts=init_counts)
                         want, want_units = _spent(
                             _recursive_fill, cells, is_ssyt, **kw)
-                        got, units = _spent(tb._fill, cells, is_ssyt, **kw)
+                        vals, units = _spent(tb._fill, cells, is_ssyt, **kw)
+                        assert all(len(v) == len(cells) for v in vals)
+                        got = [dict(zip(cells, v)) for v in vals]
                         assert got == want, (shape, is_ssyt, kw)
                         assert [list(d) for d in got] == [list(d) for d in want]
                         assert units == want_units, (shape, is_ssyt, kw)
@@ -161,10 +164,12 @@ def test_growths_are_the_containing_partitions_in_order():
 def test_fill_of_1000_cells_needs_no_recursion():
     # deeper than Python's recursion limit: the filler keeps its own stack
     row = tb._ssyt_reading_cells(SkewShape((1000,)))
-    assert [len(d) for d in tb._fill(row, True, max_entry=1)] == [1000]
+    assert [dict(zip(row, v)) for v in tb._fill(row, True, max_entry=1)] == [
+        dict.fromkeys(row, 1)]
     two_rows = tb._ssyt_reading_cells(SkewShape((500, 500)))
     (lr,) = tb._fill(two_rows, True, content=(500, 500), init_counts={})
-    assert sorted(Counter(lr.values()).items()) == [(1, 500), (2, 500)]
+    assert len(lr) == 1000
+    assert dict(zip(two_rows, lr)) == {c: c.row + 1 for c in two_rows}
     assert tb.count_lr_fillings(SkewShape((1000,), (500,)), (500,)) == 1
 
 
@@ -487,39 +492,18 @@ def test_verify_jdt_bijection_examples():
         tb.verify_jdt_bijection((2,), (1, 1))
 
 
-def test_in_place_slide_agrees_with_jdt_slide_up_to_4():
-    # every slide that verify_jdt_bijection makes with |alpha| <= 4, on the
-    # raw entry dicts that _fill yields
-    checked = 0
-    for alpha in pt.partitions_upto(4):
-        bound = max(sum(alpha), 1)
-        for theta in pt.sub_partitions(alpha):
-            for gamma in pt.add_set(alpha):
-                for delta in pt.add_restrict(theta, alpha):
-                    hole = tb._added_cell(theta, delta)
-                    shape = SkewShape(gamma, delta)
-                    cells, plan = tb._reading_order(gamma, delta)
-                    for d in tb._fill(cells, True, max_entry=bound, plan=plan):
-                        t = tb.SSYT(shape, d)
-                        vacated = tb._slide(d, hole, 1)
-                        t2, want = tb.jdt_slide(t, hole)
-                        assert vacated == want
-                        assert d == t2.entries
-                        if vacated is not None:
-                            # the reverse slide undoes it in place
-                            assert tb._slide(d, vacated, -1) == hole
-                            assert d == t.entries
-                        checked += 1
-    assert checked == 1656
-
-
-def _slide_row_on_tie(entries, hole, step):
-    """tb._slide with the tie rule flipped: the row neighbour moves."""
+def _dict_slide(entries, hole, step):
+    """The reference slide on an entry dict keyed by cells: slide the hole
+    through it in place and return the cell it vacates, or None when no
+    neighbour can move.  Forward (step 1) the smaller of the right and
+    upper neighbours moves in, reverse (step -1) the larger of the left and
+    lower ones; on a tie the column neighbour moves."""
+    get = entries.get
     r, c = hole
     while True:
-        row_v = entries.get((r, c + step))
-        col_v = entries.get((r + step, c))
-        if col_v is not None and (row_v is None or step * col_v < step * row_v):
+        row_v = get((r, c + step))
+        col_v = get((r + step, c))
+        if col_v is not None and (row_v is None or step * col_v <= step * row_v):
             entries[r, c] = col_v
             r += step
         elif row_v is not None:
@@ -531,8 +515,66 @@ def _slide_row_on_tie(entries, hole, step):
     return None if (r, c) == hole else Cell(r, c)
 
 
+def test_in_place_slide_agrees_with_jdt_slide_up_to_4():
+    # every slide that verify_jdt_bijection makes with |alpha| <= 4, on the
+    # value lists that _fill yields and the slot plan it slides them
+    # through, against the reference dict slide and jdt_slide
+    checked = 0
+    for alpha in pt.partitions_upto(4):
+        bound = max(sum(alpha), 1)
+        for theta in pt.sub_partitions(alpha):
+            for gamma in pt.add_set(alpha):
+                for delta in pt.add_restrict(theta, alpha):
+                    hole = tb._added_cell(theta, delta)
+                    shape = SkewShape(gamma, delta)
+                    cells, plan, row_at, col_at, stops = tb._slide_plan(
+                        gamma, delta, theta)
+                    slots = [*cells, hole]
+                    for vals in tb._fill(cells, True, max_entry=bound, plan=plan):
+                        d = dict(zip(cells, vals))
+                        t = tb.SSYT(shape, d)
+                        vals.append(0)
+                        end = tb._slide_slots(vals, len(cells), row_at, col_at, 1)
+                        vacated = _dict_slide(d, hole, 1)
+                        t2, want = tb.jdt_slide(t, hole)
+                        assert vacated == want
+                        assert d == t2.entries
+                        # the slots agree with the reference, and the stop
+                        # reads beta/theta in reading order
+                        assert slots[end] == (vacated or hole)
+                        assert {c: v for c, v in zip(slots, vals)
+                                if c != slots[end]} == d
+                        beta, getter = stops[end]
+                        assert beta == pt.remove_cell(gamma, slots[end])
+                        assert getter(vals) == tuple(
+                            d[c] for c in tb._ssyt_reading_cells(
+                                SkewShape(beta, theta)))
+                        if vacated is not None:
+                            # the reverse slide undoes it in place, and so
+                            # does jdt_slide
+                            assert _dict_slide(d, vacated, -1) == hole
+                            assert d == t.entries
+                            assert tb.jdt_slide(t2, vacated) == (t, hole)
+                        checked += 1
+    assert checked == 1656
+
+
+def _slide_row_on_tie(vals, hole, row_at, col_at, step):
+    """tb._slide_slots with the tie rule flipped: the row neighbour moves."""
+    while True:
+        row, col = row_at[hole], col_at[hole]
+        if col >= 0 and (row < 0 or step * vals[col] < step * vals[row]):
+            nxt = col
+        elif row >= 0:
+            nxt = row
+        else:
+            return hole
+        vals[hole] = vals[nxt]
+        hole = nxt
+
+
 def test_flipped_tie_rule_fails_the_bijection_with_a_tableau(monkeypatch, capsys):
-    monkeypatch.setattr(tb, "_slide", _slide_row_on_tie)
+    monkeypatch.setattr(tb, "_slide_slots", _slide_row_on_tie)
     failures = [
         f
         for alpha in pt.partitions_upto(4)
@@ -713,14 +755,11 @@ def test_worked_pair_is_an_enumerated_contribution():
     assert (-1) ** t1.shape.size == -1
     # the T1 slice of the enumeration (beta_minus = (1)) generates t1
     init = {i: part for i, part in enumerate(delta, start=1)}
-    shape1 = t1.shape
+    cells1 = tb._assyt_reading_cells(t1.shape)
     t1_candidates = list(
-        tb._fill(tb._assyt_reading_cells(shape1), False,
-                 budget=list(target), init_counts=init)
+        tb._fill(cells1, False, budget=list(target), init_counts=init)
     )
-    assert T1_ENTRIES in [
-        {tuple(c): v for c, v in d.items()} for d in t1_candidates
-    ]
+    assert T1_ENTRIES in [dict(zip(cells1, v)) for v in t1_candidates]
     # and with t1 fixed, the T2 slice over gamma_plus = (9,9,5,3) generates t2
     counts = dict(init)
     for v in T1_ENTRIES.values():
@@ -729,14 +768,11 @@ def test_worked_pair_is_an_enumerated_contribution():
         target[i] - sum(1 for v in T1_ENTRIES.values() if v == i + 1)
         for i in range(len(alpha))
     )
-    shape2 = t2.shape
+    cells2 = tb._ssyt_reading_cells(t2.shape)
     t2_candidates = list(
-        tb._fill(tb._ssyt_reading_cells(shape2), True,
-                 content=remaining, init_counts=counts)
+        tb._fill(cells2, True, content=remaining, init_counts=counts)
     )
-    assert T2_ENTRIES in [
-        {tuple(c): v for c, v in d.items()} for d in t2_candidates
-    ]
+    assert T2_ENTRIES in [dict(zip(cells2, v)) for v in t2_candidates]
 
 
 def test_skew_corners_rhs_examples():
