@@ -1,16 +1,22 @@
 """Structure coefficients: symmetric group characters, Littlewood-Richardson
 coefficients, and Kronecker coefficients.
 
-Characters are computed one entry at a time by the Murnaghan-Nakayama
-rule (Macdonald I.7): chi^lam(rho) is the sum, over the border strips xi
-of length rho_1 removable from lam, of (-1)^height(xi) chi^{lam - xi}
-at (rho_2, rho_3, ...).  Those strips depend only on (lam, rho_1), not
-on the rest of rho, so they are memoized apart from the characters, all
-but the strips of length 1 (the removable corners), which are read off
-lam at each use.  LR coefficients are
-counted by direct enumeration of lattice fillings, shared with the
-tableau module.  Everything is memoized; all functions are pure.  Each
-miss of a memo table is charged to the work meter (`_work`).
+Characters follow the Murnaghan-Nakayama rule (Macdonald I.7) both ways.
+A single entry chi^lam(rho) removes border strips from lam: it is the
+sum, over the border strips xi of length rho_1 removable from lam, of
+(-1)^height(xi) chi^{lam - xi} at (rho_2, rho_3, ...) (`mn_character`).
+Those strips depend only on (lam, rho_1), not on the rest of rho, so
+they are memoized apart from the characters, all but the strips of
+length 1 (the removable corners), which are read off lam at each use.
+A whole column, chi at one class rho over every shape of |rho|, adds
+border strips instead, since p_r s_mu = sum of +-s_lam over the strips
+lam/mu of length r: the column of rho is the column of rho minus its
+first part with a strip of length rho_1 added to each shape in every
+way (`character_column`).  The two routes share no code, so each
+checks the other.  LR coefficients are counted by direct enumeration of
+lattice fillings, shared with the tableau module.  Everything is
+memoized; all functions are pure.  Each miss of a memo table is charged
+to the work meter (`_work`).
 """
 
 from fractions import Fraction
@@ -91,6 +97,119 @@ def mn_character(lam, rho):
 
 
 @cache
+def _positions(n):
+    """Partition of n -> its index in partitions_of(n)."""
+    return {lam: i for i, lam in enumerate(pt.partitions_of(n))}
+
+
+@cache
+def _added_strips(mu, r):
+    """The border strips of length r addable to mu, as pairs (index of mu
+    plus the strip in partitions_of(|mu| + r), (-1)^height).
+
+    On the beta-numbers of mu over l = len(mu) + r rows (zero rows
+    included, which leaves room for a strip of r rows) a strip moves one
+    b_i up by r to a free place.  It passes over one b_j for each row of
+    the strip below its top row, so their number is its height."""
+    ell = len(mu) + r
+    _work.charge(1 + ell // 8)
+    beta = [x + ell - 1 - i for i, x in enumerate(mu)]
+    beta += range(r - 1, -1, -1)
+    taken = set(beta)
+    where = _positions(sum(mu) + r)
+    out = []
+    for i, b in enumerate(beta):
+        nb = b + r
+        if nb in taken:
+            continue
+        k = i
+        while k and beta[k - 1] < nb:
+            k -= 1
+        new = beta[:k] + [nb] + beta[k:i] + beta[i + 1:]
+        lam = tuple(x - (ell - 1 - j) for j, x in enumerate(new) if x > ell - 1 - j)
+        out.append((where[lam], -1 if (i - k) % 2 else 1))
+    return tuple(out)
+
+
+# The columns built so far, by degree: _COLUMNS[n][rho] is the column of
+# the class rho of n.  Degree n's columns are all built exactly when its
+# dict holds as many as partitions_of(n) has classes.
+_COLUMNS = {}
+
+
+def character_column(rho):
+    """The characters chi^lam(rho) at the class rho, as a tuple over the
+    shapes lam of partitions_of(|rho|).
+
+    The column of rho is built from the column of rho minus its first
+    part r over the shapes mu of |rho| - r: each mu adds every border strip
+    of length r (`_added_strips`), each with its sign.  The suffixes of rho
+    are built shortest first, in a loop, and every one is memoized; each
+    new column charges its length before it is allocated.
+    """
+    rho = pt._canonical(rho)
+    col = _COLUMNS.get(sum(rho), {}).get(rho)
+    if col is not None:
+        return col
+    col, m = _COLUMNS.setdefault(0, {}).setdefault((), (1,)), 0
+    for i in range(len(rho) - 1, -1, -1):
+        r = rho[i]
+        suffix = pt._intern(rho[i:])
+        built = _COLUMNS.setdefault(m + r, {})
+        nxt = built.get(suffix)
+        if nxt is None:
+            size = len(pt.partitions_of(m + r))
+            _work.charge(size)
+            acc = [0] * size
+            for mu, c in zip(pt.partitions_of(m), col):
+                if c:
+                    for pos, sign in _added_strips(mu, r):
+                        acc[pos] += sign * c
+            nxt = built[suffix] = tuple(acc)
+        col, m = nxt, m + r
+    return col
+
+
+def columns_complete(n):
+    """Whether `character_column` has built the column of every class of
+    n, read off the memo itself."""
+    return len(_COLUMNS.get(n, ())) == len(pt.partitions_of(n))
+
+
+@cache
+def character_table(n):
+    """Degree n's character table as shape lam -> the row of lam over the
+    classes of partitions_of(n): the transpose of every column of n, which
+    it builds first."""
+    classes = pt.partitions_of(n)
+    cols = [character_column(rho) for rho in classes]
+    _work.charge(len(classes))
+    return dict(zip(classes, zip(*cols)))
+
+
+def character_row(lam):
+    """The characters chi^lam(rho), as a tuple over the classes rho of
+    partitions_of(|lam|).
+
+    Read off the degree's `character_table` once every column of the
+    degree is built.  Before that, one entry per class: off the columns
+    already built, and from `mn_character` for the rest, so that a lone
+    row of a large degree builds no column."""
+    lam = pt._canonical(lam)
+    n = sum(lam)
+    if columns_complete(n):
+        return character_table(n)[lam]
+    classes = pt.partitions_of(n)
+    _work.charge(len(classes))
+    built = _COLUMNS.get(n)
+    if not built:
+        return tuple(mn_character(lam, rho) for rho in classes)
+    i = _positions(n)[lam]
+    return tuple(mn_character(lam, rho) if (col := built.get(rho)) is None
+                 else col[i] for rho in classes)
+
+
+@cache
 def class_sizes(n):
     """n!/z_rho, the number of permutations of cycle type rho, as a tuple
     aligned with partitions_of(n)."""
@@ -141,9 +260,9 @@ def kron_coeff(lam, mu, nu):
     g = sum over classes rho of chi^lam(rho) chi^mu(rho) chi^nu(rho) / z_rho,
     summed as integers times the class sizes n!/z_rho and divided by n!
     once; the sum is checked to be a nonnegative integer.  It reads each
-    character from `mn_character` and sums class by class, apart from the
-    dense character rows whose dot products the Kronecker table of
-    `symfunc` takes, so the two routes check each other's sums.
+    character from `mn_character` and sums class by class, while the
+    Kronecker table of `symfunc` takes dot products of rows read off the
+    tables of `character_column`, so the two routes check each other.
     """
     lam = pt.make_partition(lam)
     mu = pt.make_partition(mu)

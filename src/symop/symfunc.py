@@ -15,23 +15,29 @@ SymFunc per basis and partition.  Every coefficient given from outside
 passes through one coercion, `_rational`, which takes ints, Fractions and
 rational strings and refuses floats, which are already rounded.
 
-Between s and p, conversions route through characters: s_lam =
-sum_rho chi^lam(rho)/z_rho p_rho and p_rho = sum_lam chi^lam(rho) s_lam.
-A character row (over the classes rho) and a character column (over the
-shapes lam) are dense int tuples aligned with `partitions_of(n)`, one
-`coeffs.mn_character` entry each, so the terms of one degree are summed
-as dense vectors, not one dict update per term.  s goes to h and e by
-expanding the Jacobi-Trudi determinant along its first column, and h_lam
-and e_lam come back to s as products of one-row (one-column) Schur
+Between s and p, conversions route through characters: s_lam = sum_rho
+chi^lam(rho)/z_rho p_rho and p_rho = sum_lam chi^lam(rho) s_lam.
+Character rows and columns are dense int tuples aligned with
+`partitions_of(n)`.  A character column (over the shapes lam) comes from
+the column engine of `coeffs`, which adds border strips.  A character
+row (over the classes rho) is read off its degree's table, the transpose
+of the columns, once every column of the degree is built; before that it
+is read entry by entry, off the columns already built and from
+`coeffs.mn_character`, which removes border strips, for the rest, so a
+lone row of a large degree builds no column.  The terms of one degree
+are summed as one dot product per entry over their transposed vectors,
+at C level (`_dot_sums`), not one dict update per term.  s goes to h and
+e by expanding the Jacobi-Trudi determinant along its first column, and
+h_lam and e_lam come back to s as products of one-row (one-column) Schur
 functions; h and e reach p by way of s.  The product and skew tables
 count Littlewood-Richardson fillings of one skew shape each, with free
 content, so they enumerate the terms of the answer; a product s_lam s_mu
 is the skew Schur function of a disconnected shape with components lam
-and mu.  The Kronecker product is diagonal on power sums,
-p_lam * p_mu = delta_{lam,mu} z_lam p_lam, so its table takes dot
-products of character rows.  Products, skewing, Kronecker products and
-the straightened Kronecker family KB are bilinear lookups in memoized
-tables of Schur structure constants keyed by two partitions
+and mu.  The Kronecker product is diagonal on power sums, p_lam * p_mu =
+delta_{lam,mu} z_lam p_lam, so its table takes dot products of the rows
+of the degree's complete character table.  Products, skewing, Kronecker
+products and the straightened Kronecker family KB are bilinear lookups
+in memoized tables of Schur structure constants keyed by two partitions
 (`_schur_mul_terms`, `_schur_skew_terms`, `_schur_kron_terms`,
 `_schur_kb_terms`).  Each miss of a memo table is charged to the work
 meter (`_work`), weighted by the work it does.
@@ -336,21 +342,17 @@ def _bilinear(f, g, table):
 @cache
 def _character_row(lam):
     """The character chi^lam as a tuple aligned with partitions_of(|lam|),
-    one `coeffs.mn_character` entry per class rho, so that s_lam =
-    sum_rho chi^lam(rho)/z_rho p_rho."""
-    classes = pt.partitions_of(sum(lam))
-    _work.charge(len(classes))
-    return tuple(coeffs.mn_character(lam, rho) for rho in classes)
+    so that s_lam = sum_rho chi^lam(rho)/z_rho p_rho; from
+    `coeffs.character_row`."""
+    return coeffs.character_row(lam)
 
 
 @cache
 def _character_column(rho):
     """The characters at the class rho as a tuple aligned with
-    partitions_of(|rho|), one `coeffs.mn_character` entry per shape lam,
-    so that p_rho = sum_lam chi^lam(rho) s_lam."""
-    shapes = pt.partitions_of(sum(rho))
-    _work.charge(len(shapes))
-    return tuple(coeffs.mn_character(lam, rho) for lam in shapes)
+    partitions_of(|rho|), so that p_rho = sum_lam chi^lam(rho) s_lam; from
+    the column engine `coeffs.character_column`."""
+    return coeffs.character_column(rho)
 
 
 @cache
@@ -378,6 +380,9 @@ def _schur_skew_terms(lam, mu):
     _work.charge()
     if not pt.contains(mu, lam):
         return ()
+    # the cell list is sized by the shape, and `_fill` charges more than
+    # its size once the list is built: refuse a huge shape before it
+    _work.require(sum(lam) - sum(mu))
     # deferred import: tableaux imports this module
     from .tableaux import _fill, _ssyt_reading_cells
 
@@ -404,6 +409,8 @@ def _schur_kron_terms(lam, mu):
         return ()
     shapes = pt.partitions_of(n)
     _work.charge(len(shapes) * (1 + len(shapes) // 16))
+    # every row is read, so build the degree's table first
+    coeffs.character_table(n)
     weights = [a * b * size for a, b, size in zip(
         _character_row(lam), _character_row(mu), coeffs.class_sizes(n))]
     n_fact = factorial(n)
@@ -467,16 +474,17 @@ def _he_prefix(basis, lam):
 
 def _to_p(f):
     """f in the p basis, by way of s for h and e: the character rows of the
-    terms of each degree summed as one dense vector over the classes.  The
-    coefficient of p_rho is a sum of terms over z_rho, which divides N! for
-    the top degree N of f, so the numerators are put over d * N!, each
-    class of degree n weighted by N!/n! times its size n!/z_rho."""
+    terms of each degree summed as one dense vector over the classes
+    (`_dot_sums`).  The coefficient of p_rho is a sum of terms over z_rho,
+    which divides N! for the top degree N of f, so the numerators are put
+    over d * N!, each class of degree n weighted by N!/n! times its size
+    n!/z_rho."""
     if f.basis == "p":
         return f
     f = to_basis(f, "s")
     n_fact = factorial(f.max_degree())
     out = {}
-    for n, acc in _dense_sums(f._num, _character_row).items():
+    for n, acc in _dot_sums(f._num, _character_row).items():
         m = n_fact // factorial(n)
         for rho, c, size in zip(pt.partitions_of(n), acc, coeffs.class_sizes(n)):
             if c:
@@ -487,27 +495,33 @@ def _to_p(f):
 def _p_to_s(num, d):
     """The Schur expansion of sum_rho num[rho] / d p_rho: the character
     columns of the classes of each degree summed as one dense vector over
-    the shapes, since p_rho = sum_lam chi^lam(rho) s_lam."""
+    the shapes (`_dot_sums`), since p_rho = sum_lam chi^lam(rho) s_lam."""
     out = {}
-    for n, acc in _dense_sums(num, _character_column).items():
+    for n, acc in _dot_sums(num, _character_column).items():
         for lam, c in zip(pt.partitions_of(n), acc):
             if c:
                 out[lam] = c
     return SymFunc._trusted("s", out, d)
 
 
-def _dense_sums(num, table):
+def _dot_sums(num, table):
     """Degree n -> the list sum of c * table(k) over the (k, c) of num with
-    |k| = n, for a table of tuples aligned with partitions_of(n)."""
-    sums = {}
+    |k| = n, for a table of tuples aligned with partitions_of(n).  Each
+    entry is one dot product of the coefficients with the transposed
+    vectors of the degree, summed at C level; a degree with one term only
+    scales its vector."""
+    by_degree = {}
     for k, c in num.items():
-        vec = table(k)
-        n = sum(k)
-        acc = sums.get(n)
-        if acc is None:
-            sums[n] = [c * x for x in vec]
+        by_degree.setdefault(sum(k), []).append((k, c))
+    sums = {}
+    for n, terms in by_degree.items():
+        if len(terms) == 1:
+            ((k, c),) = terms
+            sums[n] = [c * x for x in table(k)]
         else:
-            sums[n] = [a + c * x for a, x in zip(acc, vec)]
+            keys, cs = zip(*terms)
+            sums[n] = [sum(map(operator.mul, cs, xs))
+                       for xs in zip(*map(table, keys))]
     return sums
 
 

@@ -745,17 +745,54 @@ def _reading_words(outer, inner, bound):
     return map(tuple, _fill(cells, True, max_entry=bound, plan=plan))
 
 
-def _tableau_json(outer, inner, values):
+def _tableau_json(outer, inner, values, holes=()):
     """The filling of outer/inner with the given values in SSYT reading
-    order, as the JSON tableau that `symop jdt` reads."""
+    order, and the holes to slide it into, as the JSON tableau that
+    `symop jdt` reads."""
     # only a failure needs json, so `import symop` does not pay for it
     import json
 
     cells, _ = _reading_order(outer, inner)
-    return json.dumps({
+    blob = {
         "shape": str(SkewShape._trusted(outer, inner)),
         "entries": sorted([r, c, v] for (r, c), v in zip(cells, values)),
-    })
+    }
+    if holes:
+        blob["holes"] = [list(hole) for hole in holes]
+    return json.dumps(blob)
+
+
+def _slid_into(alpha, theta, bound, outcome):
+    """The JSON of an SSYT of gamma/delta and its hole delta/theta whose
+    forward slide ends in outcome, in the loop and keys of
+    `verify_jdt_bijection`: (beta, values) for cases (a) and (b), values
+    alone for case (c).  Runs the slides again, so only a failure pays for
+    it."""
+    for gamma in pt.add_set(alpha):
+        for delta in pt.add_restrict(theta, alpha):
+            cells, plan, row_at, col_at, stops = _slide_plan(gamma, delta, theta)
+            hole = len(cells)
+            for vals in _fill(cells, True, max_entry=bound, plan=plan):
+                slid = [*vals, 0]
+                beta, getter = stops[_slide_slots(slid, hole, row_at, col_at, 1)]
+                values = getter(slid)
+                if (values if beta == alpha else (beta, values)) == outcome:
+                    return _tableau_json(gamma, delta, vals,
+                                         [_added_cell(theta, delta)])
+    raise AssertionError(f"no slide ends in {outcome}")
+
+
+def _failing_tableau(alpha, theta, bound, got, want, case_c):
+    """The tableau that a failure of `verify_jdt_bijection` names, as JSON
+    that `symop jdt` reads.  For the first outcome whose multiplicity is
+    wrong (`_first_difference`): an input tableau and its hole whose slide
+    ends in it, when the slides reach it, else the expected tableau that
+    the slides miss, of shape beta/theta (alpha/theta in case (c))."""
+    key = _first_difference(got, want)
+    if key in got:
+        return _slid_into(alpha, theta, bound, key)
+    beta, values = (alpha, key) if case_c else key
+    return _tableau_json(beta, theta, values)
 
 
 def _first_difference(got, want):
@@ -781,10 +818,12 @@ def verify_jdt_bijection(alpha, theta):
     docstring) through the slot plan of `_slide_plan`, one per (gamma,
     delta, theta), and keys each outcome by its shape and its values in
     SSYT reading order.  A slid filling that is not one of the expected SSYT
-    shows up as a mismatch.  A tableau is written out only for a failure:
-    each failure names one from the symmetric difference of the slid and
-    the expected tableaux, under the param "tableau", in the JSON form that
-    `symop jdt` reads.
+    shows up as a mismatch.  A tableau is written out only for a failure,
+    under the param "tableau", in the JSON form that `symop jdt` reads
+    (`_failing_tableau`): the unslid input with its hole, which `symop
+    jdt` slides again, when the slides reach a wrong outcome, or else the
+    expected tableau that they miss.  Either one is semistandard, whatever
+    the slides do.
     """
     alpha = pt.make_partition(alpha)
     theta = pt.make_partition(theta)
@@ -824,22 +863,20 @@ def verify_jdt_bijection(alpha, theta):
     params = {"alpha": alpha, "theta": theta}
     failures = []
     if got_ab != want_ab:
-        beta, values = _first_difference(got_ab, want_ab)
         failures.append(
             Failure(
-                {**params, "part": "cases a+b",
-                 "tableau": _tableau_json(beta, theta, values)},
+                {**params, "part": "cases a+b", "tableau": _failing_tableau(
+                    alpha, theta, bound, got_ab, want_ab, False)},
                 f"{len(got_ab)} distinct slid tableaux (multiplicities "
                 f"{sorted(got_ab.values())})",
                 f"{len(want_ab)} expected tableaux, each once",
             )
         )
     if got_c != want_c:
-        values = _first_difference(got_c, want_c)
         failures.append(
             Failure(
-                {**params, "part": "case c",
-                 "tableau": _tableau_json(alpha, theta, values)},
+                {**params, "part": "case c", "tableau": _failing_tableau(
+                    alpha, theta, bound, got_c, want_c, True)},
                 f"case c multiset of size {sum(got_c.values())}",
                 f"expected {k} copies of each of {len(want_c)} tableaux",
             )

@@ -536,6 +536,22 @@ def test_h_and_e_expansions_meet_the_budget(capsys, monkeypatch, argv):
     assert time.monotonic() - start < 5
 
 
+@pytest.mark.parametrize("argv", [
+    ["skew", f"{_NINES}/1"],
+    ["skewpieri", "1", _NINES],
+    ["expand", f"h[{_NINES}]"],
+    ["skewcorners", _NINES, "4"],
+], ids=["skew", "skewpieri", "expand-h", "skewcorners"])
+def test_huge_skew_shapes_meet_the_budget_before_their_cells(
+        capsys, monkeypatch, argv):
+    # each reaches the skew table of a shape of about 10^30 cells, which
+    # asks the budget for its size before it lists the cells
+    monkeypatch.setattr(cli, "MAX_WORK", _LOW_WORK)
+    start = time.monotonic()
+    _assert_refused(capsys, [argv], _LOW_WORK)
+    assert time.monotonic() - start < 5
+
+
 def test_tableau_rules_exit_2_under_the_work_budget(capsys, monkeypatch):
     # skew shapes, skew Pieri strips and skew LR fillings have no a-priori
     # estimate; the fillings and partitions they enumerate are charged
@@ -577,7 +593,7 @@ def test_verify_is_unmetered_when_sub_partitions_are_cold(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, units", [
-    (["expand", "kron(s[2,1],s[2,1])*p[2]+h[2]"], 255),
+    (["expand", "kron(s[2,1],s[2,1])*p[2]+h[2]"], 254),
     (["skewlr", "2,1/1", "2,1/1"], 349),
 ], ids=["expand", "skewlr"])
 def test_work_charge_is_deterministic(argv, units):

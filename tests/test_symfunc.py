@@ -222,6 +222,77 @@ def test_character_tables_are_orthogonal_up_to_10():
                 assert got == (pt.z_factor(parts[i]) if i == j else 0), (n, i, j)
 
 
+@pytest.fixture
+def cold_characters():
+    # every character memo cleared before and after the test, so that it
+    # builds its own tables and leaves none that a planted fault built
+    def clear():
+        for table in (coeffs.mn_character, coeffs._strips, coeffs._added_strips,
+                      coeffs.character_table, sf._character_row,
+                      sf._character_column):
+            table.cache_clear()
+        coeffs._COLUMNS.clear()
+
+    clear()
+    yield
+    clear()
+
+
+def _mn_row(lam):
+    return tuple(coeffs.mn_character(lam, rho) for rho in pt.partitions_of(sum(lam)))
+
+
+def _rows_off_complete_tables(max_n):
+    """Build every column of each degree <= max_n first, then read every
+    row of those degrees off the complete tables; the shapes whose row
+    differs from `coeffs.mn_character`."""
+    for n in range(max_n + 1):
+        for rho in pt.partitions_of(n):
+            sf._character_column(rho)
+        assert coeffs.columns_complete(n)
+    return [lam for lam in pt.partitions_upto(max_n)
+            if sf._character_row(lam) != _mn_row(lam)]
+
+
+def test_character_rows_read_off_complete_tables_up_to_12(cold_characters):
+    assert _rows_off_complete_tables(12) == []
+    assert coeffs.character_table.cache_info().currsize == 13
+    # the pinned digests hold on this route too
+    test_character_tables_pinned_up_to_12()
+
+
+def test_a_flipped_strip_sign_fails_the_table_check(cold_characters, monkeypatch):
+    real = coeffs._added_strips
+
+    def flipped(mu, r):
+        strips = real(mu, r)
+        if mu == (2, 1) and r == 2:
+            (pos, sign), *rest = strips
+            return ((pos, -sign), *rest)
+        return strips
+
+    monkeypatch.setattr(coeffs, "_added_strips", flipped)
+    assert _rows_off_complete_tables(6)
+
+
+def test_rows_of_a_partly_built_degree_and_a_lone_large_row(cold_characters):
+    # a lone s -> p reads one mn_character entry per class and builds no
+    # column; p_{1^20} has the coefficient f^lam / 20!, f^(10,10) = 16796
+    f = sf.to_basis(sf.schur((10, 10)), "p")
+    assert f.terms[(1,) * 20] == Fraction(16796, math.factorial(20))
+    assert coeffs._COLUMNS == {}
+    assert coeffs.character_table.cache_info().currsize == 0
+    # with some columns of a degree built, a row reads their entries and
+    # mn_character for the rest
+    classes = pt.partitions_of(9)
+    for rho in classes[::2]:
+        sf._character_column(rho)
+    assert not coeffs.columns_complete(9)
+    for lam in classes:
+        assert sf._character_row(lam) == _mn_row(lam), lam
+    assert coeffs.character_table.cache_info().currsize == 0
+
+
 def test_h_and_e_to_schur_are_kostka_numbers_up_to_7():
     # h_lam = sum_nu K_{nu,lam} s_nu and e_lam = sum_nu K_{nu',lam} s_nu,
     # with the Kostka number K_{nu,lam} counted as the SSYT of shape nu

@@ -581,33 +581,28 @@ def test_flipped_tie_rule_fails_the_bijection_with_a_tableau(monkeypatch, capsys
         for theta in pt.sub_partitions(alpha)
         for f in tb.verify_jdt_bijection(alpha, theta).failures
     ]
-    assert failures
-    semistandard = 0
-    for f in failures:
-        blob = json.loads(f.params["tableau"])
-        shape = pt.parse_skew(blob["shape"])
-        entries = {(r, c): v for r, c, v in blob["entries"]}
-        try:
-            tb.SSYT(shape, entries)
-        except ValueError as exc:
-            # a slid filling that the flipped rule left non-semistandard
-            assert "increasing" in str(exc)
-        else:
-            semistandard += 1
-    assert semistandard
-    # at (2,1)/() both parts fail on a tableau the slides miss, and
-    # `symop jdt` reads each one back
+    assert len(failures) == 34
+    # at (2,1)/() cases a+b miss an expected tableau, which is named, and
+    # case c reaches a wrong outcome, whose unslid input and hole are named
     report = tb.verify_jdt_bijection((2, 1), ())
     assert [f.params["part"] for f in report.failures] == ["cases a+b", "case c"]
-    for f in report.failures:
-        blob = json.loads(f.params["tableau"])
-        t = tb.SSYT(
-            pt.parse_skew(blob["shape"]),
-            {(r, c): v for r, c, v in blob["entries"]},
-        )
-        assert t.shape.inner == ()
+    missed, slid = (json.loads(f.params["tableau"]) for f in report.failures)
+    assert missed["shape"] == "3/0" and "holes" not in missed
+    assert slid["shape"] == "3,1/1" and slid["holes"] == [[0, 0]]
+    # the flipped rule is what fails, not the tableaux: each failure names
+    # a semistandard tableau, and a legal hole when it has one, so `symop
+    # jdt` replays every failure under the real rule
+    monkeypatch.undo()
+    with_holes = 0
+    for f in failures:
         assert f.params["tableau"] in f.describe()
-        assert cli.main(["jdt", f.params["tableau"]]) == 0
+        blob = json.loads(f.params["tableau"])
+        tb.SSYT(pt.parse_skew(blob["shape"]),
+                {(r, c): v for r, c, v in blob["entries"]})
+        with_holes += "holes" in blob
+        assert cli.main(["jdt", f.params["tableau"]]) == 0, f.params
+    assert with_holes == 22
+    capsys.readouterr()
 
 
 def test_skew_pieri_one_box():
