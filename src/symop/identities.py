@@ -19,12 +19,17 @@ the word of its right sides as letters (kind, slot), a generator and the
 slot of its argument, and every sum of words is built from the letters
 as the word tuples themselves (`_word_sum`), not through U, D, K, KB and
 composition.
+
+Every piece that depends on only part of an instance (the relations' term
+lists, the splits of beta, D_lam(s_x) and s_mu * s_x) is memoized by
+canonical partitions and built once for all the instances that share it;
+`verify_instance` makes its partition params canonical before the check.
 """
 
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 from . import coeffs
@@ -95,7 +100,11 @@ def _ab_instances(bounds):
 # Both right sides of a relation are sums of c * word(x, y) over one
 # two-letter word: the skew form over (c, x, y) terms of skew functions, the
 # structure-constant form over x = s_mu, y = s_nu with c from {(mu, nu): c}.
+# The term lists depend on (a, b) alone, not on the vector bound, so they
+# are memoized by canonical partitions and shared as tuples by every
+# instance, entry and commutator that reads them.
 
+@cache
 def _du_terms(alpha, beta, twisted):
     """Terms (1, s_{a/l}, s_{b/l}) over l in a and b; when twisted, l' takes
     the place of l in b and the sign is (-1)^|l|."""
@@ -106,19 +115,21 @@ def _du_terms(alpha, beta, twisted):
             continue
         sign = -1 if twisted and sum(lam) % 2 else 1
         out.append((sign, sf.skew_schur(alpha, lam), sf.skew_schur(beta, lam2)))
-    return out
+    return tuple(out)
 
 
+@cache
 def _skew_kron_terms(alpha, beta):
     """Terms (1, s_{b/lam} * s_a, s_lam) over lam in b with |b/lam| = |a|;
     used by both orders of the K/U relation."""
-    return [
+    return tuple(
         (1, sf.kronecker(sf.skew_schur(beta, lam), sf.schur(alpha)), sf.schur(lam))
         for lam in pt.sub_partitions(beta)
         if sum(beta) - sum(lam) == sum(alpha)
-    ]
+    )
 
 
+@cache
 def _kbu_terms(alpha, beta):
     """Terms (1, f, s_nu) with f = (s_{beta/nu} * s_tau) s_{alpha/tau} summed
     over tau; used by both orders of the KB/U relation."""
@@ -132,7 +143,7 @@ def _kbu_terms(alpha, beta):
         )
         if not f.is_zero():
             out.append((1, f, sf.schur(nu)))
-    return out
+    return tuple(out)
 
 
 def _cor_coeffs_du(alpha, beta, twisted):
@@ -322,13 +333,43 @@ def _fg_instances(bounds):
     return out
 
 
+# The splits of b and the pieces D_l(s_x) and s_m * s_x depend on part of
+# an instance (b, f, g) only, so each is memoized by canonical partitions.
+
+@cache
 def _lr_splits(b):
     """Triples (lam, mu, c^b_{lam,mu}) with a nonzero coefficient."""
-    for lam in pt.sub_partitions(b):
-        for mu in pt.partitions_of(sum(b) - sum(lam)):
-            c = coeffs.lr_coeff(b, lam, mu)
-            if c:
-                yield lam, mu, c
+    return tuple(
+        (lam, mu, c)
+        for lam in pt.sub_partitions(b)
+        for mu in pt.partitions_of(sum(b) - sum(lam))
+        if (c := coeffs.lr_coeff(b, lam, mu))
+    )
+
+
+@cache
+def _kron_splits(b):
+    """Triples (lam, mu, g_{b,lam,mu}) with lam, mu of |b| and a nonzero
+    coefficient."""
+    k = sum(b)
+    return tuple(
+        (lam, mu, g)
+        for lam in pt.partitions_of(k)
+        for mu in pt.partitions_of(k)
+        if (g := coeffs.kron_coeff(b, lam, mu))
+    )
+
+
+@cache
+def _skewed(lam, x):
+    """D_lam(s_x)."""
+    return sf.skew(sf.schur(x), sf.schur(lam))
+
+
+@cache
+def _kron_schur(mu, x):
+    """s_mu * s_x."""
+    return sf.kronecker(sf.schur(mu), sf.schur(x))
 
 
 def _chk_foulkes(prm):
@@ -336,7 +377,7 @@ def _chk_foulkes(prm):
     fx, gy, sb = sf.schur(x), sf.schur(y), sf.schur(b)
     lhs = sf.skew(sf.mul(fx, gy), sb)
     rhs = sf.linear_combination(
-        (c, sf.mul(sf.skew(fx, sf.schur(lam)), sf.skew(gy, sf.schur(mu))))
+        (c, sf.mul(_skewed(lam, x), _skewed(mu, y)))
         for lam, mu, c in _lr_splits(b)
     )
     return _sym_equal(prm, lhs, rhs)
@@ -347,8 +388,7 @@ def _chk_littlewood(prm):
     fx, gy, sb = sf.schur(x), sf.schur(y), sf.schur(b)
     lhs = sf.kronecker(sb, sf.mul(fx, gy))
     rhs = sf.linear_combination(
-        (c, sf.mul(sf.kronecker(sf.schur(mu), fx),
-                   sf.kronecker(sf.schur(lam), gy)))
+        (c, sf.mul(_kron_schur(mu, x), _kron_schur(lam, y)))
         for lam, mu, c in _lr_splits(b)
     )
     return _sym_equal(prm, lhs, rhs)
@@ -358,12 +398,9 @@ def _chk_similar(prm):
     b, x, y = prm["beta"], prm["f"], prm["g"]
     fx, gy, sb = sf.schur(x), sf.schur(y), sf.schur(b)
     lhs = sf.skew(sf.kronecker(fx, gy), sb)
-    k = sum(b)
     rhs = sf.linear_combination(
-        (g, sf.kronecker(sf.skew(fx, sf.schur(lam)), sf.skew(gy, sf.schur(mu))))
-        for lam in pt.partitions_of(k)
-        for mu in pt.partitions_of(k)
-        if (g := coeffs.kron_coeff(b, lam, mu))
+        (g, sf.kronecker(_skewed(lam, x), _skewed(mu, y)))
+        for lam, mu, g in _kron_splits(b)
     )
     return _sym_equal(prm, lhs, rhs)
 
@@ -709,12 +746,22 @@ def _report(entry, params, instances):
     )
 
 
+# the params that name partitions; every other one is an integer
+_PARTITION_PARAMS = frozenset({"alpha", "beta", "gamma", "theta", "lam", "f", "g"})
+
+
 def verify_instance(ident, params):
-    """Check one catalog identity at explicit parameters."""
+    """Check one catalog identity at explicit parameters.  Partition params
+    may be any part sequences (lists, JSON arrays, trailing zeros): each is
+    made canonical first, as the checks and their memos expect."""
     if ident not in CATALOG:
         raise ValueError(f"unknown identity {ident!r}")
+    params = {
+        key: pt.make_partition(v) if key in _PARTITION_PARAMS else v
+        for key, v in params.items()
+    }
     try:
-        return _report(CATALOG[ident], dict(params), [dict(params)])
+        return _report(CATALOG[ident], params, [dict(params)])
     except KeyError as exc:
         raise ValueError(f"malformed params for {ident}: missing {exc}") from None
 

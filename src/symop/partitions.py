@@ -229,13 +229,27 @@ def _between(floor, cap, n):
     is charged by the rows that the step after it scans back over, so a
     family costs as many units as its prefix tree has nodes.
     """
-    rows = len(cap)
-    floor = tuple(floor) + (0,) * (rows - len(floor))
+    return _walk(_frame(floor, cap), n)
+
+
+def _frame(floor, cap):
+    """What the walk of `_between` reads of floor and cap, whatever the
+    size: cap, the floor padded to its rows, the suffix sums of both, the
+    negated caps for bisection and the smallest cap.  Built once and
+    shared by every size of one family."""
+    floor = tuple(floor) + (0,) * (len(cap) - len(floor))
     floor_rest = list(accumulate(reversed(floor), initial=0))[::-1]
     cap_rest = list(accumulate(reversed(cap), initial=0))[::-1]
+    return cap, floor, floor_rest, cap_rest, [-c for c in cap], min(cap, default=0)
+
+
+def _walk(frame, n):
+    """The partitions of n between the floor and cap of frame (`_frame`),
+    as `_between` lists them."""
+    cap, floor, floor_rest, cap_rest, neg_cap, low = frame
+    rows = len(cap)
     if not floor_rest[0] <= n <= cap_rest[0]:
         return
-    neg_cap, low = [-c for c in cap], min(cap, default=0)
     parts, left, prev = [], n, n
     while True:
         i = len(parts)
@@ -294,9 +308,10 @@ def sub_partitions(lam, max_size=None):
 @cache
 def _sub_partitions(lam):
     """The partitions contained in lam as a sorted tuple of interned
-    tuples, one enumeration per lam."""
+    tuples, one enumeration per lam, over one frame for every size."""
+    frame = _frame((), lam)
     return tuple(_intern(mu) for m in range(sum(lam) + 1)
-                 for mu in _between((), lam, m))
+                 for mu in _walk(frame, m))
 
 
 def z_factor(lam):

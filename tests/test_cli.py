@@ -584,9 +584,13 @@ def test_work_budget_is_restored_and_verify_is_unmetered(capsys, monkeypatch):
 
 def test_verify_is_unmetered_when_sub_partitions_are_cold(capsys, monkeypatch):
     # sub_partitions is memoized, so it charges only on a cold entry: clear
-    # it, so that a metered verify would be refused at a budget of 0
+    # it, so that a metered verify would be refused at a budget of 0, and
+    # the catalog's own memos, whose warm term lists would not reach it
     monkeypatch.setattr(cli, "MAX_WORK", 0)
     pt._sub_partitions.cache_clear()
+    for memo in vars(idn).values():
+        if hasattr(memo, "cache_clear"):
+            memo.cache_clear()
     assert cli.main(["verify", "thm_main_1", "--max-ab", "2", "--max-g", "2"]) == 0
     assert "thm_main_1: PASS" in capsys.readouterr().out
     assert pt._sub_partitions.cache_info().misses > 0

@@ -85,6 +85,64 @@ def test_corrupted_entry_reports_counterexample():
     assert "lhs" in detail and "rhs" in detail
 
 
+# the pieces of an instance that `identities` memoizes by canonical
+# partitions
+_MEMOS = ("_du_terms", "_skew_kron_terms", "_kbu_terms", "_lr_splits",
+          "_kron_splits", "_skewed", "_kron_schur")
+
+
+def _clear_memos():
+    for name in _MEMOS:
+        getattr(idn, name).cache_clear()
+
+
+def _outcome(reports):
+    return [(r.identity, r.instances, r.passed, r.failures) for r in reports]
+
+
+def test_memoized_pieces_give_the_same_reports_warm_and_cold():
+    cached = {name for name, f in vars(idn).items() if hasattr(f, "cache_clear")}
+    assert cached == set(_MEMOS)
+    bounds = idn.Bounds(2, 4)
+    first = _outcome(idn.run_suite(bounds))
+    assert all(passed for _ident, _n, passed, _fl in first)
+    assert _outcome(idn.run_suite(bounds)) == first
+    for name in _MEMOS:
+        memo = getattr(idn, name)
+        assert memo.cache_info().hits > 0, name
+        memo.cache_clear()
+        assert _outcome(idn.run_suite(bounds)) == first, name
+        assert memo.cache_info().misses > 0, name
+
+
+def _spellings(prm):
+    """prm with its partitions as tuples, as lists, through JSON, and
+    padded with zeros."""
+    parts = idn._PARTITION_PARAMS.intersection(prm)
+    return [
+        prm,
+        {k: list(v) if k in parts else v for k, v in prm.items()},
+        json.loads(json.dumps(prm)),
+        {k: (*v, 0, 0) if k in parts else v for k, v in prm.items()},
+    ]
+
+
+def test_verify_instance_canonicalizes_partition_params():
+    bounds = idn.Bounds(2, 3)
+    for ident, entry in idn.CATALOG.items():
+        for prm in entry.instances(bounds)[-2:]:
+            want = idn.verify_instance(ident, prm)
+            assert want.passed, ident
+            for spelled in _spellings(prm):
+                got = idn.verify_instance(ident, spelled)
+                assert (got.passed, got.instances) == (True, want.instances), (
+                    ident, spelled)
+                assert got.params == want.params
+    # a trailing zero once gave false counterexamples here
+    assert idn.verify_instance("straightcorners", {"alpha": (2, 1, 0)}).passed
+    assert idn.verify_instance("tabmanip2", {"alpha": (2, 1, 0), "theta": (1,)}).passed
+
+
 def test_run_suite_small_bounds_all_pass():
     reports = idn.run_suite(idn.Bounds(max_ab=1, max_g=2))
     assert [r.identity for r in reports] == list(idn.CATALOG)
@@ -141,7 +199,9 @@ def test_main_and_coefficient_forms_agree():
 def test_cor_entries_check_the_structure_constant_forms(monkeypatch):
     # Kronecker coefficients enter only the structure-constant sides of
     # relations 3-6 (sf.kronecker goes through the p basis): zeroing them
-    # must break the thm_main_cor entries and leave the thm_main ones intact
+    # must break the thm_main_cor entries and leave the thm_main ones intact,
+    # whose term lists are built afresh under the planted fault
+    _clear_memos()
     monkeypatch.setattr(coeffs, "kron_coeff", lambda *args: 0)
     prm = {"alpha": (1,), "beta": (1,), "vector_bound": 2}
     for i in range(3, 7):
