@@ -24,6 +24,8 @@ Every piece that depends on only part of an instance (the relations' term
 lists, the splits of beta, D_lam(s_x) and s_mu * s_x) is memoized by
 canonical partitions and built once for all the instances that share it;
 `verify_instance` makes its partition params canonical before the check.
+The structure-constant forms read their coefficients off the memoized LR
+and Kronecker splits, so each coefficient is asked of `coeffs` once.
 """
 
 import time
@@ -146,43 +148,62 @@ def _kbu_terms(alpha, beta):
     return tuple(out)
 
 
+# The nonzero LR and Kronecker splits of a partition, memoized; the three
+# structure-constant tables below are joins of them.
+
+@cache
+def _lr_splits(b):
+    """Triples (lam, mu, c^b_{lam,mu}) with a nonzero coefficient."""
+    return tuple(
+        (lam, mu, c)
+        for lam in pt.sub_partitions(b)
+        for mu in pt.partitions_of(sum(b) - sum(lam))
+        if (c := coeffs.lr_coeff(b, lam, mu))
+    )
+
+
+@cache
+def _kron_splits(b):
+    """Triples (lam, mu, g_{b,lam,mu}) with lam, mu of |b| and a nonzero
+    coefficient."""
+    k = sum(b)
+    return tuple(
+        (lam, mu, g)
+        for lam in pt.partitions_of(k)
+        for mu in pt.partitions_of(k)
+        if (g := coeffs.kron_coeff(b, lam, mu))
+    )
+
+
+def _by_first(splits):
+    """A split table as {lam: [(mu, c), ...]}, in the table's order."""
+    out = {}
+    for lam, mu, c in splits:
+        out.setdefault(lam, []).append((mu, c))
+    return out
+
+
 def _cor_coeffs_du(alpha, beta, twisted):
     """(mu, nu) -> sum_lam c^alpha_{lam,mu} c^beta_{lam,nu}, with lam
     conjugated and sign-weighted in the twisted variant."""
+    at_beta = _by_first(_lr_splits(beta))
     acc = {}
-    for lam in pt.sub_partitions(alpha):
-        lam2 = pt.conjugate(lam) if twisted else lam
-        if not pt.contains(lam2, beta):
-            continue
-        sign = (-1 if sum(lam) % 2 else 1) if twisted else 1
-        for mu in pt.partitions_of(sum(alpha) - sum(lam)):
-            c1 = coeffs.lr_coeff(alpha, lam, mu)
-            if not c1:
-                continue
-            for nu in pt.partitions_of(sum(beta) - sum(lam2)):
-                c2 = coeffs.lr_coeff(beta, lam2, nu)
-                if c2:
-                    key = (mu, nu)
-                    acc[key] = acc.get(key, 0) + sign * c1 * c2
+    for lam, mu, c1 in _lr_splits(alpha):
+        sign = -1 if twisted and sum(lam) % 2 else 1
+        for nu, c2 in at_beta.get(pt.conjugate(lam) if twisted else lam, ()):
+            key = (mu, nu)
+            acc[key] = acc.get(key, 0) + sign * c1 * c2
     return acc
 
 
 def _cor_coeffs_ku(alpha, beta):
     """(mu, nu) -> sum_lam g_{alpha,lam,mu} c^beta_{lam,nu}."""
+    at_beta = _by_first(_lr_splits(beta))
     acc = {}
-    n = sum(alpha)
-    for lam in pt.partitions_of(n):
-        if not pt.contains(lam, beta):
-            continue
-        for nu in pt.partitions_of(sum(beta) - n):
-            c = coeffs.lr_coeff(beta, lam, nu)
-            if not c:
-                continue
-            for mu in pt.partitions_of(n):
-                g = coeffs.kron_coeff(alpha, lam, mu)
-                if g:
-                    key = (mu, nu)
-                    acc[key] = acc.get(key, 0) + g * c
+    for lam, mu, g in _kron_splits(alpha):
+        for nu, c in at_beta.get(lam, ()):
+            key = (mu, nu)
+            acc[key] = acc.get(key, 0) + g * c
     return acc
 
 
@@ -190,27 +211,14 @@ def _cor_coeffs_kbu(alpha, beta):
     """(mu, nu) -> sum over lam, sigma, tau, theta of
     g_{lam,tau,theta} c^beta_{lam,nu} c^alpha_{tau,sigma} c^mu_{theta,sigma}."""
     acc = {}
-    for nu in pt.sub_partitions(beta):
-        k = sum(beta) - sum(nu)
-        for lam in pt.partitions_of(k):
-            c_bn = coeffs.lr_coeff(beta, nu, lam)
-            if not c_bn:
-                continue
-            for tau in pt.sub_partitions(alpha, max_size=k):
-                if sum(tau) != k:
-                    continue
-                for sigma in pt.partitions_of(sum(alpha) - k):
-                    c_as = coeffs.lr_coeff(alpha, tau, sigma)
-                    if not c_as:
-                        continue
-                    for theta in pt.partitions_of(k):
-                        g = coeffs.kron_coeff(lam, tau, theta)
-                        if not g:
-                            continue
-                        w = g * c_bn * c_as
-                        for mu, cm in sf._schur_mul_terms(theta, sigma):
-                            key = (mu, nu)
-                            acc[key] = acc.get(key, 0) + w * cm
+    for nu, lam, c_bn in _lr_splits(beta):
+        at_lam = _by_first(_kron_splits(lam))
+        for tau, sigma, c_as in _lr_splits(alpha):
+            for theta, g in at_lam.get(tau, ()):
+                w = g * c_bn * c_as
+                for mu, cm in sf._schur_mul_terms(theta, sigma):
+                    key = (mu, nu)
+                    acc[key] = acc.get(key, 0) + w * cm
     return acc
 
 
@@ -333,32 +341,9 @@ def _fg_instances(bounds):
     return out
 
 
-# The splits of b and the pieces D_l(s_x) and s_m * s_x depend on part of
-# an instance (b, f, g) only, so each is memoized by canonical partitions.
-
-@cache
-def _lr_splits(b):
-    """Triples (lam, mu, c^b_{lam,mu}) with a nonzero coefficient."""
-    return tuple(
-        (lam, mu, c)
-        for lam in pt.sub_partitions(b)
-        for mu in pt.partitions_of(sum(b) - sum(lam))
-        if (c := coeffs.lr_coeff(b, lam, mu))
-    )
-
-
-@cache
-def _kron_splits(b):
-    """Triples (lam, mu, g_{b,lam,mu}) with lam, mu of |b| and a nonzero
-    coefficient."""
-    k = sum(b)
-    return tuple(
-        (lam, mu, g)
-        for lam in pt.partitions_of(k)
-        for mu in pt.partitions_of(k)
-        if (g := coeffs.kron_coeff(b, lam, mu))
-    )
-
+# The pieces D_l(s_x) and s_m * s_x depend on part of an instance
+# (b, f, g) only, so each is memoized by canonical partitions; the splits
+# of b are those of the relations' coefficient tables.
 
 @cache
 def _skewed(lam, x):
@@ -753,13 +738,18 @@ _PARTITION_PARAMS = frozenset({"alpha", "beta", "gamma", "theta", "lam", "f", "g
 def verify_instance(ident, params):
     """Check one catalog identity at explicit parameters.  Partition params
     may be any part sequences (lists, JSON arrays, trailing zeros): each is
-    made canonical first, as the checks and their memos expect."""
+    made canonical first, as the checks and their memos expect; one that is
+    not a partition is a ValueError that names it."""
     if ident not in CATALOG:
         raise ValueError(f"unknown identity {ident!r}")
-    params = {
-        key: pt.make_partition(v) if key in _PARTITION_PARAMS else v
-        for key, v in params.items()
-    }
+    params = dict(params)
+    for key in _PARTITION_PARAMS.intersection(params):
+        try:
+            params[key] = pt.make_partition(params[key])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"malformed params for {ident}: {key} is not a partition ({exc})"
+            ) from None
     try:
         return _report(CATALOG[ident], params, [dict(params)])
     except KeyError as exc:

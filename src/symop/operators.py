@@ -204,10 +204,10 @@ def _accumulate(words, xs, out):
     s, which starts at 1.  Each step adds s * a * b * table(lam, mu)[nu]
     into nu for every pair of a term (lam, a) of its first argument and
     (mu, b) of its second, the first argument's terms in the outer loop,
-    as `symfunc._bilinear` does, here run inline with one loop per
-    argument order.  A step but the last whose value and generator are one
-    pair each takes the memoized table entry itself as the next value and
-    multiplies s by a * b, since a table entry holds distinct nonzero terms;
+    as `symfunc._bilinear` does, here run inline.  A step but the last
+    whose value and generator are one pair each takes the memoized table
+    entry itself as the next value and multiplies s by a * b, since a
+    table entry holds distinct nonzero terms;
     any other step but the last builds the next value as a fresh list of
     nonzero pairs and resets s to 1.  A value that becomes zero ends the
     word, and the last step adds m * s times its terms straight into out;
@@ -238,21 +238,14 @@ def _accumulate(words, xs, out):
                 pairs = len(num) * len(ys)
                 top = _top_bits(num) + _top_bits(ys) + c.bit_length()
                 _work.charge(2 * pairs + pairs * top // _BITS_PER_UNIT)
+            outer, inner = (num, ys) if value_first else (ys, num)
             get = acc.get
-            if value_first:
-                for lam, a in num:
-                    ca = c * a
-                    for mu, b in ys:
-                        w = ca * b
-                        for nu, t in table(lam, mu):
-                            acc[nu] = get(nu, 0) + w * t
-            else:
-                for lam, a in ys:
-                    ca = c * a
-                    for mu, b in num:
-                        w = ca * b
-                        for nu, t in table(lam, mu):
-                            acc[nu] = get(nu, 0) + w * t
+            for lam, a in outer:
+                ca = c * a
+                for mu, b in inner:
+                    w = ca * b
+                    for nu, t in table(lam, mu):
+                        acc[nu] = get(nu, 0) + w * t
             if i < last:
                 num = [(k, n) for k, n in acc.items() if n]
                 if not num:

@@ -237,8 +237,8 @@ def _plan(cells, is_ssyt):
     return tuple(lo_at), tuple(hi_at)
 
 
-def _fill(cells, is_ssyt, content=None, max_entry=None, budget=None,
-          init_counts=None, plan=None):
+def _fill(cells, is_ssyt, cap=None, max_entry=None, init_counts=None,
+          plan=None):
     """Backtracking filler shared by the enumerators.
 
     Cells must come in the reading order of the tableau family, so the
@@ -251,13 +251,14 @@ def _fill(cells, is_ssyt, content=None, max_entry=None, budget=None,
     Yields each filling as a fresh list of the values of the cells, in
     their order, with the values of each cell tried in increasing order:
     the first cell varies slowest.
-    `content` fixes the multiplicity of each value exactly, `budget` only
-    caps it, `max_entry` leaves it free.  When `init_counts` is given
-    (value -> count), every prefix of the reading word must keep count(i)
-    >= count(i+1) starting from those counts.  The counts must not increase
-    with the value, as they do not for {} or a partition, and a lattice
-    word keeps them so; then once count(v-1) is 0 no value from v up can
-    be placed, and the scan of a cell stops there.
+    `cap` caps the multiplicity of each value, `max_entry` leaves it free.
+    A cap that sums to the number of cells is an exact content; callers
+    that want one check that size before the call.  When `init_counts` is
+    given (value -> count), every prefix of the reading word must keep
+    count(i) >= count(i+1) starting from those counts.  The counts must
+    not increase with the value, as they do not for {} or a partition, and
+    a lattice word keeps them so; then once count(v-1) is 0 no value from
+    v up can be placed, and the scan of a cell stops there.
 
     One loop walks the cells with an explicit stack, the value and upper
     bound of each placed cell, so the depth of the search is not bounded
@@ -272,14 +273,9 @@ def _fill(cells, is_ssyt, content=None, max_entry=None, budget=None,
     ncells = len(cells)
     charge = _work.charge
     charge(2 + 3 * ncells)
-    if content is not None:
-        if sum(content) != ncells:
-            return
-        remaining = list(content)
-        nvals = len(content)
-    elif budget is not None:
-        remaining = list(budget)
-        nvals = len(budget)
+    if cap is not None:
+        remaining = list(cap)
+        nvals = len(cap)
     else:
         remaining = None
         nvals = max_entry
@@ -336,12 +332,15 @@ def _fill(cells, is_ssyt, content=None, max_entry=None, budget=None,
                 counts[v] -= 1
 
 
-def _tableaux(cls, shape, **fill):
-    """Every tableau of class cls on the shape, as `_fill` yields them."""
+def _tableaux(cls, shape, content=None, **fill):
+    """Every tableau of class cls on the shape, as `_fill` yields them;
+    with a content, those of exactly that content."""
     is_ssyt = cls is SSYT
     cells = (_ssyt_reading_cells if is_ssyt else _assyt_reading_cells)(shape)
+    if content is not None and sum(content) != len(cells):
+        return []
     return [cls(shape, dict(zip(cells, vals)))
-            for vals in _fill(cells, is_ssyt, **fill)]
+            for vals in _fill(cells, is_ssyt, cap=content, **fill)]
 
 
 def enumerate_ssyt(shape, content):
@@ -372,9 +371,9 @@ def enumerate_lr_fillings(shape, content):
 def count_lr_fillings(shape, content):
     content = tuple(map(pt._as_integer, content))
     cells = _ssyt_reading_cells(shape)
-    return sum(
-        1 for _ in _fill(cells, True, content=content, init_counts={})
-    )
+    if sum(content) != len(cells):
+        return 0
+    return sum(1 for _ in _fill(cells, True, cap=content, init_counts={}))
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +542,7 @@ def _skew_lr_halves(a, b):
                 continue
             sign = -1 if size1 % 2 else 1
             cells1 = _assyt_reading_cells(shape1)
-            for d1 in _fill(cells1, False, budget=target,
+            for d1 in _fill(cells1, False, cap=target,
                             init_counts=init_counts):
                 used = [0] * nvals
                 for v in d1:
@@ -557,8 +556,7 @@ def _skew_lr_halves(a, b):
         for gamma_plus, shape2, cells2, plan2 in _growths(
                 gamma, size + sum(remaining)):
             yield gamma_plus, shape2, cells2, _fill(
-                cells2, True, content=remaining, init_counts=counts1,
-                plan=plan2)
+                cells2, True, cap=remaining, init_counts=counts1, plan=plan2)
 
     return fillings(), completions
 

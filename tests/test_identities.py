@@ -196,17 +196,89 @@ def test_main_and_coefficient_forms_agree():
                     assert coef_rhs.apply(g) == val
 
 
-def test_cor_entries_check_the_structure_constant_forms(monkeypatch):
+@pytest.fixture
+def cold_memos():
+    """The memos cleared before the test and again after it, so no entry
+    built under a planted fault outlives the test."""
+    _clear_memos()
+    yield
+    _clear_memos()
+
+
+def test_cor_entries_check_the_structure_constant_forms(cold_memos, monkeypatch):
     # Kronecker coefficients enter only the structure-constant sides of
     # relations 3-6 (sf.kronecker goes through the p basis): zeroing them
     # must break the thm_main_cor entries and leave the thm_main ones intact,
     # whose term lists are built afresh under the planted fault
-    _clear_memos()
     monkeypatch.setattr(coeffs, "kron_coeff", lambda *args: 0)
     prm = {"alpha": (1,), "beta": (1,), "vector_bound": 2}
     for i in range(3, 7):
         assert idn.verify_instance(f"thm_main_{i}", prm).passed
         assert not idn.verify_instance(f"thm_main_cor_{i}", prm).passed
+
+
+def _written_out_tables(alpha, beta):
+    """The corollary's four coefficient sums at (alpha, beta), each index
+    running over `partitions_of` and each coefficient read from `coeffs`:
+    relation 1, relation 2 (twisted), relations 3-4 and relations 5-6, as
+    {(mu, nu): c} without zeros."""
+    a, b = sum(alpha), sum(beta)
+    lr, g = coeffs.lr_coeff, coeffs.kron_coeff
+    du, twisted, ku, kbu = {}, {}, {}, {}
+
+    def add(table, key, c):
+        table[key] = table.get(key, 0) + c
+
+    for k in range(min(a, b) + 1):
+        for lam in pt.partitions_of(k):
+            for mu in pt.partitions_of(a - k):
+                c1 = lr(alpha, lam, mu)
+                for nu in pt.partitions_of(b - k):
+                    add(du, (mu, nu), c1 * lr(beta, lam, nu))
+                    add(twisted, (mu, nu),
+                        (-1) ** k * c1 * lr(beta, pt.conjugate(lam), nu))
+    if a <= b:
+        for lam in pt.partitions_of(a):
+            for mu in pt.partitions_of(a):
+                for nu in pt.partitions_of(b - a):
+                    add(ku, (mu, nu), g(alpha, lam, mu) * lr(beta, lam, nu))
+    for k in range(min(a, b) + 1):
+        for nu in pt.partitions_of(b - k):
+            for lam in pt.partitions_of(k):
+                c_bn = lr(beta, lam, nu)
+                for tau in pt.partitions_of(k):
+                    for sigma in pt.partitions_of(a - k):
+                        c_as = lr(alpha, tau, sigma)
+                        for theta in pt.partitions_of(k):
+                            w = g(lam, tau, theta) * c_bn * c_as
+                            if not w:
+                                continue
+                            for mu in pt.partitions_of(a):
+                                add(kbu, (mu, nu), w * lr(mu, theta, sigma))
+    return [{key: c for key, c in t.items() if c}
+            for t in (du, twisted, ku, kbu)]
+
+
+def test_coefficient_tables_are_the_written_out_sums():
+    # the three tables joined from the memoized splits hold exactly the
+    # corollary's sums, for every |alpha|, |beta| <= 4
+    for alpha in pt.partitions_upto(4):
+        for beta in pt.partitions_upto(4):
+            got = [idn._cor_coeffs_du(alpha, beta, twisted=False),
+                   idn._cor_coeffs_du(alpha, beta, twisted=True),
+                   idn._cor_coeffs_ku(alpha, beta),
+                   idn._cor_coeffs_kbu(alpha, beta)]
+            got = [{key: c for key, c in t.items() if c} for t in got]
+            assert got == _written_out_tables(alpha, beta), (alpha, beta)
+
+
+def test_malformed_partition_params_are_named():
+    for bad in (3, None, [[1]], [-1], "x"):
+        with pytest.raises(ValueError, match="malformed params for "
+                           "straightcorners: alpha is not a partition"):
+            idn.verify_instance("straightcorners", {"alpha": bad})
+    with pytest.raises(ValueError, match="theta is not a partition"):
+        idn.verify_instance("tabmanip2", {"alpha": (2, 1), "theta": 1})
 
 
 def test_reverse_foulkes_matches_second_relation():

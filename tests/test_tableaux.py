@@ -79,15 +79,17 @@ def _recursive_fill(cells, is_ssyt, content=None, max_entry=None,
 
 
 def _fill_modes(size):
-    """Keyword sets for `_fill` on a shape of the given size: every
-    content of at most three values, a few budgets and max_entry 1-4."""
+    """Pairs of keyword sets, for `_recursive_fill` and for `tb._fill`, on
+    a shape of the given size: every content of at most three values that
+    fits it (as a cap on `_fill`, whose callers check the size), a few
+    budgets (caps) and max_entry 1-4."""
     contents = [(a, b, size - a - b) for a in range(size + 1)
                 for b in range(size + 1 - a)]
-    contents += [(size,), (), (1,) * size]
+    contents += [c for c in [(size,), (), (1,) * size] if sum(c) == size]
     budgets = [(2,), (2, 2), (3, 1, 1), (1, 2, 2), (2, 0, 3)]
-    return ([{"content": c} for c in contents]
-            + [{"budget": b} for b in budgets]
-            + [{"max_entry": m} for m in range(1, 5)])
+    return ([({"content": c}, {"cap": c}) for c in contents]
+            + [({"budget": b}, {"cap": b}) for b in budgets]
+            + [({"max_entry": m},) * 2 for m in range(1, 5)])
 
 
 def _spent(fill, cells, is_ssyt, **kw):
@@ -113,11 +115,12 @@ def test_fill_matches_the_recursive_filler_up_to_5():
             for is_ssyt, reading in ((True, tb._ssyt_reading_cells),
                                      (False, tb._assyt_reading_cells)):
                 cells = reading(shape)
-                for mode in _fill_modes(shape.size):
+                for ref_mode, mode in _fill_modes(shape.size):
                     for init_counts in (None, {}, {1: 2, 2: 1}):
                         kw = dict(mode, init_counts=init_counts)
                         want, want_units = _spent(
-                            _recursive_fill, cells, is_ssyt, **kw)
+                            _recursive_fill, cells, is_ssyt,
+                            **ref_mode, init_counts=init_counts)
                         vals, units = _spent(tb._fill, cells, is_ssyt, **kw)
                         assert all(len(v) == len(cells) for v in vals)
                         got = [dict(zip(cells, v)) for v in vals]
@@ -136,7 +139,7 @@ def test_fill_with_a_cached_plan_matches_its_own_plan():
     for gamma in pt.partitions_upto(4):
         for n in range(sum(gamma), 8):
             for _gp, shape2, cells2, plan2 in tb._growths(gamma, n):
-                for mode in _fill_modes(shape2.size):
+                for _ref_mode, mode in _fill_modes(shape2.size):
                     for init_counts in (None, {}, {1: 2, 2: 1}):
                         kw = dict(mode, init_counts=init_counts)
                         want, want_units = _spent(tb._fill, cells2, True, **kw)
@@ -167,7 +170,7 @@ def test_fill_of_1000_cells_needs_no_recursion():
     assert [dict(zip(row, v)) for v in tb._fill(row, True, max_entry=1)] == [
         dict.fromkeys(row, 1)]
     two_rows = tb._ssyt_reading_cells(SkewShape((500, 500)))
-    (lr,) = tb._fill(two_rows, True, content=(500, 500), init_counts={})
+    (lr,) = tb._fill(two_rows, True, cap=(500, 500), init_counts={})
     assert len(lr) == 1000
     assert dict(zip(two_rows, lr)) == {c: c.row + 1 for c in two_rows}
     assert tb.count_lr_fillings(SkewShape((1000,), (500,)), (500,)) == 1
@@ -340,8 +343,13 @@ def test_enumerate_ssyt_examples():
     found = tb.enumerate_ssyt(SkewShape((2, 2), (1,)), (2, 1))
     assert len(found) == 1
     assert sf.hall_inner(sf.skew_schur((2, 2), (1,)), sf.h((2, 1))) == 1
-    # wrong total size gives nothing
+    # wrong total size gives nothing, also when the content would fit
+    # under a cap
     assert tb.enumerate_ssyt(SkewShape((2,)), (1,)) == []
+    assert tb.enumerate_ssyt(SkewShape((2,)), (2, 1)) == []
+    assert tb.enumerate_assyt(SkewShape((2,)), (1, 1, 1)) == []
+    assert tb.enumerate_lr_fillings(SkewShape((2,)), (2, 1)) == []
+    assert tb.count_lr_fillings(SkewShape((2,)), (2, 1)) == 0
 
 
 def test_ssyt_counts_match_h_pairing_up_to_6():
@@ -752,7 +760,7 @@ def test_worked_pair_is_an_enumerated_contribution():
     init = {i: part for i, part in enumerate(delta, start=1)}
     cells1 = tb._assyt_reading_cells(t1.shape)
     t1_candidates = list(
-        tb._fill(cells1, False, budget=list(target), init_counts=init)
+        tb._fill(cells1, False, cap=list(target), init_counts=init)
     )
     assert T1_ENTRIES in [dict(zip(cells1, v)) for v in t1_candidates]
     # and with t1 fixed, the T2 slice over gamma_plus = (9,9,5,3) generates t2
@@ -765,7 +773,7 @@ def test_worked_pair_is_an_enumerated_contribution():
     )
     cells2 = tb._ssyt_reading_cells(t2.shape)
     t2_candidates = list(
-        tb._fill(cells2, True, content=remaining, init_counts=counts)
+        tb._fill(cells2, True, cap=remaining, init_counts=counts)
     )
     assert T2_ENTRIES in [dict(zip(cells2, v)) for v in t2_candidates]
 
