@@ -12,11 +12,13 @@ A whole column, chi at one class rho over every shape of |rho|, adds
 border strips instead, since p_r s_mu = sum of +-s_lam over the strips
 lam/mu of length r: the column of rho is the column of rho minus its
 first part with a strip of length rho_1 added to each shape in every
-way (`character_column`).  The two routes share no code, so each
-checks the other.  LR coefficients are counted by direct enumeration of
-lattice fillings, shared with the tableau module.  Everything is
-memoized; all functions are pure.  Each miss of a memo table is charged
-to the work meter (`_work`).
+way (`character_column`).  The column is the one layout of the table:
+degree n's whole table is the tuple of its columns (`character_table`),
+and a row is read off it by position.  The two routes share no code, so
+each checks the other.  LR coefficients are counted by direct
+enumeration of lattice fillings, shared with the tableau module.
+Everything is memoized; all functions are pure.  Each miss of a memo
+table is charged to the work meter (`_work`).
 """
 
 from fractions import Fraction
@@ -131,9 +133,7 @@ def _added_strips(mu, r):
     return tuple(out)
 
 
-# The columns built so far, by degree: _COLUMNS[n][rho] is the column of
-# the class rho of n.  Degree n's columns are all built exactly when its
-# dict holds as many as partitions_of(n) has classes.
+# The columns built so far: _COLUMNS[rho] is the column of the class rho.
 _COLUMNS = {}
 
 
@@ -148,15 +148,14 @@ def character_column(rho):
     new column charges its length before it is allocated.
     """
     rho = pt._canonical(rho)
-    col = _COLUMNS.get(sum(rho), {}).get(rho)
+    col = _COLUMNS.get(rho)
     if col is not None:
         return col
-    col, m = _COLUMNS.setdefault(0, {}).setdefault((), (1,)), 0
+    col, m = (1,), 0
     for i in range(len(rho) - 1, -1, -1):
         r = rho[i]
         suffix = pt._intern(rho[i:])
-        built = _COLUMNS.setdefault(m + r, {})
-        nxt = built.get(suffix)
+        nxt = _COLUMNS.get(suffix)
         if nxt is None:
             size = len(pt.partitions_of(m + r))
             _work.charge(size)
@@ -165,48 +164,19 @@ def character_column(rho):
                 if c:
                     for pos, sign in _added_strips(mu, r):
                         acc[pos] += sign * c
-            nxt = built[suffix] = tuple(acc)
+            nxt = _COLUMNS[suffix] = tuple(acc)
         col, m = nxt, m + r
     return col
 
 
-def columns_complete(n):
-    """Whether `character_column` has built the column of every class of
-    n, read off the memo itself."""
-    return len(_COLUMNS.get(n, ())) == len(pt.partitions_of(n))
-
-
 @cache
 def character_table(n):
-    """Degree n's character table as shape lam -> the row of lam over the
-    classes of partitions_of(n): the transpose of every column of n, which
-    it builds first."""
-    classes = pt.partitions_of(n)
-    cols = [character_column(rho) for rho in classes]
-    _work.charge(len(classes))
-    return dict(zip(classes, zip(*cols)))
-
-
-def character_row(lam):
-    """The characters chi^lam(rho), as a tuple over the classes rho of
-    partitions_of(|lam|).
-
-    Read off the degree's `character_table` once every column of the
-    degree is built.  Before that, one entry per class: off the columns
-    already built, and from `mn_character` for the rest, so that a lone
-    row of a large degree builds no column."""
-    lam = pt._canonical(lam)
-    n = sum(lam)
-    if columns_complete(n):
-        return character_table(n)[lam]
+    """Degree n's character table as the tuple of the columns of the
+    classes of partitions_of(n), in that order: entry [j][i] is
+    chi^lam(rho) for the i-th shape lam and the j-th class rho."""
     classes = pt.partitions_of(n)
     _work.charge(len(classes))
-    built = _COLUMNS.get(n)
-    if not built:
-        return tuple(mn_character(lam, rho) for rho in classes)
-    i = _positions(n)[lam]
-    return tuple(mn_character(lam, rho) if (col := built.get(rho)) is None
-                 else col[i] for rho in classes)
+    return tuple(map(character_column, classes))
 
 
 @cache
@@ -261,8 +231,8 @@ def kron_coeff(lam, mu, nu):
     summed as integers times the class sizes n!/z_rho and divided by n!
     once; the sum is checked to be a nonnegative integer.  It reads each
     character from `mn_character` and sums class by class, while the
-    Kronecker table of `symfunc` takes dot products of rows read off the
-    tables of `character_column`, so the two routes check each other.
+    Kronecker table of `symfunc` sums the columns of `character_table`,
+    so the two routes check each other.
     """
     lam = pt.make_partition(lam)
     mu = pt.make_partition(mu)

@@ -17,27 +17,26 @@ rational strings and refuses floats, which are already rounded.
 
 Between s and p, conversions route through characters: s_lam = sum_rho
 chi^lam(rho)/z_rho p_rho and p_rho = sum_lam chi^lam(rho) s_lam.
-Character rows and columns are dense int tuples aligned with
-`partitions_of(n)`.  A character column (over the shapes lam) comes from
-the column engine of `coeffs`, which adds border strips.  A character
-row (over the classes rho) is read off its degree's table, the transpose
-of the columns, once every column of the degree is built; before that it
-is read entry by entry, off the columns already built and from
-`coeffs.mn_character`, which removes border strips, for the rest, so a
-lone row of a large degree builds no column.  The terms of one degree
-are summed as one dot product per entry over their transposed vectors,
-at C level (`_dot_sums`), not one dict update per term.  s goes to h and
-e by expanding the Jacobi-Trudi determinant along its first column, and
+Characters come from the column engine of `coeffs`, which adds border
+strips, as dense int tuples over the shapes of `partitions_of(n)`, one per
+class.  p -> s sums the columns of the classes it meets, so a lone p_rho
+of a large degree builds no whole table; s -> p reads the entry of each
+shape off every column of its degree's table, the tuple of the columns
+(`coeffs.character_table`).  The terms of one degree are summed as one
+dot product per entry over their transposed vectors, at C level
+(`_dot`), not one dict update per term.  s goes to h and e by
+expanding the Jacobi-Trudi determinant along its first column, and
 h_lam and e_lam come back to s as products of one-row (one-column) Schur
 functions; h and e reach p by way of s.  The product and skew tables
 count Littlewood-Richardson fillings of one skew shape each, with free
 content, so they enumerate the terms of the answer; a product s_lam s_mu
 is the skew Schur function of a disconnected shape with components lam
 and mu.  The Kronecker product is diagonal on power sums, p_lam * p_mu =
-delta_{lam,mu} z_lam p_lam, so its table takes dot products of the rows
-of the degree's complete character table.  Products, skewing, Kronecker
-products and the straightened Kronecker family KB are bilinear lookups
-in memoized tables of Schur structure constants keyed by two partitions
+delta_{lam,mu} z_lam p_lam, so its table is the p -> s sum of the
+columns of the degree's character table, each weighted by the characters
+of both factors at its class.  Products, skewing, Kronecker products and
+the straightened Kronecker family KB are bilinear lookups in memoized
+tables of Schur structure constants keyed by two partitions
 (`_schur_mul_terms`, `_schur_skew_terms`, `_schur_kron_terms`,
 `_schur_kb_terms`).  Each miss of a memo table is charged to the work
 meter (`_work`), weighted by the work it does.
@@ -340,22 +339,6 @@ def _bilinear(f, g, table):
 # all with int coefficients)
 
 @cache
-def _character_row(lam):
-    """The character chi^lam as a tuple aligned with partitions_of(|lam|),
-    so that s_lam = sum_rho chi^lam(rho)/z_rho p_rho; from
-    `coeffs.character_row`."""
-    return coeffs.character_row(lam)
-
-
-@cache
-def _character_column(rho):
-    """The characters at the class rho as a tuple aligned with
-    partitions_of(|rho|), so that p_rho = sum_lam chi^lam(rho) s_lam; from
-    the column engine `coeffs.character_column`."""
-    return coeffs.character_column(rho)
-
-
-@cache
 def _schur_mul_terms(lam, mu):
     """Schur expansion of s_lam s_mu: the skew table of the disconnected
     shape (mu_1+lam_1, ..., mu_m+lam_1, lam_1, ..., lam_l) / (lam_1^m),
@@ -400,23 +383,25 @@ def _schur_skew_terms(lam, mu):
 def _schur_kron_terms(lam, mu):
     """Schur expansion of s_lam * s_mu (Kronecker), via the p basis:
     g_{lam,mu,nu} = sum_rho chi^lam(rho) chi^mu(rho) chi^nu(rho) / z_rho.
-    The weights chi^lam(rho) chi^mu(rho) n!/z_rho are one dense vector
-    over the classes, each g_nu times n! is its dot product with the
-    character row of nu, and it is divided by n! once and checked to be
+    Each class rho weighs chi^lam(rho) chi^mu(rho) n!/z_rho, read off its
+    column of the degree's character table, and g_nu times n! is the p -> s
+    sum of those weights: the dot product of the weights with the entries
+    of nu of the columns.  It is divided by n! once and checked to be
     integral.  Terms come in the reverse-lex order of partitions_of."""
     n = sum(lam)
     if n != sum(mu):
         return ()
     shapes = pt.partitions_of(n)
     _work.charge(len(shapes) * (1 + len(shapes) // 16))
-    # every row is read, so build the degree's table first
-    coeffs.character_table(n)
-    weights = [a * b * size for a, b, size in zip(
-        _character_row(lam), _character_row(mu), coeffs.class_sizes(n))]
+    where = coeffs._positions(n)
+    i, j = where[lam], where[mu]
+    weights, cols = zip(*[
+        (col[i] * col[j] * size, col)
+        for col, size in zip(coeffs.character_table(n), coeffs.class_sizes(n))
+        if col[i] and col[j]])
     n_fact = factorial(n)
     out = []
-    for nu in shapes:
-        c = sum(map(operator.mul, _character_row(nu), weights))
+    for nu, c in zip(shapes, _dot(weights, cols)):
         g, rem = divmod(c, n_fact)
         if rem or g < 0:
             raise ValueError(
@@ -473,20 +458,25 @@ def _he_prefix(basis, lam):
 
 
 def _to_p(f):
-    """f in the p basis, by way of s for h and e: the character rows of the
-    terms of each degree summed as one dense vector over the classes
-    (`_dot_sums`).  The coefficient of p_rho is a sum of terms over z_rho,
-    which divides N! for the top degree N of f, so the numerators are put
-    over d * N!, each class of degree n weighted by N!/n! times its size
-    n!/z_rho."""
+    """f in the p basis, by way of s for h and e: the terms of each degree
+    summed as one dense vector over the classes (`_dot`), the entry of
+    s_lam at the class rho read off the column of rho in the degree's
+    character table at the position of lam.  The coefficient of p_rho is a
+    sum of terms over z_rho, which divides N! for the top degree N of f, so
+    the numerators are put over d * N!, each class of degree n weighted by
+    N!/n! times its size n!/z_rho."""
     if f.basis == "p":
         return f
     f = to_basis(f, "s")
     n_fact = factorial(f.max_degree())
     out = {}
-    for n, acc in _dot_sums(f._num, _character_row).items():
+    for n, (shapes, cs) in _by_degree(f._num).items():
+        where = coeffs._positions(n)
+        table = coeffs.character_table(n)
+        rows = [map(operator.itemgetter(where[lam]), table) for lam in shapes]
         m = n_fact // factorial(n)
-        for rho, c, size in zip(pt.partitions_of(n), acc, coeffs.class_sizes(n)):
+        for rho, c, size in zip(pt.partitions_of(n), _dot(cs, rows),
+                                coeffs.class_sizes(n)):
             if c:
                 out[rho] = c * size * m
     return SymFunc._trusted("p", out, f._d * n_fact)
@@ -495,34 +485,35 @@ def _to_p(f):
 def _p_to_s(num, d):
     """The Schur expansion of sum_rho num[rho] / d p_rho: the character
     columns of the classes of each degree summed as one dense vector over
-    the shapes (`_dot_sums`), since p_rho = sum_lam chi^lam(rho) s_lam."""
+    the shapes (`_dot`), since p_rho = sum_lam chi^lam(rho) s_lam.  Only
+    the columns of those classes are built, not the degree's table."""
     out = {}
-    for n, acc in _dot_sums(num, _character_column).items():
-        for lam, c in zip(pt.partitions_of(n), acc):
+    for n, (classes, cs) in _by_degree(num).items():
+        for lam, c in zip(pt.partitions_of(n),
+                          _dot(cs, map(coeffs.character_column, classes))):
             if c:
                 out[lam] = c
     return SymFunc._trusted("s", out, d)
 
 
-def _dot_sums(num, table):
-    """Degree n -> the list sum of c * table(k) over the (k, c) of num with
-    |k| = n, for a table of tuples aligned with partitions_of(n).  Each
-    entry is one dot product of the coefficients with the transposed
-    vectors of the degree, summed at C level; a degree with one term only
-    scales its vector."""
-    by_degree = {}
+def _by_degree(num):
+    """Degree n -> (the keys k of num with |k| = n, their coefficients),
+    as two aligned tuples."""
+    groups = {}
     for k, c in num.items():
-        by_degree.setdefault(sum(k), []).append((k, c))
-    sums = {}
-    for n, terms in by_degree.items():
-        if len(terms) == 1:
-            ((k, c),) = terms
-            sums[n] = [c * x for x in table(k)]
-        else:
-            keys, cs = zip(*terms)
-            sums[n] = [sum(map(operator.mul, cs, xs))
-                       for xs in zip(*map(table, keys))]
-    return sums
+        groups.setdefault(sum(k), []).append((k, c))
+    return {n: tuple(zip(*terms)) for n, terms in groups.items()}
+
+
+def _dot(cs, vectors):
+    """The list sum of c * v over the pairs (c, v) of the coefficients cs
+    and the vectors, all of one length.  Each entry is one dot product of
+    cs with the transposed vectors, summed at C level; a single vector is
+    only scaled."""
+    if len(cs) == 1:
+        (c,), (vec,) = cs, vectors
+        return [c * x for x in vec]
+    return [sum(map(operator.mul, cs, xs)) for xs in zip(*vectors)]
 
 
 @cache

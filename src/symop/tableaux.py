@@ -483,10 +483,11 @@ def _slide_slots(vals, hole, row_at, col_at, step):
 def skew_pieri_terms(k, shape):
     """Signed skew terms of s_(k) * s_{outer/inner}: for each i, add a
     (k-i)-horizontal strip above the outer shape and remove an i-vertical
-    strip from the inner shape, with sign (-1)^i."""
+    strip from the inner shape, with sign (-1)^i.  A vertical strip takes
+    at most one cell from each row, so i stops at len(inner)."""
     gamma, beta = shape.outer, shape.inner
     out = []
-    for i in range(k + 1):
+    for i in range(min(k, len(beta)) + 1):
         sign = -1 if i % 2 else 1
         for bm in pt.vertical_strips_below(beta, i):
             for gp in pt.horizontal_strips_above(gamma, k - i):

@@ -179,11 +179,18 @@ def test_lr_tables_pinned_up_to_10():
                 assert any(nu is x for x in pt.partitions_of(sum(nu)))
 
 
+def _table_rows(n):
+    """Degree n's character rows, shape lam -> chi^lam over the classes of
+    partitions_of(n): the transpose of the columns of its table."""
+    return dict(zip(pt.partitions_of(n), zip(*coeffs.character_table(n))))
+
+
 def test_character_tables_pinned_up_to_12():
     # digests of every character row and column of degree <= 12, as
     # (partition, chi) pairs with zeros dropped in partitions_of order, and
     # of every Kronecker table entry of degree <= 8 with its terms sorted,
-    # as the tables computed them one dict update per term
+    # as the tables computed them one dict update per term; the rows are
+    # the transposed columns of each degree's table
     def pairs(keys, vec):
         return tuple((k, c) for k, c in zip(keys, vec) if c)
 
@@ -191,10 +198,13 @@ def test_character_tables_pinned_up_to_12():
         return hashlib.sha256(repr(rows).encode()).hexdigest()
 
     parts = pt.partitions_upto(12)
-    assert digest([(lam, pairs(pt.partitions_of(sum(lam)), sf._character_row(lam)))
+    rows = {}
+    for n in range(13):
+        rows.update(_table_rows(n))
+    assert digest([(lam, pairs(pt.partitions_of(sum(lam)), rows[lam]))
                    for lam in parts]) == (
         "9d78fe63357a90fcaec67f6e83dd8e9eb112a299f839fa326221a612af3a71fd")
-    assert digest([(rho, pairs(pt.partitions_of(sum(rho)), sf._character_column(rho)))
+    assert digest([(rho, pairs(pt.partitions_of(sum(rho)), coeffs.character_column(rho)))
                    for rho in parts]) == (
         "c78a38fb93af8172cf4412f16460fc542e6d12b3452bbb4c4c59c08029338040")
     assert digest([(lam, mu, sorted(sf._schur_kron_terms(lam, mu)))
@@ -205,13 +215,16 @@ def test_character_tables_pinned_up_to_12():
 
 def test_character_tables_are_orthogonal_up_to_10():
     # rows: sum_rho chi^lam(rho) chi^mu(rho) n!/z_rho = n! delta_{lam,mu};
-    # columns: sum_lam chi^lam(rho) chi^lam(tau) = z_rho delta_{rho,tau}
+    # columns: sum_lam chi^lam(rho) chi^lam(tau) = z_rho delta_{rho,tau};
+    # the rows are the transposed columns, and equal mn_character
     for n in range(11):
         parts = pt.partitions_of(n)
         sizes = coeffs.class_sizes(n)
         assert sizes == tuple(math.factorial(n) // pt.z_factor(rho) for rho in parts)
-        rows = [sf._character_row(lam) for lam in parts]
-        cols = [sf._character_column(rho) for rho in parts]
+        rows = list(_table_rows(n).values())
+        assert rows == [_mn_row(lam) for lam in parts]
+        cols = [coeffs.character_column(rho) for rho in parts]
+        assert tuple(cols) == coeffs.character_table(n)
         for i, a in enumerate(rows):
             for j, b in enumerate(rows):
                 got = sum(x * y * z for x, y, z in zip(a, b, sizes))
@@ -228,8 +241,7 @@ def cold_characters():
     # builds its own tables and leaves none that a planted fault built
     def clear():
         for table in (coeffs.mn_character, coeffs._strips, coeffs._added_strips,
-                      coeffs.character_table, sf._character_row,
-                      sf._character_column):
+                      coeffs.character_table):
             table.cache_clear()
         coeffs._COLUMNS.clear()
 
@@ -243,15 +255,13 @@ def _mn_row(lam):
 
 
 def _rows_off_complete_tables(max_n):
-    """Build every column of each degree <= max_n first, then read every
-    row of those degrees off the complete tables; the shapes whose row
+    """Build the table of each degree <= max_n, then read every row of
+    those degrees off it by transposing its columns; the shapes whose row
     differs from `coeffs.mn_character`."""
+    rows = {}
     for n in range(max_n + 1):
-        for rho in pt.partitions_of(n):
-            sf._character_column(rho)
-        assert coeffs.columns_complete(n)
-    return [lam for lam in pt.partitions_upto(max_n)
-            if sf._character_row(lam) != _mn_row(lam)]
+        rows.update(_table_rows(n))
+    return [lam for lam in pt.partitions_upto(max_n) if rows[lam] != _mn_row(lam)]
 
 
 def test_character_rows_read_off_complete_tables_up_to_12(cold_characters):
@@ -276,21 +286,19 @@ def test_a_flipped_strip_sign_fails_the_table_check(cold_characters, monkeypatch
 
 
 def test_rows_of_a_partly_built_degree_and_a_lone_large_row(cold_characters):
-    # a lone s -> p reads one mn_character entry per class and builds no
-    # column; p_{1^20} has the coefficient f^lam / 20!, f^(10,10) = 16796
+    # a lone s -> p reads one column per class off the degree's table;
+    # p_{1^20} has the coefficient f^lam / 20!, f^(10,10) = 16796
     f = sf.to_basis(sf.schur((10, 10)), "p")
     assert f.terms[(1,) * 20] == Fraction(16796, math.factorial(20))
-    assert coeffs._COLUMNS == {}
-    assert coeffs.character_table.cache_info().currsize == 0
-    # with some columns of a degree built, a row reads their entries and
-    # mn_character for the rest
+    # with some columns of a degree built first, the table keeps them and
+    # builds the rest
     classes = pt.partitions_of(9)
-    for rho in classes[::2]:
-        sf._character_column(rho)
-    assert not coeffs.columns_complete(9)
+    built = [coeffs.character_column(rho) for rho in classes[::2]]
+    table = coeffs.character_table(9)
+    assert all(a is b for a, b in zip(built, table[::2]))
+    rows = _table_rows(9)
     for lam in classes:
-        assert sf._character_row(lam) == _mn_row(lam), lam
-    assert coeffs.character_table.cache_info().currsize == 0
+        assert rows[lam] == _mn_row(lam), lam
 
 
 def test_h_and_e_to_schur_are_kostka_numbers_up_to_7():
@@ -505,9 +513,9 @@ def test_round_trips_of_p_inputs_with_inverse_z_coefficients():
 
 
 def test_kronecker_table_rejects_a_non_integral_character_sum(monkeypatch):
-    # character table rows with the class (1, 1) dropped make
-    # sum_rho chi chi chi / z_rho equal to 1/2 for s_2 * s_2
-    monkeypatch.setattr(sf, "_character_row", lambda lam: (1, 0))
+    # a character table whose column of the class (1, 1) is dropped to
+    # zeros makes sum_rho chi chi chi / z_rho equal to 1/2 for s_2 * s_2
+    monkeypatch.setattr(coeffs, "character_table", lambda n: ((1, -1), (0, 0)))
     with pytest.raises(ValueError, match="non-integral"):
         sf._schur_kron_terms.__wrapped__((2,), (2,))
 

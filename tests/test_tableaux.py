@@ -637,6 +637,29 @@ def test_skew_pieri_classical_degeneration():
             )
 
 
+def test_skew_pieri_terms_stop_at_the_rows_of_the_inner_shape(monkeypatch):
+    # a vertical strip removes at most one cell per row, so a huge k asks
+    # for the strips below the inner shape at most len(inner) + 1 times
+    calls = []
+    real = pt.vertical_strips_below
+
+    def counted(beta, i):
+        calls.append(i)
+        return real(beta, i)
+
+    monkeypatch.setattr(pt, "vertical_strips_below", counted)
+    k, shape = 10**4, SkewShape((3, 2, 1), (2, 1))
+    terms = tb.skew_pieri_terms(k, shape)
+    assert len(calls) <= len(shape.inner) + 1
+    # the same terms as a loop over every i up to k
+    assert terms == [
+        (-1 if i % 2 else 1, SkewShape(gp, bm))
+        for i in range(k + 1)
+        for bm in real(shape.inner, i)
+        for gp in pt.horizontal_strips_above(shape.outer, k - i)
+    ]
+
+
 def test_skew_pieri_matches_products():
     shape = SkewShape((2,), (1,))
     assert tb.skew_pieri(2, shape) == sf.mul(sf.schur((2,)), sf.schur((1,)))
