@@ -20,6 +20,19 @@ slot of its argument, and every sum of words is built from the letters
 as the word tuples themselves (`_word_sum`), not through U, D, K, KB and
 composition.
 
+When every identity holds, the six relations are the only operator sums
+of this family that are evaluated.  Each relation's verdict at (a, b)
+and a vector bound, the gammas on which its left side and skew form
+differ, is memoized once (`_verdict`).  The structure-constant forms and
+the commutators are formal consequences of the relations, and they are
+decided as such, by collected word forms (`operators._collected`): the
+skew form, with each argument written in the Schur basis, must collect
+to the coefficient table, and a commutator's sides must collect to its
+relation rearranged.  Equal collected forms are equal on every input, so
+such an entry takes the relation's verdict.  An entry whose forms differ,
+or whose relation names a gamma, evaluates its own sides in full, so its
+failures are the ones that evaluation finds.
+
 Every piece that depends on only part of an instance (the relations' term
 lists, the splits of beta, D_lam(s_x) and s_mu * s_x) is memoized by
 canonical partitions and built once for all the instances that share it;
@@ -291,14 +304,60 @@ def normal_order_forms(i, alpha, beta):
     return lhs, _rhs(i, 1, a, b), _rhs(i, 2, a, b)
 
 
+@cache
+def _verdict(i, a, b, vector_bound):
+    """The gammas, |gamma| <= vector_bound, on which relation i's left side
+    and skew form differ at (a, b), as a tuple: empty when the relation
+    holds there.  The one memo of a verdict, shared by the relation's
+    entry, its structure-constant entry and the commutators, whose sides
+    collect to the same words; it holds no image."""
+    exprs = [_lhs(i, sf.schur(a), sf.schur(b)), _rhs(i, 1, a, b)]
+    found = op.disagreements(exprs, pt.partitions_upto(vector_bound))
+    return tuple(gamma for gamma, _k in found)
+
+
+def _relation(i, a, b):
+    """Relation i's left side minus its skew form, at (a, b)."""
+    return _lhs(i, sf.schur(a), sf.schur(b)) - _rhs(i, 1, a, b)
+
+
+def _table_collects(i, a, b):
+    """Relation i's skew form collects to its coefficient table at (a, b):
+    to the word at (s_mu, s_nu) with coefficient c for each nonzero entry
+    (mu, nu): c, so the two right sides are equal on every input."""
+    _left, ((k1, i1), (k2, i2)), _skew_terms, coef_table = _RELATIONS[i]
+    table = {((k1, mn[i1]), (k2, mn[i2])): c
+             for mn, c in coef_table(a, b).items() if c}
+    return op._collected(_rhs(i, 1, a, b)) == table
+
+
+def _shared_verdict(prm, collects, relations, exprs):
+    """The report of _ops_equal(prm, exprs(), vector bound).  When
+    `collects` holds, each difference exprs[0] - exprs[k] collects to plus
+    or minus a relation in `relations`, so the report is a pass read off
+    their verdicts (`_verdict`) if none names a gamma.  In every other case
+    exprs() is evaluated as `_ops_equal` does, so a failure is reported in
+    full."""
+    vb = prm["vector_bound"]
+    a, b = prm["alpha"], prm["beta"]
+    if collects and not any(_verdict(i, a, b, vb) for i in relations):
+        return len(pt.partitions_upto(vb)), []
+    return _ops_equal(prm, exprs(), vb)
+
+
 def _normal_order_check(i, form):
     """Catalog check of relation i against its skew form (form 1) or its
-    structure-constant form (form 2); builds only that right side."""
+    structure-constant form (form 2): relation i's verdict, which form 2
+    shares when its table collects from the skew form (`_table_collects`).
+    Otherwise, or when that verdict names a gamma, the check builds and
+    evaluates its own right side as it always has."""
 
     def check(prm):
         a, b = prm["alpha"], prm["beta"]
-        exprs = [_lhs(i, sf.schur(a), sf.schur(b)), _rhs(i, form, a, b)]
-        return _ops_equal(prm, exprs, prm["vector_bound"])
+        return _shared_verdict(
+            prm, form == 1 or _table_collects(i, a, b), (i,),
+            lambda: [_lhs(i, sf.schur(a), sf.schur(b)), _rhs(i, form, a, b)],
+        )
 
     return check
 
@@ -316,15 +375,28 @@ def _reduced(i, a, b):
     return comm, _word_sum(word, rest)
 
 
+def _commutator_sides(i, negated, a, b):
+    """The sums [comm, rest] + [-rest_j for j in negated] of relation i's
+    commutator at (a, b), and whether comm - rest collects to relation i
+    (lhs - skew) and each comm + rest_j to minus relation j.  The first is
+    relation i rearranged; in `commutators_1` the second is relation 2
+    rearranged, since comm_1 = -comm_2."""
+    comm, rest = _reduced(i, a, b)
+    exprs = [comm, rest] + [-_reduced(j, a, b)[1] for j in negated]
+    diffs = [(comm - rest, _relation(i, a, b))] + [
+        (comm - e, -_relation(j, a, b)) for e, j in zip(exprs[2:], negated)
+    ]
+    return exprs, all(not op._collected(x - y) for x, y in diffs)
+
+
 def _commutator_check(i, *negated):
     """Catalog check of relation i's commutator against its other skew
-    terms, and against minus those of each relation in negated."""
+    terms, and against minus those of each relation in negated: their
+    verdicts when the sides collect to them (`_commutator_sides`)."""
 
     def check(prm):
-        a, b = prm["alpha"], prm["beta"]
-        comm, rest = _reduced(i, a, b)
-        exprs = [comm, rest] + [-_reduced(j, a, b)[1] for j in negated]
-        return _ops_equal(prm, exprs, prm["vector_bound"])
+        exprs, collects = _commutator_sides(i, negated, prm["alpha"], prm["beta"])
+        return _shared_verdict(prm, collects, (i, *negated), lambda: exprs)
 
     return check
 

@@ -5,9 +5,12 @@ rational matrices.
 
 An OperatorExpr is a rational linear combination of words in the
 generators; words are composed like functions, the rightmost generator
-acts first.  Expressions are never normalized automatically; equality of
-operators is decided extensionally (by matrices or by applying to basis
-vectors).  The constructor and U, D, K, KB check what they are given;
+acts first.  Expressions are never normalized automatically.  Their
+collected form (`_collected`: each generator's argument written in the
+Schur basis, like words merged, zero words dropped) is a sufficient test
+of equality: equal collected forms give equal values on every input.
+Other equalities are decided extensionally (by matrices or by applying to
+basis vectors).  The constructor and U, D, K, KB check what they are given;
 sums, products and scalings of expressions put together words that are
 already checked and check nothing again.
 
@@ -168,6 +171,29 @@ def _step(kind, f):
         m = f._d // fs._d
         pairs = [(lam, n * m) for lam, n in pairs]
     return table, value_first, pairs
+
+
+def _collected(expr):
+    """The collected form of expr: {word: nonzero coefficient}, each word a
+    tuple of letters (kind, lam) in the order of expr's words, the letter
+    standing for the generator at s_lam.  Every generator is linear in its
+    argument, so each word is expanded over the Schur terms of its
+    arguments, as `_step` expands them before it evaluates, and like words
+    are merged.  Two expressions with equal collected forms therefore give
+    the same value on every input.  The converse fails: U(s_()) and the
+    empty word are both the identity, yet they collect apart."""
+    out = {}
+    for coef, word in expr.words:
+        n, q = coef.as_integer_ratio()
+        terms = [((), n)]
+        for kind, f in word:
+            fs = sf.to_basis(f, "s")
+            q *= fs._d
+            terms = [(w + ((kind, lam),), m * c)
+                     for w, m in terms for lam, c in fs._num.items()]
+        for w, m in terms:
+            out[w] = out.get(w, 0) + (m if q == 1 else Fraction(m, q))
+    return {w: c for w, c in out.items() if c}
 
 
 def _top_bits(pairs):

@@ -88,7 +88,7 @@ def test_corrupted_entry_reports_counterexample():
 # the pieces of an instance that `identities` memoizes by canonical
 # partitions
 _MEMOS = ("_du_terms", "_skew_kron_terms", "_kbu_terms", "_lr_splits",
-          "_kron_splits", "_skewed", "_kron_schur")
+          "_kron_splits", "_skewed", "_kron_schur", "_verdict")
 
 
 def _clear_memos():
@@ -438,3 +438,144 @@ def test_letter_words_equal_the_composed_words():
         got = idn._word_sum(idn._RELATIONS[i][1], terms)
         assert _gens(got) == _gens(_composed_sum(word, terms))
         assert len(got.words) == 2
+
+
+# ---------------------------------------------------------------------------
+# the corollary and commutator entries share the relations' verdicts
+
+_FAMILY = ([f"thm_main_{i}" for i in range(1, 7)]
+           + [f"thm_main_cor_{i}" for i in range(1, 7)]
+           + ["commutators_1", "commutators_2", "commutators_3"])
+
+
+def _json_outcome(reports):
+    """Each report as JSON without its time, failures as printed."""
+    return [{k: v for k, v in r.to_json().items() if k != "elapsed"} for r in reports]
+
+
+def _evaluating(monkeypatch):
+    """Make every corollary and commutator entry evaluate its own sides,
+    as if no collected comparison ever held."""
+    monkeypatch.setattr(idn, "_table_collects", lambda i, a, b: False)
+    sides = idn._commutator_sides
+    monkeypatch.setattr(idn, "_commutator_sides",
+                        lambda *args: (sides(*args)[0], False))
+
+
+def _zeroed_kron(monkeypatch):
+    # only the structure-constant tables of relations 3-6 read kron_coeff
+    monkeypatch.setattr(coeffs, "kron_coeff", lambda *args: 0)
+
+
+def _dropped_skew_term(monkeypatch):
+    # relations 1 and 5 lose the last of two or more skew terms: the swapped
+    # term (1, s_a, s_b) in relation 5, another one in relation 1
+    for i in (1, 5):
+        lhs, word, skew_terms, table = idn._RELATIONS[i]
+
+        def dropped(a, b, skew_terms=skew_terms):
+            terms = skew_terms(a, b)
+            return terms[:-1] if len(terms) > 1 else terms
+
+        monkeypatch.setitem(idn._RELATIONS, i, (lhs, word, dropped, table))
+
+
+@pytest.mark.parametrize("plant", [_zeroed_kron, _dropped_skew_term])
+def test_shared_verdicts_report_what_evaluation_reports(cold_memos, monkeypatch,
+                                                        plant):
+    # under a planted fault, every entry of the family gives the same report
+    # inside the whole catalog, alone and cold through run_suite, alone and
+    # cold through verify_instance (instances in reverse order) and with the
+    # collected comparisons switched off, byte for byte
+    plant(monkeypatch)
+    bounds = idn.Bounds(2, 3)
+    whole = {r.identity: r for r in idn.run_suite(bounds)}
+    failing = {ident for ident in _FAMILY if not whole[ident].passed}
+    assert failing and failing != set(_FAMILY)
+    for ident in _FAMILY:
+        want = _json_outcome([whole[ident]])
+        _clear_memos()
+        assert _json_outcome(idn.run_suite(bounds, ids=[ident])) == want, ident
+        _clear_memos()
+        instances = idn.CATALOG[ident].instances(bounds)[::-1]
+        alone = [idn.verify_instance(ident, prm) for prm in instances]
+        assert sum(r.instances for r in alone) == whole[ident].instances
+        assert sorted(f.describe() for r in alone for f in r.failures) == sorted(
+            f.describe() for f in whole[ident].failures), ident
+    _clear_memos()
+    _evaluating(monkeypatch)
+    evaluated = idn.run_suite(bounds, ids=_FAMILY)
+    assert _json_outcome(evaluated) == _json_outcome([whole[i] for i in _FAMILY])
+
+
+def test_zeroed_kronecker_coefficients_fail_the_pinned_counts(cold_memos,
+                                                              monkeypatch):
+    _zeroed_kron(monkeypatch)
+    reports = idn.run_suite(idn.Bounds(2, 3))
+    failed = {r.identity: len(r.failures) for r in reports if not r.passed}
+    assert failed == {"thm_main_cor_3": 13, "thm_main_cor_4": 15,
+                      "thm_main_cor_5": 95, "thm_main_cor_6": 57, "similar": 3}
+
+
+def test_dropped_skew_terms_fail_the_relations_and_commutators(cold_memos,
+                                                               monkeypatch):
+    # relation 1's commutator is its relation rearranged, so it fails where
+    # the relation fails; relation 5 lost its swapped term, which its
+    # commutator does not contain, so commutators_2 still holds
+    _dropped_skew_term(monkeypatch)
+    bounds = idn.Bounds(2, 3)
+    reports = {r.identity: r for r in idn.run_suite(bounds, ids=_FAMILY)}
+    failed = {i for i, r in reports.items() if not r.passed}
+    assert failed == {"thm_main_1", "thm_main_5", "commutators_1"}
+    gammas = [f.params for f in reports["commutators_1"].failures]
+    assert gammas == [f.params for f in reports["thm_main_1"].failures]
+
+
+@pytest.mark.parametrize("i", range(1, 7))
+def test_a_dropped_table_entry_fails_on_the_gammas_where_it_is_missed(
+        cold_memos, monkeypatch, i):
+    # the first key of relation i's table at one (a, b) is dropped: the
+    # collected comparison fails there, and the corollary entry reports
+    # exactly the gammas where the two sides differ, with both images, while
+    # the relation itself (run first, so its verdict is warm) still holds
+    a, b = (1, 1), (2,)
+    lhs_letters, word, skew_terms, coef_table = idn._RELATIONS[i]
+
+    def dropped(x, y):
+        table = coef_table(x, y)
+        return dict(list(table.items())[1:]) if (x, y) == (a, b) else table
+
+    monkeypatch.setitem(idn._RELATIONS, i, (lhs_letters, word, skew_terms, dropped))
+    assert not idn._table_collects(i, a, b)
+    bounds = idn.Bounds(2, 3)
+    relation, cor = idn.run_suite(bounds, ids=[f"thm_main_{i}", f"thm_main_cor_{i}"])
+    assert relation.passed and idn._verdict.cache_info().currsize > 0
+    lhs, _skew, coef_rhs = idn.normal_order_forms(i, a, b)
+    prm = {"alpha": a, "beta": b, "vector_bound": bounds.max_g}
+    want = []
+    for gamma in pt.partitions_upto(bounds.max_g):
+        g = sf.schur(gamma)
+        left, right = lhs.apply(g), coef_rhs.apply(g)
+        if left != right:
+            want.append(Failure({**prm, "gamma": gamma}, left, right))
+    assert want and cor.failures == want
+    assert cor.instances == relation.instances
+
+
+def test_a_second_dropped_skew_term_fails_the_commutators(cold_memos, monkeypatch):
+    # _reduced drops one more skew term than the swapped one: the sides no
+    # longer collect to their relation, and each commutator fails on a gamma
+    real = idn._reduced
+
+    def reduced(i, a, b):
+        comm, rest = real(i, a, b)
+        return comm, op.OperatorExpr._trusted(rest.words[1:])
+
+    monkeypatch.setattr(idn, "_reduced", reduced)
+    assert not idn._commutator_sides(1, (2,), (1,), (1,))[1]
+    prm = {"alpha": (1,), "beta": (1,), "vector_bound": 3}
+    for ident in ("commutators_1", "commutators_2", "commutators_3"):
+        report = idn.verify_instance(ident, prm)
+        assert not report.passed, ident
+        for f in report.failures:
+            assert f.lhs != f.rhs and "gamma" in f.params

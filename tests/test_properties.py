@@ -178,3 +178,49 @@ def test_jdt_slides_are_mutually_inverse(shape, max_entry, data):
         t2, vacated = tb.jdt_slide(t, hole)
         if vacated is not None:
             assert tb.jdt_slide(t2, vacated) == (t, hole)
+
+
+def two_letter_sums():
+    """A sum of one to three scaled two-letter words in U/D/K/KB, each
+    letter taking a random s/p/h sum of degree <= 2."""
+    letter = st.tuples(st.sampled_from(("U", "D", "K", "KB")), sums("sph", 2))
+    return st.lists(
+        st.tuples(coefficients, st.tuples(letter, letter)), min_size=1, max_size=3
+    ).map(op.OperatorExpr).filter(lambda e: e.words)
+
+
+def _rewritten(expr, data):
+    """Other words with the same collected form as expr: each word's first
+    argument split into a random scaled Schur function and the rest, the
+    second taken into a random basis, the words in reverse order, and a
+    word minus itself appended."""
+    words = []
+    for c, ((k1, f), (k2, g)) in reversed(expr.words):
+        lam = data.draw(st.sampled_from(pt.partitions_upto(2)))
+        part = data.draw(coefficients) * sf.schur(lam)
+        g = sf.to_basis(g, data.draw(st.sampled_from("sehp")))
+        words += [(c, ((k1, part), (k2, g))), (c, ((k1, f - part), (k2, g)))]
+    c, word = expr.words[0]
+    words += [(c, word), (-c, word)]
+    return op.OperatorExpr(words)
+
+
+@PROPERTY
+@given(two_letter_sums(), st.data())
+def test_equal_collected_forms_agree_on_every_vector(expr, data):
+    # the rewritten sum, and the sum rebuilt from the collected form with
+    # one Schur function per letter, collect alike and agree on every
+    # s_gamma with |gamma| <= 4 with expr's image taken one generator at a
+    # time; their difference collects to nothing and applies to zero
+    other = _rewritten(expr, data)
+    form = op._collected(expr)
+    rebuilt = op.OperatorExpr(
+        (c, tuple((k, sf.schur(lam)) for k, lam in word)) for word, c in form.items()
+    )
+    assert op._collected(other) == op._collected(rebuilt) == form
+    zero = expr - other
+    assert zero.words and op._collected(zero) == {}
+    for gamma in pt.partitions_upto(4):
+        g = sf.schur(gamma)
+        assert other.apply(g) == rebuilt.apply(g) == _generator_by_generator(expr, g)
+        assert zero.apply(g).is_zero()
