@@ -11,8 +11,9 @@ overdraws it raises WorkLimitExceeded, a ValueError, before the work it
 pays for is done.  The rule for a charge is to come before anything
 that an input integer sizes is allocated, so that a huge size is refused
 by the budget instead of failing in the allocation; the cap tuple of a
-family of partitions of size n, the one-column factor of e_k, the cell
-list of a skew table and each character column follow it.  Where the
+family of partitions of size n, the one-column factor of e_k, every
+reading order of a skew shape (`tableaux._order`) and each character
+column follow it.  Where the
 work after the allocation is sure to charge at least its size anyway,
 `require` refuses the same computations without spending.
 The charges depend only on the inputs and on which memo entries are

@@ -646,9 +646,10 @@ def build_parser():
     cmd = sub.add_parser("verify", parents=[common],
                          help="verify catalog identities by exhaustion")
     cmd.add_argument("identity", help="catalog id or 'all'")
-    cmd.add_argument("--max-ab", type=int, default=2,
+    bounds = idn.Bounds()
+    cmd.add_argument("--max-ab", type=int, default=bounds.max_ab,
                      help="size bound for operator index partitions")
-    cmd.add_argument("--max-g", type=int, default=3,
+    cmd.add_argument("--max-g", type=int, default=bounds.max_g,
                      help="size bound for test vectors and free shapes")
     cmd.set_defaults(func=_cmd_verify)
 

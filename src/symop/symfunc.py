@@ -363,15 +363,12 @@ def _schur_skew_terms(lam, mu):
     _work.charge()
     if not pt.contains(mu, lam):
         return ()
-    # the cell list is sized by the shape, and `_fill` charges more than
-    # its size once the list is built: refuse a huge shape before it
-    _work.require(sum(lam) - sum(mu))
     # deferred import: tableaux imports this module
-    from .tableaux import _fill, _ssyt_reading_cells
+    from .tableaux import _fill, _order
 
-    cells = _ssyt_reading_cells(pt.SkewShape._trusted(lam, mu))
     out = {}
-    for vals in _fill(cells, True, max_entry=len(lam), init_counts={}):
+    for vals in _fill(_order(lam, mu, True), max_entry=len(lam),
+                      init_counts={}):
         # a lattice word uses every value from 1 to its largest
         content = Counter(vals)
         nu = tuple(map(content.__getitem__, range(1, len(content) + 1)))

@@ -13,7 +13,10 @@ there must be as many keys as cells, every entry must be a positive
 integer, and each cell is compared with its right and upper neighbours.
 The two classes differ only in which of those comparisons is strict.  The
 public entry points (the SSYT and ASSYT constructors, jdt_slide and
-jdt_case) validate every input.  The internal exhaustive check
+jdt_case) validate every input.  Every enumeration runs the filler _fill
+over a memoized reading order of _order, the only place that lists the
+cells of a skew shape for filling; it asks the work budget for _fill's
+first charge before it lists a cell.  The internal exhaustive check
 verify_jdt_bijection trusts the value lists that _fill yields, which are
 semistandard by construction: it slides them in place through a slot plan
 cached per shape, with the same slide loop (_slide_slots) as jdt_slide,
@@ -237,11 +240,22 @@ def _plan(cells, is_ssyt):
     return tuple(lo_at), tuple(hi_at)
 
 
-def _fill(cells, is_ssyt, cap=None, max_entry=None, init_counts=None,
-          plan=None):
-    """Backtracking filler shared by the enumerators.
+@cache
+def _order(outer, inner, is_ssyt):
+    """What `_fill` fills: the cells of outer/inner, canonical and nested,
+    in the SSYT or the ASSYT reading order as a tuple, and their `_plan`.
+    The budget is asked for `_fill`'s first charge before a cell is
+    listed, so a huge shape is refused before it is allocated."""
+    _work.require(2 + 3 * (sum(outer) - sum(inner)))
+    reading = _ssyt_reading_cells if is_ssyt else _assyt_reading_cells
+    cells = tuple(reading(SkewShape._trusted(outer, inner)))
+    return cells, _plan(cells, is_ssyt)
 
-    Cells must come in the reading order of the tableau family, so the
+
+def _fill(order, cap=None, max_entry=None, init_counts=None):
+    """Backtracking filler shared by the enumerators, over an `_order`.
+
+    The cells come in the reading order of the tableau family, so the
     right neighbour and the neighbour below (SSYT), or the right neighbour
     and the one below in the column (ASSYT), are already placed when a cell
     is filled; the lattice condition can then be checked online.  A
@@ -263,15 +277,15 @@ def _fill(cells, is_ssyt, cap=None, max_entry=None, init_counts=None,
     One loop walks the cells with an explicit stack, the value and upper
     bound of each placed cell, so the depth of the search is not bounded
     by Python's recursion limit.  Each cell is bounded through the
-    neighbour plan of `_plan`; a caller that fills one reading order many
-    times passes the plan it keeps with the cells as `plan`, and without
-    one the call builds it.
+    neighbour plan that the order carries.
 
     The call and each filling are charged to the work meter (`_work`),
     by the cells and the values they run over.
     """
+    cells, (lo_at, hi_at) = order
     ncells = len(cells)
     charge = _work.charge
+    # the charge that `_order` asks the budget for before it lists cells
     charge(2 + 3 * ncells)
     if cap is not None:
         remaining = list(cap)
@@ -290,7 +304,6 @@ def _fill(cells, is_ssyt, cap=None, max_entry=None, init_counts=None,
     per_filling = 4 + ncells * (2 + nvals) // 32
     # vals[k] is the value at cell k, and vals[ncells] = 0 and
     # vals[ncells + 1] = nvals stand in for a missing neighbour (`_plan`)
-    lo_at, hi_at = _plan(cells, is_ssyt) if plan is None else plan
     vals = [0] * ncells + [0, nvals]
     highs = [0] * ncells
     # cell k is tried with the values above v up to hi
@@ -335,12 +348,11 @@ def _fill(cells, is_ssyt, cap=None, max_entry=None, init_counts=None,
 def _tableaux(cls, shape, content=None, **fill):
     """Every tableau of class cls on the shape, as `_fill` yields them;
     with a content, those of exactly that content."""
-    is_ssyt = cls is SSYT
-    cells = (_ssyt_reading_cells if is_ssyt else _assyt_reading_cells)(shape)
-    if content is not None and sum(content) != len(cells):
+    if content is not None and sum(content) != shape.size:
         return []
-    return [cls(shape, dict(zip(cells, vals)))
-            for vals in _fill(cells, is_ssyt, cap=content, **fill)]
+    order = _order(shape.outer, shape.inner, cls is SSYT)
+    return [cls(shape, dict(zip(order[0], vals)))
+            for vals in _fill(order, cap=content, **fill)]
 
 
 def enumerate_ssyt(shape, content):
@@ -370,10 +382,10 @@ def enumerate_lr_fillings(shape, content):
 
 def count_lr_fillings(shape, content):
     content = tuple(map(pt._as_integer, content))
-    cells = _ssyt_reading_cells(shape)
-    if sum(content) != len(cells):
+    if sum(content) != shape.size:
         return 0
-    return sum(1 for _ in _fill(cells, True, cap=content, init_counts={}))
+    order = _order(shape.outer, shape.inner, True)
+    return sum(1 for _ in _fill(order, cap=content, init_counts={}))
 
 
 # ---------------------------------------------------------------------------
@@ -542,9 +554,9 @@ def _skew_lr_halves(a, b):
             if size1 > total:
                 continue
             sign = -1 if size1 % 2 else 1
-            cells1 = _assyt_reading_cells(shape1)
-            for d1 in _fill(cells1, False, cap=target,
-                            init_counts=init_counts):
+            order1 = _order(beta, beta_minus, False)
+            cells1 = order1[0]
+            for d1 in _fill(order1, cap=target, init_counts=init_counts):
                 used = [0] * nvals
                 for v in d1:
                     used[v - 1] += 1
@@ -554,10 +566,9 @@ def _skew_lr_halves(a, b):
         remaining = tuple(t - u for t, u in zip(target, used))
         counts1 = {v: pt.part_at(delta, v - 1) + m
                    for v, m in enumerate(used, start=1)}
-        for gamma_plus, shape2, cells2, plan2 in _growths(
-                gamma, size + sum(remaining)):
-            yield gamma_plus, shape2, cells2, _fill(
-                cells2, True, cap=remaining, init_counts=counts1, plan=plan2)
+        for gamma_plus, shape2, order2 in _growths(gamma, size + sum(remaining)):
+            yield gamma_plus, shape2, order2[0], _fill(
+                order2, cap=remaining, init_counts=counts1)
 
     return fillings(), completions
 
@@ -600,18 +611,17 @@ def skew_lr_pairs(a, b):
 
 @cache
 def _growths(gamma, n):
-    """(gamma_plus, gamma_plus/gamma, its SSYT reading order, the `_plan`
-    of that order) for every gamma_plus of size n containing gamma, in
-    partitions_of order (reverse lexicographic).  Only those partitions
-    are visited (`partitions._between`), each charged by the rows that
-    its step scans, after n is charged for the cap that bounds them."""
+    """(gamma_plus, gamma_plus/gamma, the SSYT `_order` of that shape) for
+    every gamma_plus of size n containing gamma, in partitions_of order
+    (reverse lexicographic).  Only those partitions are visited
+    (`partitions._between`), each charged by the rows that its step scans,
+    after n is charged for the cap that bounds them."""
     _work.charge(n)
     out = []
     for gamma_plus in pt._between(gamma, (n,) * n, n):
         gamma_plus = pt._intern(gamma_plus)
-        shape2 = SkewShape._trusted(gamma_plus, gamma)
-        cells2 = tuple(_ssyt_reading_cells(shape2))
-        out.append((gamma_plus, shape2, cells2, _plan(cells2, True)))
+        out.append((gamma_plus, SkewShape._trusted(gamma_plus, gamma),
+                    _order(gamma_plus, gamma, True)))
     return tuple(out)
 
 
@@ -696,17 +706,6 @@ def jdt_case(alpha, theta, gamma, delta, t):
     return "b", t2, vacated
 
 
-# Memo tables of the exhaustive bijection check, one entry per shape.
-
-
-@cache
-def _reading_order(outer, inner):
-    """(SSYT reading order of outer/inner, its `_plan`), for canonical
-    nested partitions."""
-    cells = tuple(_ssyt_reading_cells(SkewShape._trusted(outer, inner)))
-    return cells, _plan(cells, True)
-
-
 @cache
 def _slide_plan(gamma, delta, theta):
     """The forward slides of the SSYT of gamma/delta into the hole
@@ -714,34 +713,32 @@ def _slide_plan(gamma, delta, theta):
     |delta/theta| = 1.
 
     Slots 0..n-1 are the cells of gamma/delta in SSYT reading order and
-    slot n is the hole.  Returns (cells, plan, row_at, col_at, stops):
-    the reading order and `_plan` of `_reading_order`, the neighbour
-    tables of `_neighbours` over the n + 1 slots, and for each slot where
-    the hole can stop (a corner of gamma) the pair (beta, getter), with
-    beta the interned gamma minus that cell and getter reading the values
-    of beta/theta in SSYT reading order off the slots, as a tuple.  stops
-    is None at every other slot.
+    slot n is the hole.  Returns (order, row_at, col_at, stops): the SSYT
+    `_order` of gamma/delta, the neighbour tables of `_neighbours` over
+    the n + 1 slots, and for each slot where the hole can stop (a corner
+    of gamma) the pair (beta, getter), with beta the interned gamma minus
+    that cell and getter reading the values of beta/theta in SSYT reading
+    order off the slots, as a tuple.  stops is None at every other slot.
     """
-    cells, plan = _reading_order(gamma, delta)
-    slots = [*cells, _added_cell(theta, delta)]
+    order = _order(gamma, delta, True)
+    slots = [*order[0], _added_cell(theta, delta)]
     slot = {cell: k for k, cell in enumerate(slots)}
     stops = [None] * len(slots)
     for k, cell in enumerate(slots):
         if pt.is_corner(gamma, cell):
             beta = pt._intern(pt.remove_cell(gamma, cell))
-            at = [slot[c] for c in _reading_order(beta, theta)[0]]
+            at = [slot[c] for c in _order(beta, theta, True)[0]]
             # itemgetter of fewer than two items returns no tuple
             getter = (itemgetter(*at) if len(at) > 1
                       else lambda vals, at=at: tuple(vals[i] for i in at))
             stops[k] = beta, getter
-    return (cells, plan, *_neighbours(slots, 1), stops)
+    return (order, *_neighbours(slots, 1), stops)
 
 
 def _reading_words(outer, inner, bound):
     """The values, in SSYT reading order, of every SSYT of outer/inner with
     entries in 1..bound."""
-    cells, plan = _reading_order(outer, inner)
-    return map(tuple, _fill(cells, True, max_entry=bound, plan=plan))
+    return map(tuple, _fill(_order(outer, inner, True), max_entry=bound))
 
 
 def _tableau_json(outer, inner, values, holes=()):
@@ -751,7 +748,7 @@ def _tableau_json(outer, inner, values, holes=()):
     # only a failure needs json, so `import symop` does not pay for it
     import json
 
-    cells, _ = _reading_order(outer, inner)
+    cells = _order(outer, inner, True)[0]
     blob = {
         "shape": str(SkewShape._trusted(outer, inner)),
         "entries": sorted([r, c, v] for (r, c), v in zip(cells, values)),
@@ -769,9 +766,9 @@ def _slid_into(alpha, theta, bound, outcome):
     it."""
     for gamma in pt.add_set(alpha):
         for delta in pt.add_restrict(theta, alpha):
-            cells, plan, row_at, col_at, stops = _slide_plan(gamma, delta, theta)
-            hole = len(cells)
-            for vals in _fill(cells, True, max_entry=bound, plan=plan):
+            order, row_at, col_at, stops = _slide_plan(gamma, delta, theta)
+            hole = len(order[0])
+            for vals in _fill(order, max_entry=bound):
                 slid = [*vals, 0]
                 beta, getter = stops[_slide_slots(slid, hole, row_at, col_at, 1)]
                 values = getter(slid)
@@ -836,9 +833,9 @@ def verify_jdt_bijection(alpha, theta):
     checked = 0
     for gamma in pt.add_set(alpha):
         for delta in pt.add_restrict(theta, alpha):
-            cells, plan, row_at, col_at, stops = _slide_plan(gamma, delta, theta)
-            hole = len(cells)
-            for vals in _fill(cells, True, max_entry=bound, plan=plan):
+            order, row_at, col_at, stops = _slide_plan(gamma, delta, theta)
+            hole = len(order[0])
+            for vals in _fill(order, max_entry=bound):
                 checked += 1
                 vals.append(0)
                 # case (a) moves nothing, and the hole's own cell leaves

@@ -4,6 +4,7 @@ import os
 import random
 import re
 import shlex
+import signal
 import subprocess
 import sys
 import time
@@ -13,6 +14,7 @@ import pytest
 
 import symop
 from symop import _work, cli, identities as idn, partitions as pt, symfunc as sf
+from symop import tableaux as tb
 from symop.reporting import Failure
 
 
@@ -552,6 +554,18 @@ def test_huge_skew_shapes_meet_the_budget_before_their_cells(
     assert time.monotonic() - start < 5
 
 
+def test_lrcoeff_of_a_huge_shape_is_refused_before_its_cells(
+        capsys, monkeypatch):
+    # the reading order asks the budget for the filler's first charge
+    # before it lists a cell, so none of the 100,000 cells is interned
+    monkeypatch.setattr(cli, "MAX_WORK", _LOW_WORK)
+    cells = tb._cell.cache_info().currsize
+    start = time.monotonic()
+    _assert_refused(capsys, [["lrcoeff", "100000", "0", "100000"]], _LOW_WORK)
+    assert time.monotonic() - start < 5
+    assert tb._cell.cache_info().currsize == cells
+
+
 def test_tableau_rules_exit_2_under_the_work_budget(capsys, monkeypatch):
     # skew shapes, skew Pieri strips and skew LR fillings have no a-priori
     # estimate; the fillings and partitions they enumerate are charged
@@ -832,6 +846,173 @@ def test_truncations_run_under_the_work_budget(capsys, monkeypatch):
     for ops in ("Id;U[2]", "Id;D[1]U[1]"):
         assert cli.main(["rank", ops, "--max-deg", "15"]) == 0
         assert capsys.readouterr().out == "rank 2 of 2: independent\n"
+
+
+# The grammar fuzzer: random command lines of every subcommand, with small,
+# huge and malformed numbers wherever the grammar takes one.
+_FUZZ_HUGE = ("999999999999", _NINES, "9" * 4400)
+_FUZZ_MALFORMED = ("-1", "1.5", "1e3", "", " ", "+3", "1_0", "0x1", "\u00b2",
+                   "\u0663", "nan", "2,")
+
+
+def _fuzz_number(rng):
+    r = rng.random()
+    if r < 0.9:
+        return str(rng.randint(0, 5))
+    return rng.choice(_FUZZ_HUGE if r < 0.95 else _FUZZ_MALFORMED)
+
+
+def _by_size(parts):
+    """Digit strings sorted decreasing by their value; others first."""
+    return sorted(parts, key=lambda x: (x.isdigit(), len(x), x), reverse=True)
+
+
+def _fuzz_parts(rng):
+    """Mostly a partition: weakly decreasing numbers, one of them at times
+    huge or malformed."""
+    parts = [_fuzz_number(rng) for _ in range(rng.randint(1, 4))]
+    return ",".join(_by_size(parts) if rng.random() < 0.85 else parts)
+
+
+def _fuzz_skew(rng):
+    outer = _fuzz_parts(rng)
+    r = rng.random()
+    if r < 0.4:
+        return outer
+    if r < 0.7:
+        return f"{outer}/{_fuzz_parts(rng)}"
+    # some parts of outer and zeros, sorted: an inner shape that fits
+    inner = _by_size(rng.choice(("0", x)) for x in outer.split(","))
+    return f"{outer}/{','.join(inner)}"
+
+
+def _fuzz_expr(rng, depth=0):
+    r = rng.random()
+    if depth > 2 or r < 0.45:
+        r = rng.random()
+        if r < 0.6:
+            return f"{rng.choice('sshep')}[{_fuzz_parts(rng)}]"
+        if r < 0.75:
+            return f"sk[{_fuzz_skew(rng)}]"
+        if r < 0.9:
+            return _fuzz_number(rng)
+        return f"{_fuzz_number(rng)}/{_fuzz_number(rng)}"
+    if r < 0.55:
+        return f"kron({_fuzz_expr(rng, depth + 1)},{_fuzz_expr(rng, depth + 1)})"
+    if r < 0.65:
+        return f"-({_fuzz_expr(rng, depth + 1)})"
+    if r < 0.75:
+        return f"({_fuzz_expr(rng, depth + 1)})^{_fuzz_number(rng)}"
+    return rng.choice("+-*").join(
+        _fuzz_expr(rng, depth + 1) for _ in range(rng.randint(2, 3)))
+
+
+def _fuzz_op(rng, depth=0):
+    r = rng.random()
+    if r < 0.15:
+        return "Id"
+    letter = rng.choice(("U", "D", "K", "KB"))
+    if depth > 1 or r < 0.6:
+        return f"{letter}[{_fuzz_parts(rng)}]"
+    if r < 0.7:
+        return f"{letter}({_fuzz_expr(rng, 2)})"
+    if r < 0.8:
+        return f"{_fuzz_number(rng)}*({_fuzz_op(rng, depth + 1)})"
+    return rng.choice(("", "", "+", "-")).join(
+        _fuzz_op(rng, depth + 1) for _ in range(rng.randint(2, 3)))
+
+
+def _fuzz_tableau(rng):
+    """A tableau JSON: the filling of a skew shape by row numbers, which is
+    semistandard, and up to two holes, at times out of place or malformed."""
+    shape = pt.parse_skew(f"{rng.randint(1, 4)},{rng.randint(0, 1)}/"
+                          f"{rng.randint(0, 1)}")
+    entries = [[r, c, r + 1] for r, c in shape.cells()]
+    holes = [[rng.randint(0, 2), rng.randint(0, 4)]
+             for _ in range(rng.randint(0, 2))]
+    if entries + holes and rng.random() < 0.3:
+        rng.choice(entries + holes)[rng.randint(0, 1)] = rng.choice(
+            (-1, 10**30, 1.5, 1e308, "1", None))
+    text = json.dumps({"shape": str(shape), "entries": entries,
+                       "holes": holes})
+    return rng.choice((text,) * 8 + (text[:-1], "[1]"))
+
+
+def _fuzz_argv(rng):
+    """One random command line; an argument that begins with '-' gets a
+    leading space, since argparse would read it as an option."""
+    cmd = rng.choice(("expand", "kron", "skew", "lrcoeff", "kroncoeff",
+                      "char", "verify", "skewlr", "skewpieri",
+                      "skewcorners", "matrix", "rank", "apply", "jdt"))
+    degree = str(rng.choice((0, 1, 2, 3, 4, 40, 999999999999)))
+    same = _fuzz_parts(rng)
+    args = {
+        "expand": lambda: [_fuzz_expr(rng)],
+        "kron": lambda: [_fuzz_expr(rng), _fuzz_expr(rng)],
+        "skew": lambda: [_fuzz_skew(rng)],
+        "lrcoeff": lambda: [_fuzz_parts(rng) for _ in range(3)],
+        # at times one partition more than once, so that sizes agree
+        "kroncoeff": lambda: [same] + [rng.choice((same, _fuzz_parts(rng)))
+                                       for _ in range(2)],
+        "char": lambda: [same, rng.choice((same, _fuzz_parts(rng)))],
+        "verify": lambda: [rng.choice((*idn.CATALOG, "all", "nope")),
+                           "--max-ab", str(rng.randint(0, 2)),
+                           "--max-g", str(rng.randint(0, 3))],
+        "skewlr": lambda: [_fuzz_skew(rng), _fuzz_skew(rng)]
+        + ["--terms"] * rng.randint(0, 1),
+        "skewpieri": lambda: [rng.choice(("0", "1", "3", *_FUZZ_HUGE[:2])),
+                              _fuzz_skew(rng)]
+        + ["--terms"] * rng.randint(0, 1),
+        "skewcorners": lambda: [_fuzz_parts(rng), _fuzz_parts(rng)],
+        "matrix": lambda: [_fuzz_op(rng), "--max-deg", degree],
+        "rank": lambda: [";".join(_fuzz_op(rng)
+                                  for _ in range(rng.randint(1, 3))),
+                         "--max-deg", degree],
+        "apply": lambda: [_fuzz_op(rng), _fuzz_expr(rng)],
+        "jdt": lambda: [_fuzz_tableau(rng)],
+    }[cmd]()
+    args = [" " + a if a.startswith("-") and not a.startswith("--") else a
+            for a in args]
+    return [cmd, *args] + ["--format", "json"] * rng.randint(0, 1)
+
+
+class _FuzzTimeout(Exception):
+    pass
+
+
+def _fuzz_case(capsys, argv):
+    """Run one command line under a 5 s alarm: it must exit 0, or exit 2
+    with one `symop: error:` line and nothing on stdout."""
+    def expire(signum, frame):
+        raise _FuzzTimeout(argv)
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    try:
+        code = cli.main(argv)
+    except Exception as exc:  # a leaked traceback, or the alarm
+        pytest.fail(f"{argv}: {exc!r}")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert err == "", argv
+    else:
+        assert code == 2, (argv, code)
+        assert out == "", argv
+        assert err.startswith("symop: error: ") and err.count("\n") == 1, (
+            argv, err)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fuzzed_command_lines_answer_or_exit_2(capsys, monkeypatch, seed):
+    # no traceback and no hang: a budget low enough that each case ends
+    # within hundredths of a second, `verify` at bounds up to (2,3)
+    monkeypatch.setattr(cli, "MAX_WORK", _LOW_WORK)
+    rng = random.Random(seed)
+    for _ in range(100):
+        _fuzz_case(capsys, _fuzz_argv(rng))
 
 
 def _random_symfunc(rng):

@@ -92,12 +92,12 @@ def _fill_modes(size):
             + [({"max_entry": m},) * 2 for m in range(1, 5)])
 
 
-def _spent(fill, cells, is_ssyt, **kw):
+def _spent(fill, *args, **kw):
     """What fill yields and the work units it charges for it."""
     start = 10**12
     _work.set_budget(start)
     try:
-        got = list(fill(cells, is_ssyt, **kw))
+        got = list(fill(*args, **kw))
         return got, start - _work._left
     finally:
         _work.set_budget(None)
@@ -107,21 +107,25 @@ def test_fill_matches_the_recursive_filler_up_to_5():
     # the value lists, zipped with the cells, are the same dicts, in the
     # same order and with the same key order, and the same units, for both
     # reading orders of every skew shape with outer size <= 5 and every
-    # mode, with and without a lattice condition
+    # mode, with and without a lattice condition; the memoized `_order` of
+    # each is the definition of its reading order, as a tuple
     calls = fillings = 0
     for outer in pt.partitions_upto(5):
         for inner in pt.sub_partitions(outer):
             shape = SkewShape(outer, inner)
             for is_ssyt, reading in ((True, tb._ssyt_reading_cells),
                                      (False, tb._assyt_reading_cells)):
-                cells = reading(shape)
+                order = tb._order(outer, inner, is_ssyt)
+                assert order is tb._order(outer, inner, is_ssyt)
+                cells = order[0]
+                assert cells == tuple(reading(shape))
                 for ref_mode, mode in _fill_modes(shape.size):
                     for init_counts in (None, {}, {1: 2, 2: 1}):
                         kw = dict(mode, init_counts=init_counts)
                         want, want_units = _spent(
                             _recursive_fill, cells, is_ssyt,
                             **ref_mode, init_counts=init_counts)
-                        vals, units = _spent(tb._fill, cells, is_ssyt, **kw)
+                        vals, units = _spent(tb._fill, order, **kw)
                         assert all(len(v) == len(cells) for v in vals)
                         got = [dict(zip(cells, v)) for v in vals]
                         assert got == want, (shape, is_ssyt, kw)
@@ -132,26 +136,6 @@ def test_fill_matches_the_recursive_filler_up_to_5():
     assert calls > 10_000 and fillings > 10_000
 
 
-def test_fill_with_a_cached_plan_matches_its_own_plan():
-    # the plan that _growths keeps next to each reading order gives the
-    # same dicts, key order and units as the plan _fill builds per call
-    calls = 0
-    for gamma in pt.partitions_upto(4):
-        for n in range(sum(gamma), 8):
-            for _gp, shape2, cells2, plan2 in tb._growths(gamma, n):
-                for _ref_mode, mode in _fill_modes(shape2.size):
-                    for init_counts in (None, {}, {1: 2, 2: 1}):
-                        kw = dict(mode, init_counts=init_counts)
-                        want, want_units = _spent(tb._fill, cells2, True, **kw)
-                        got, units = _spent(
-                            tb._fill, cells2, True, plan=plan2, **kw)
-                        assert got == want, (shape2, kw)
-                        assert [list(d) for d in got] == [list(d) for d in want]
-                        assert units == want_units, (shape2, kw)
-                        calls += 1
-    assert calls > 1000
-
-
 def test_growths_are_the_containing_partitions_in_order():
     every = [_reference_partitions_of(n)[0] for n in range(11)]
     for gamma in pt.partitions_upto(7):
@@ -159,20 +143,22 @@ def test_growths_are_the_containing_partitions_in_order():
             want = [gp for gp in every[n] if pt.contains(gamma, gp)]
             growths = tb._growths(gamma, n)
             assert [gp for gp, *_ in growths] == want, (gamma, n)
-            for gp, shape2, cells2, _plan in growths:
+            for gp, shape2, order in growths:
                 assert shape2 == SkewShape(gp, gamma)
-                assert cells2 == tuple(tb._ssyt_reading_cells(shape2))
+                # the shared memo entry itself, not a copy of it
+                assert order is tb._order(gp, gamma, True)
+                assert order[0] == tuple(tb._ssyt_reading_cells(shape2))
 
 
 def test_fill_of_1000_cells_needs_no_recursion():
     # deeper than Python's recursion limit: the filler keeps its own stack
-    row = tb._ssyt_reading_cells(SkewShape((1000,)))
-    assert [dict(zip(row, v)) for v in tb._fill(row, True, max_entry=1)] == [
-        dict.fromkeys(row, 1)]
-    two_rows = tb._ssyt_reading_cells(SkewShape((500, 500)))
-    (lr,) = tb._fill(two_rows, True, cap=(500, 500), init_counts={})
+    row = tb._order((1000,), (), True)
+    assert [dict(zip(row[0], v)) for v in tb._fill(row, max_entry=1)] == [
+        dict.fromkeys(row[0], 1)]
+    two_rows = tb._order((500, 500), (), True)
+    (lr,) = tb._fill(two_rows, cap=(500, 500), init_counts={})
     assert len(lr) == 1000
-    assert dict(zip(two_rows, lr)) == {c: c.row + 1 for c in two_rows}
+    assert dict(zip(two_rows[0], lr)) == {c: c.row + 1 for c in two_rows[0]}
     assert tb.count_lr_fillings(SkewShape((1000,), (500,)), (500,)) == 1
 
 
@@ -535,10 +521,11 @@ def test_in_place_slide_agrees_with_jdt_slide_up_to_4():
                 for delta in pt.add_restrict(theta, alpha):
                     hole = tb._added_cell(theta, delta)
                     shape = SkewShape(gamma, delta)
-                    cells, plan, row_at, col_at, stops = tb._slide_plan(
+                    order, row_at, col_at, stops = tb._slide_plan(
                         gamma, delta, theta)
+                    cells = order[0]
                     slots = [*cells, hole]
-                    for vals in tb._fill(cells, True, max_entry=bound, plan=plan):
+                    for vals in tb._fill(order, max_entry=bound):
                         d = dict(zip(cells, vals))
                         t = tb.SSYT(shape, d)
                         vals.append(0)
@@ -738,10 +725,13 @@ def test_skew_lr_product_counts_each_content_once(monkeypatch):
     assert tb.skew_lr_product(a, b) == want  # fills the memo tables
     fill = tb._fill
     ssyt_calls = []
+    # the ASSYT orders are the memoized orders of b.inner/bm
+    assyt_orders = [tb._order(b.inner, bm, False)
+                    for bm in pt.sub_partitions(b.inner)]
 
-    def counted(cells, is_ssyt, **kw):
-        ssyt_calls.append(is_ssyt)
-        return fill(cells, is_ssyt, **kw)
+    def counted(order, **kw):
+        ssyt_calls.append(not any(order is o for o in assyt_orders))
+        return fill(order, **kw)
 
     monkeypatch.setattr(tb, "_fill", counted)
     assert tb.skew_lr_product(a, b) == want
@@ -781,10 +771,9 @@ def test_worked_pair_is_an_enumerated_contribution():
     assert (-1) ** t1.shape.size == -1
     # the T1 slice of the enumeration (beta_minus = (1)) generates t1
     init = {i: part for i, part in enumerate(delta, start=1)}
-    cells1 = tb._assyt_reading_cells(t1.shape)
-    t1_candidates = list(
-        tb._fill(cells1, False, cap=list(target), init_counts=init)
-    )
+    order1 = tb._order(t1.shape.outer, t1.shape.inner, False)
+    cells1 = order1[0]
+    t1_candidates = list(tb._fill(order1, cap=list(target), init_counts=init))
     assert T1_ENTRIES in [dict(zip(cells1, v)) for v in t1_candidates]
     # and with t1 fixed, the T2 slice over gamma_plus = (9,9,5,3) generates t2
     counts = dict(init)
@@ -794,10 +783,9 @@ def test_worked_pair_is_an_enumerated_contribution():
         target[i] - sum(1 for v in T1_ENTRIES.values() if v == i + 1)
         for i in range(len(alpha))
     )
-    cells2 = tb._ssyt_reading_cells(t2.shape)
-    t2_candidates = list(
-        tb._fill(cells2, True, cap=remaining, init_counts=counts)
-    )
+    order2 = tb._order(t2.shape.outer, t2.shape.inner, True)
+    cells2 = order2[0]
+    t2_candidates = list(tb._fill(order2, cap=remaining, init_counts=counts))
     assert T2_ENTRIES in [dict(zip(cells2, v)) for v in t2_candidates]
 
 
