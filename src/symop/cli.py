@@ -1,7 +1,7 @@
-"""Command line front end: an expression parser over the s/h/e/p atoms and
-subcommands for expansion, coefficients, verification, and the tableau
-rules.  All output is deterministic; --format json emits the documented
-schema.
+"""Command line front end: a parser that evaluates expressions over the
+s/h/e/p atoms and the operators as it reads them, and subcommands for
+expansion, coefficients, verification, and the tableau rules.  All
+output is deterministic; --format json emits the documented schema.
 
 Every subcommand but verify runs under one work budget, MAX_WORK, spent
 by the layers as they compute (see `_work`); a command that overruns it
@@ -10,7 +10,6 @@ is refused like any other input error, with one line and exit 2."""
 import argparse
 import json
 import math
-import operator
 import os
 import sys
 from fractions import Fraction
@@ -67,13 +66,17 @@ class _Parser:
 
         expr   := term (('+'|'-') term)*
         term   := factor ('*' factor)*
-        factor := ['-'] primary ('^' num)?
+        factor := '-'* primary ('^' num)?
         primary:= rational | atom | kron '(' expr ',' expr ')' | '(' expr ')'
         atom   := ('s'|'h'|'e'|'p') '[' parts ']'
                 | 'sk' '[' parts ['/' parts] ']'
 
     A rational is num or num '/' num (there is no division operator).
-    Parse trees are plain tuples, evaluated by `evaluate`.
+    Each rule returns the value of what it parsed, a SymFunc in the Schur
+    basis or an OperatorExpr, so an expression is evaluated as it is
+    parsed and its work meets the budget in that order.  Every sum,
+    product, Kronecker product and power is refused once a coefficient has
+    more digits than Python prints (`_checked`, `_checked_op`).
     """
 
     def __init__(self, text):
@@ -103,48 +106,57 @@ class _Parser:
     # ----- symmetric function expressions
 
     def parse_expr(self):
-        node = self.parse_term()
+        value = self.parse_term()
         while self.peek()[0] in "+-":
             kind = self.next()[0]
             rhs = self.parse_term()
-            node = ("add" if kind == "+" else "sub", node, rhs)
-        return node
+            value = _checked(sf.add(value, rhs) if kind == "+" else value - rhs)
+        return value
 
     def parse_term(self):
-        node = self.parse_factor()
+        value = self.parse_factor()
         while self.peek()[0] == "*":
             self.next()
-            node = ("mul", node, self.parse_factor())
-        return node
+            value = _checked(sf.mul(value, self.parse_factor()))
+        return value
 
     def parse_factor(self):
-        if self.peek()[0] == "-":
+        sign = 1
+        while self.peek()[0] == "-":
             self.next()
-            return ("neg", self.parse_factor())
-        node = self.parse_primary()
+            sign = -sign
+        base = self.parse_primary()
         if self.peek()[0] == "^":
             self.next()
-            tok = self.expect("num")
-            node = ("pow", node, tok[1])
-        return node
+            exponent = self.expect("num")[1]
+            if base.max_degree() == 0:
+                base = sf.scale(
+                    _constant_power(base.coeff(()), exponent), sf.one())
+            else:
+                power = sf.one()
+                for _ in range(exponent):
+                    _work.charge(2 * len(power._num) * len(base._num))
+                    power = _checked(sf.mul(power, base))
+                base = power
+        return base if sign == 1 else sf.scale(-1, base)
 
     def parse_primary(self):
         tok = self.peek()
         if tok[0] == "num":
-            return ("num", self.parse_rational())
+            return sf.scale(self.parse_rational(), sf.one())
         if tok[0] == "(":
             self.next()
-            node = self.parse_expr()
+            value = self.parse_expr()
             self.expect(")")
-            return node
+            return value
         if tok[0] == "name":
             name = tok[1]
-            if name in ("s", "h", "e", "p"):
+            if name in _ATOM_BUILDERS:
                 self.next()
                 self.expect("[")
                 parts = self.parse_parts(tok[2])
                 self.expect("]")
-                return (name, parts)
+                return sf.to_basis(_ATOM_BUILDERS[name](parts), "s")
             if name == "sk":
                 self.next()
                 self.expect("[")
@@ -158,7 +170,7 @@ class _Parser:
                     raise ParseError(
                         f"inner shape {inner} not contained in {outer}", tok[2]
                     )
-                return ("sk", outer, inner)
+                return sf.skew_schur(outer, inner)
             if name == "kron":
                 self.next()
                 self.expect("(")
@@ -166,7 +178,7 @@ class _Parser:
                 self.expect(",")
                 b = self.parse_expr()
                 self.expect(")")
-                return ("kron", a, b)
+                return _checked(sf.kronecker(a, b))
             raise ParseError(f"unknown name {name!r}", tok[2])
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
 
@@ -244,13 +256,8 @@ class _Parser:
                 arg = sf.schur(parts)
             elif nxt[0] == "(":
                 self.next()
-                node = self.parse_expr()
+                arg = self.parse_expr()
                 self.expect(")")
-                try:
-                    arg = evaluate(node)
-                except RecursionError:
-                    # not the parser's own nesting
-                    raise ValueError(_TOO_LARGE) from None
             else:
                 raise ParseError(f"{kind} needs '[parts]' or '(expr)'", nxt[2])
             return getattr(op, kind)(arg)
@@ -265,29 +272,17 @@ class _Parser:
         return None
 
 
-# The parser recurses once per nesting level of the input.  Any other
-# recursion that overflows grows with the size of the input instead:
-# `coeffs.mn_character` per part of rho, `symfunc._schur_to_h` per row of
-# its shape.  (`tableaux._fill` keeps its own stack, the partition families
-# are one loop and `symfunc._he_to_schur` folds the parts of an h or e
-# index in one, so a product, a skew rule or an h or e index of any size
-# meets the budget.)
-_TOO_LARGE = "input too large for Python's recursion limit"
-
-
 def _parsed(text, rule):
+    """The value of the parser's rule over all of text.  The parser
+    recurses once per nesting level of the input, and nothing else that it
+    calls recurses per input size, so a RecursionError is the nesting."""
     parser = _Parser(text)
     try:
-        node = rule(parser)
+        value = rule(parser)
     except RecursionError:
         raise ValueError("expression nested too deeply") from None
     parser.done()
-    return node
-
-
-def parse(text):
-    """Parse a symmetric function expression into a tuple tree."""
-    return _parsed(text, _Parser.parse_expr)
+    return value
 
 
 _ATOM_BUILDERS = {"s": sf.schur, "h": sf.h, "e": sf.e, "p": sf.p}
@@ -346,49 +341,9 @@ def _checked_op(expr):
     return expr
 
 
-# The parser builds '+', '-' and '*' chains left-deep; `evaluate` folds
-# each chain in a loop, so a flat sum or product does not recurse per term.
-_CHAINS = {"add": sf.add, "sub": operator.sub, "mul": sf.mul}
-
-
-def evaluate(node):
-    """Evaluate a parse tree to a SymFunc in the Schur basis.  Every sum,
-    product, Kronecker product and power is refused once a coefficient has
-    more digits than Python prints (`_checked`)."""
-    kind = node[0]
-    if kind == "num":
-        return sf.scale(node[1], sf.one())
-    if kind in _ATOM_BUILDERS:
-        return sf.to_basis(_ATOM_BUILDERS[kind](node[1]), "s")
-    if kind == "sk":
-        return sf.skew_schur(node[1], node[2])
-    if kind in _CHAINS:
-        chain = []
-        while node[0] in _CHAINS:
-            chain.append(node)
-            node = node[1]
-        value = evaluate(node)
-        for kind, _left, right in reversed(chain):
-            value = _checked(_CHAINS[kind](value, evaluate(right)))
-        return value
-    if kind == "neg":
-        return sf.scale(-1, evaluate(node[1]))
-    if kind == "pow":
-        base, exponent = evaluate(node[1]), node[2]
-        if base.max_degree() == 0:
-            return sf.scale(_constant_power(base.coeff(()), exponent), sf.one())
-        out = sf.one()
-        for _ in range(exponent):
-            _work.charge(2 * len(out._num) * len(base._num))
-            out = _checked(sf.mul(out, base))
-        return out
-    if kind == "kron":
-        return _checked(sf.kronecker(evaluate(node[1]), evaluate(node[2])))
-    raise ValueError(f"bad node {node!r}")
-
-
 def evaluate_text(text):
-    return evaluate(parse(text))
+    """Evaluate a symmetric function expression in the Schur basis."""
+    return _parsed(text, _Parser.parse_expr)
 
 
 def parse_operator(text):
@@ -555,6 +510,8 @@ def _cmd_jdt(args):
         blob = json.loads(args.tableau)
     except json.JSONDecodeError as exc:
         raise _bad_tableau(exc) from None
+    except RecursionError:
+        raise _bad_tableau("nested too deeply") from None
     if not isinstance(blob, dict):
         raise _bad_tableau(f"{json.dumps(blob)} is not an object")
     shape = blob.get("shape")
@@ -728,9 +685,6 @@ def main(argv=None):
         return 1
     except (ParseError, ValueError) as exc:
         print(f"symop: error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        print(f"symop: error: {_TOO_LARGE}", file=sys.stderr)
         return 2
     finally:
         _work.set_budget(None)

@@ -59,7 +59,7 @@ def _strips(lam, r):
 def _corners(lam):
     """The border strips of length 1 removable from lam, its removable
     corners, in the form of `_strips`; all of height 0.  Read off lam
-    directly rather than memoized: with rho = 1^n the recursion meets each
+    directly rather than memoized: with rho = 1^n the walk meets each
     shape with one rest only, so such a memo would never be hit."""
     out = []
     for i, x in enumerate(lam):
@@ -69,17 +69,24 @@ def _corners(lam):
     return out
 
 
-@cache
+# The characters computed so far: _CHARACTERS[lam, rho] is chi^lam(rho),
+# for canonical partitions lam and rho of the same size, rho not empty.
+_CHARACTERS = {}
+
+
 def mn_character(lam, rho):
     """Character chi^lam(rho) of the symmetric group, both partitions of n.
 
-    Recursion: strip a border strip of length rho_1 from lam in every
-    possible way (`_strips`, or `_corners` for length 1); the sign is
-    (-1)^height.  At the last part the strip is all of lam, which is a
-    border strip exactly when lam is a hook, of height len(lam) - 1, so
-    that step reads lam alone: a column over every shape of a large degree
-    then memoizes no strips.  The recursion passes interned canonical
-    partitions, which skip validation.
+    Strip a border strip of length rho_1 from lam in every possible way
+    (`_strips`, or `_corners` for length 1), with sign (-1)^height, and
+    sum the characters of what is left at (rho_2, rho_3, ...).  At the
+    last part the strip is all of lam, which is a border strip exactly
+    when lam is a hook, of height len(lam) - 1, so that step reads lam
+    alone: a column over every shape of a large degree then memoizes no
+    strips.  The arguments are validated once; the pairs (shape, suffix of
+    rho) below them are interned canonical partitions, walked depth first
+    on an explicit stack, so a rho of any length meets the work budget,
+    not the recursion limit.  Each pair computed is memoized and charged.
     """
     lam = pt._canonical(lam)
     rho = pt._canonical(rho)
@@ -87,15 +94,39 @@ def mn_character(lam, rho):
         raise ValueError(f"size mismatch: |{lam}| != |{rho}|")
     if not rho:
         return 1
-    # a miss hashes and slices rho
-    _work.charge(1 + len(rho) // 8)
-    r, rest = rho[0], pt._intern(rho[1:])
-    if not rest:
-        if len(lam) > 1 and lam[1] > 1:
-            return 0
-        return -1 if len(lam) % 2 == 0 else 1
-    strips = _corners(lam) if r == 1 else _strips(lam, r)
-    return sum(sign * mn_character(mu, rest) for mu, sign in strips)
+    memo = _CHARACTERS
+    # frames [pair, suffix of its rho, its strips left, partial sum, sign
+    # of the pair below it]; the first frame sums lam at rho alone
+    stack = [[None, rho, iter(((lam, 1),)), 0, 0]]
+    value = 0
+    while True:
+        frame = stack[-1]
+        pair, rest, strips, total, sign = frame
+        total += sign * value
+        for mu, sign in strips:
+            key = (mu, rest)
+            value = memo.get(key)
+            if value is None:
+                break
+            total += sign * value
+        else:
+            stack.pop()
+            if not stack:
+                return total
+            memo[pair] = value = total
+            continue
+        frame[3:] = total, sign
+        # a new pair: a miss hashes and slices rho
+        lam, rho = key
+        _work.charge(1 + len(rho) // 8)
+        rest = pt._intern(rho[1:])
+        if rest:
+            strips = _corners(lam) if rho[0] == 1 else _strips(lam, rho[0])
+            stack.append([key, rest, iter(strips), 0, 0])
+            value = 0
+        else:
+            value = memo[key] = (
+                0 if len(lam) > 1 and lam[1] > 1 else (-1) ** (len(lam) - 1))
 
 
 @cache
@@ -223,7 +254,6 @@ def lr_coeff(nu, lam, mu):
     return val
 
 
-@cache
 def kron_coeff(lam, mu, nu):
     """Kronecker coefficient g_{lam,mu,nu} as a symmetric character sum.
 
@@ -232,11 +262,16 @@ def kron_coeff(lam, mu, nu):
     once; the sum is checked to be a nonnegative integer.  It reads each
     character from `mn_character` and sums class by class, while the
     Kronecker table of `symfunc` sums the columns of `character_table`,
-    so the two routes check each other.
+    so the two routes check each other.  The arguments are validated
+    before the memo, so any spelling of a partition is accepted, and
+    interned, so that `mn_character` does not validate them per class.
     """
-    lam = pt.make_partition(lam)
-    mu = pt.make_partition(mu)
-    nu = pt.make_partition(nu)
+    return _kron_coeff(*(pt._intern(pt._canonical(x)) for x in (lam, mu, nu)))
+
+
+@cache
+def _kron_coeff(lam, mu, nu):
+    """`kron_coeff` of canonical partitions."""
     n = sum(lam)
     if sum(mu) != n or sum(nu) != n:
         raise ValueError("kron_coeff needs three partitions of the same size")

@@ -308,7 +308,10 @@ def sub_partitions(lam, max_size=None):
 @cache
 def _sub_partitions(lam):
     """The partitions contained in lam as a sorted tuple of interned
-    tuples, one enumeration per lam, over one frame for every size."""
+    tuples, one enumeration per lam, over one frame for every size.  Each
+    size 0..|lam| has one, and the walk charges each, so the budget is
+    asked for |lam| + 1 units before anything is listed."""
+    _work.require(sum(lam) + 1)
     frame = _frame((), lam)
     return tuple(_intern(mu) for m in range(sum(lam) + 1)
                  for mu in _walk(frame, m))

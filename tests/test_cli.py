@@ -18,25 +18,15 @@ from symop import tableaux as tb
 from symop.reporting import Failure
 
 
-def test_parse_product_ast():
-    node = cli.parse("s[2,1]*s[1]")
-    assert node == ("mul", ("s", (2, 1)), ("s", (1,)))
-
-
-def test_parse_kron_ast():
-    node = cli.parse("kron(s[2,1], s[2,1])")
-    assert node[0] == "kron"
-
-
 def test_parse_rejects_bad_partition():
     with pytest.raises(cli.ParseError) as err:
-        cli.parse("s[1,2]")
+        cli.evaluate_text("s[1,2]")
     assert "weakly decreasing" in str(err.value)
 
 
 def test_parse_reports_position():
     with pytest.raises(cli.ParseError) as err:
-        cli.parse("s[2,1] + + s[1]")
+        cli.evaluate_text("s[2,1] + + s[1]")
     assert "position" in str(err.value)
 
 
@@ -566,6 +556,17 @@ def test_lrcoeff_of_a_huge_shape_is_refused_before_its_cells(
     assert tb._cell.cache_info().currsize == cells
 
 
+def test_sub_partitions_of_a_long_row_ask_the_budget_first(capsys, monkeypatch):
+    # the sub-partitions of a row of 50M cells are one per size: the budget
+    # is asked for their count before the first is listed
+    monkeypatch.setattr(cli, "MAX_WORK", _LOW_WORK)
+    interned = len(pt._INTERNED)
+    start = time.monotonic()
+    _assert_refused(capsys, [["skewlr", "1", "50000000/49999999"]], _LOW_WORK)
+    assert time.monotonic() - start < 1
+    assert len(pt._INTERNED) == interned
+
+
 def test_tableau_rules_exit_2_under_the_work_budget(capsys, monkeypatch):
     # skew shapes, skew Pieri strips and skew LR fillings have no a-priori
     # estimate; the fillings and partitions they enumerate are charged
@@ -676,8 +677,8 @@ def test_deep_nesting_exits_2(capsys):
 
 
 def test_flat_chains_are_folded_without_recursion(capsys):
-    # the parser builds '+', '-' and '*' chains left-deep; evaluating one
-    # does not recurse per term, however long the chain
+    # the parser folds '+', '-' and '*' chains in its loops as it reads
+    # them, so no chain recurses per term, however long
     n = 3000
     for flat, want in (("+".join(["s[1]"] * n), f"{n}*s[1]"),
                        ("s[1]" + "-s[1]+s[1]" * n, "s[1]"),
@@ -773,14 +774,18 @@ def test_matrix_refuses_operator_coefficients_past_the_digit_limit(capsys):
 
 
 def test_recursion_over_input_size_is_not_called_nesting(capsys):
-    # rho = 1^1200 is not nested: mn_character recurses once per part of rho
-    argv = ["char", "1200", ",".join(["1"] * 1200)]
-    assert cli.main(argv) == 2
+    # mn_character walks the parts of rho on its own stack, so a class of
+    # 1,000 parts or more answers
+    for argv in (["char", "1200", _ones(1200)],
+                 ["char", "2000", ",".join(["2"] * 1000)]):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == ("1\n", "")
+    # JSON nested past the recursion limit is a malformed tableau
+    assert cli.main(["jdt", "[" * 5000 + "]" * 5000]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"symop: error: {cli._TOO_LARGE}\n"
-    assert "input too large" in captured.err
-    assert "nested" not in captured.err
+    assert captured.err == (
+        "symop: error: bad tableau JSON: nested too deeply\n")
     # the tableau filler keeps its own stack, so a product of 1,000 cells
     # answers under the real budget
     assert cli.main(["expand", "s[500]*s[500]"]) == 0
@@ -938,23 +943,45 @@ def _fuzz_tableau(rng):
     return rng.choice((text,) * 8 + (text[:-1], "[1]"))
 
 
+def _fuzz_deep_expr(rng):
+    """An expression nested near the recursion limit: in parentheses, four
+    rules of the parser a level, or behind a chain of '-' signs."""
+    limit = sys.getrecursionlimit()
+    if rng.random() < 0.5:
+        depth = limit // 4 + rng.randint(-50, 50)
+        return "(" * depth + _fuzz_expr(rng) + ")" * depth
+    # a leading space, or argparse would read '--' as an option
+    return " " + "-" * rng.randint(limit - 50, limit + 50) + _fuzz_expr(rng)
+
+
+def _fuzz_long_class(rng):
+    """A shape of n and a class of n or n/2 parts, n from 1,000 to 1,500."""
+    n = 2 * rng.randint(500, 750)
+    return [rng.choice((str(n), _ones(n), f"{n - 2},2")),
+            rng.choice((_ones(n), ",".join(["2"] * (n // 2))))]
+
+
 def _fuzz_argv(rng):
     """One random command line; an argument that begins with '-' gets a
-    leading space, since argparse would read it as an option."""
+    leading space, since argparse would read it as an option.  At times
+    the input of `expand`, `char`, `apply` or `jdt` is long or nested
+    near the recursion limit instead."""
     cmd = rng.choice(("expand", "kron", "skew", "lrcoeff", "kroncoeff",
                       "char", "verify", "skewlr", "skewpieri",
                       "skewcorners", "matrix", "rank", "apply", "jdt"))
     degree = str(rng.choice((0, 1, 2, 3, 4, 40, 999999999999)))
     same = _fuzz_parts(rng)
+    deep = rng.random() < 0.1
     args = {
-        "expand": lambda: [_fuzz_expr(rng)],
+        "expand": lambda: [_fuzz_deep_expr(rng) if deep else _fuzz_expr(rng)],
         "kron": lambda: [_fuzz_expr(rng), _fuzz_expr(rng)],
         "skew": lambda: [_fuzz_skew(rng)],
         "lrcoeff": lambda: [_fuzz_parts(rng) for _ in range(3)],
         # at times one partition more than once, so that sizes agree
         "kroncoeff": lambda: [same] + [rng.choice((same, _fuzz_parts(rng)))
                                        for _ in range(2)],
-        "char": lambda: [same, rng.choice((same, _fuzz_parts(rng)))],
+        "char": lambda: _fuzz_long_class(rng) if deep else [
+            same, rng.choice((same, _fuzz_parts(rng)))],
         "verify": lambda: [rng.choice((*idn.CATALOG, "all", "nope")),
                            "--max-ab", str(rng.randint(0, 2)),
                            "--max-g", str(rng.randint(0, 3))],
@@ -968,8 +995,10 @@ def _fuzz_argv(rng):
         "rank": lambda: [";".join(_fuzz_op(rng)
                                   for _ in range(rng.randint(1, 3))),
                          "--max-deg", degree],
-        "apply": lambda: [_fuzz_op(rng), _fuzz_expr(rng)],
-        "jdt": lambda: [_fuzz_tableau(rng)],
+        "apply": lambda: [f"U({_fuzz_deep_expr(rng)})" if deep
+                          else _fuzz_op(rng), _fuzz_expr(rng)],
+        "jdt": lambda: ["[" * 5000 + "]" * 5000 if deep
+                        else _fuzz_tableau(rng)],
     }[cmd]()
     args = [" " + a if a.startswith("-") and not a.startswith("--") else a
             for a in args]

@@ -80,6 +80,11 @@ def test_kron_trivial_row_is_unit():
 def test_kron_examples():
     assert coeffs.kron_coeff((2, 1), (2, 1), (2, 1)) == 1
     assert coeffs.kron_coeff((1, 1), (1, 1), (2,)) == 1
+    # lists and trailing zeros are validated before the memo
+    assert coeffs.kron_coeff([2, 1], [2, 1], [2, 1]) == 1
+    assert coeffs.kron_coeff((2, 1, 0), [2, 1], (1, 1, 1)) == 1
+    with pytest.raises(ValueError, match="not weakly decreasing"):
+        coeffs.kron_coeff([1, 2], [2, 1], [2, 1])
 
 
 def test_kron_size_mismatch():
@@ -138,16 +143,19 @@ def test_lr_coeff_hit_skips_validation_and_input_is_still_checked(monkeypatch):
 def test_mn_character_recursive_miss_skips_validation_and_input_is_still_checked(
     monkeypatch,
 ):
-    coeffs.mn_character.cache_clear()
+    coeffs._CHARACTERS.clear()
     calls = []
     real = pt.make_partition
     monkeypatch.setattr(pt, "make_partition", lambda p: calls.append(p) or real(p))
-    # fresh spellings of both arguments are validated; every miss they
-    # recurse into passes interned partitions and validates nothing
+    # fresh spellings of both arguments are validated; every pair below
+    # them is an interned partition and validates nothing
     lam, rho = tuple([4, 3, 1, 1, 1, 0]), tuple([3, 2, 1, 1, 1, 1, 1])
     assert coeffs.mn_character(lam, rho) == 10
-    assert coeffs.mn_character.cache_info().misses > 2
+    assert len(coeffs._CHARACTERS) > 2
     assert calls == [lam, rho]
+    # lists are validated before the memo too
+    assert coeffs.mn_character(list(lam), list(rho)) == 10
+    assert calls == [lam, rho, list(lam), list(rho)]
     for bad, message in (
         (((1, 2), (2, 1)), r"not weakly decreasing: \(1, 2\)"),
         (((2,), (3, -1)), r"negative part in \(3, -1\)"),
@@ -162,7 +170,7 @@ def test_mn_character_recursive_miss_skips_validation_and_input_is_still_checked
 def test_characters_at_single_boxes_memoize_no_strips():
     # rho = 1^46 strips only corners, which are read off each shape
     coeffs._strips.cache_clear()
-    coeffs.mn_character.cache_clear()
+    coeffs._CHARACTERS.clear()
     lam = (9, 8, 7, 6, 5, 4, 3, 2, 1, 1)
     hooks = math.prod(
         lam[i] - j + sum(1 for x in lam[i + 1:] if x > j)

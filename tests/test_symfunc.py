@@ -240,9 +240,10 @@ def cold_characters():
     # every character memo cleared before and after the test, so that it
     # builds its own tables and leaves none that a planted fault built
     def clear():
-        for table in (coeffs.mn_character, coeffs._strips, coeffs._added_strips,
+        for table in (coeffs._strips, coeffs._added_strips,
                       coeffs.character_table):
             table.cache_clear()
+        coeffs._CHARACTERS.clear()
         coeffs._COLUMNS.clear()
 
     clear()
