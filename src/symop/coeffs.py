@@ -17,8 +17,11 @@ degree n's whole table is the tuple of its columns (`character_table`),
 and a row is read off it by position.  The two routes share no code, so
 each checks the other.  LR coefficients are counted by direct
 enumeration of lattice fillings, shared with the tableau module.
-Everything is memoized; all functions are pure.  Each miss of a memo
-table is charged to the work meter (`_work`).
+All functions are pure.  Only what a caller reads again is memoized: the
+strips, characters and columns, which the walks above meet many times,
+and the per-degree tables; `lr_coeff` and `kron_coeff` keep no memo, as
+the catalog's split tables ask for each coefficient once.  Each miss of
+a memo table is charged to the work meter (`_work`).
 """
 
 from fractions import Fraction
@@ -220,38 +223,22 @@ def class_sizes(n):
     return tuple(n_fact // pt.z_factor(rho) for rho in parts)
 
 
-_LR_CACHE = {}
-
-
 def lr_coeff(nu, lam, mu):
     """Littlewood-Richardson coefficient c^nu_{lam,mu}.
 
     Counts SSYT of shape nu/lam and content mu whose reverse reading word
     is a lattice permutation.  Zero when the sizes do not add up or when
-    lam is not contained in nu.
+    lam is not contained in nu.  Any spelling of a partition is accepted;
+    an interned partition, such as those of `partitions_of`, is not
+    validated again.
     """
-    # Only canonical keys are stored, so a hit needs no validation; on a
-    # miss, or an unhashable argument such as a list, validate and retry.
-    key = (nu, lam, mu)
-    try:
-        hit = _LR_CACHE.get(key)
-    except TypeError:
-        hit = None
-    if hit is None:
-        key = tuple(map(pt.make_partition, key))
-        hit = _LR_CACHE.get(key)
-    if hit is not None:
-        return hit
-    nu, lam, mu = key
+    nu, lam, mu = map(pt._canonical, (nu, lam, mu))
     if sum(nu) != sum(lam) + sum(mu) or not pt.contains(lam, nu):
-        val = 0
-    else:
-        # deferred import: tableaux pulls in symfunc, which imports us
-        from .tableaux import count_lr_fillings
+        return 0
+    # deferred import: tableaux pulls in symfunc, which imports us
+    from .tableaux import count_lr_fillings
 
-        val = count_lr_fillings(pt.SkewShape(nu, lam), mu)
-    _LR_CACHE[key] = val
-    return val
+    return count_lr_fillings(pt.SkewShape._trusted(nu, lam), mu)
 
 
 def kron_coeff(lam, mu, nu):
@@ -262,16 +249,11 @@ def kron_coeff(lam, mu, nu):
     once; the sum is checked to be a nonnegative integer.  It reads each
     character from `mn_character` and sums class by class, while the
     Kronecker table of `symfunc` sums the columns of `character_table`,
-    so the two routes check each other.  The arguments are validated
-    before the memo, so any spelling of a partition is accepted, and
-    interned, so that `mn_character` does not validate them per class.
+    so the two routes check each other.  Any spelling of a partition is
+    accepted; each is validated and interned once, so that `mn_character`
+    does not validate it per class.
     """
-    return _kron_coeff(*(pt._intern(pt._canonical(x)) for x in (lam, mu, nu)))
-
-
-@cache
-def _kron_coeff(lam, mu, nu):
-    """`kron_coeff` of canonical partitions."""
+    lam, mu, nu = (pt._intern(pt._canonical(x)) for x in (lam, mu, nu))
     n = sum(lam)
     if sum(mu) != n or sum(nu) != n:
         raise ValueError("kron_coeff needs three partitions of the same size")

@@ -803,24 +803,32 @@ def _report(entry, params, instances):
     )
 
 
-# the params that name partitions; every other one is an integer
+# the params that name partitions, and those that are integers >= 0
 _PARTITION_PARAMS = frozenset({"alpha", "beta", "gamma", "theta", "lam", "f", "g"})
+_INTEGER_PARAMS = frozenset({"vector_bound", "m", "n", "k", "q"})
 
 
 def verify_instance(ident, params):
     """Check one catalog identity at explicit parameters.  Partition params
-    may be any part sequences (lists, JSON arrays, trailing zeros): each is
-    made canonical first, as the checks and their memos expect; one that is
-    not a partition is a ValueError that names it."""
+    may be any part sequences (lists, JSON arrays, trailing zeros) and
+    integer params any integral spelling (2.0, "2"): each is made
+    canonical first, as the checks and their memos expect; one that is not
+    a partition, or not an integer >= 0, is a ValueError that names it."""
     if ident not in CATALOG:
         raise ValueError(f"unknown identity {ident!r}")
     params = dict(params)
-    for key in _PARTITION_PARAMS.intersection(params):
+    for key, value in params.items():
         try:
-            params[key] = pt.make_partition(params[key])
+            if key in _PARTITION_PARAMS:
+                params[key] = pt.make_partition(value)
+            elif key in _INTEGER_PARAMS:
+                params[key] = n = pt._as_integer(value)
+                if n < 0:
+                    raise ValueError(f"{n} is negative")
         except (TypeError, ValueError) as exc:
+            kind = "a partition" if key in _PARTITION_PARAMS else "an integer >= 0"
             raise ValueError(
-                f"malformed params for {ident}: {key} is not a partition ({exc})"
+                f"malformed params for {ident}: {key} is not {kind} ({exc})"
             ) from None
     try:
         return _report(CATALOG[ident], params, [dict(params)])

@@ -334,6 +334,7 @@ def horizontal_strips_above(gamma, k):
     Horizontal strip: at most one new box per column, which is the
     interlacing condition gamma_{i-1} >= g+_i >= gamma_i.
     """
+    k = _as_integer(k)
     cap = (part_at(gamma, 0) + k, *gamma)
     return list(_between(gamma, cap, sum(gamma) + k))
 
@@ -343,6 +344,7 @@ def vertical_strips_below(beta, i):
 
     Vertical strip: at most one box removed per row.
     """
+    i = _as_integer(i)
     return list(_between([x - 1 for x in beta], beta, sum(beta) - i))
 
 

@@ -366,8 +366,9 @@ def _schur_skew_terms(lam, mu):
     # deferred import: tableaux imports this module
     from .tableaux import _fill, _order
 
+    # filled once, as this table is memoized: no `_order` memo entry
     out = {}
-    for vals in _fill(_order(lam, mu, True), max_entry=len(lam),
+    for vals in _fill(_order.__wrapped__(lam, mu, True), max_entry=len(lam),
                       init_counts={}):
         # a lattice word uses every value from 1 to its largest
         content = Counter(vals)
@@ -546,9 +547,9 @@ def _schur_to_h(lam):
     return tuple((mu, c) for mu, c in out.items() if c)
 
 
-@cache
 def _schur_to_e(lam):
-    """e-expansion of s_lam via the dual determinant on the conjugate."""
+    """e-expansion of s_lam via the dual determinant on the conjugate; not
+    memoized, as `to_basis` asks for each shape once."""
     return _schur_to_h(pt.conjugate(lam))
 
 

@@ -14,9 +14,9 @@ integer, and each cell is compared with its right and upper neighbours.
 The two classes differ only in which of those comparisons is strict.  The
 public entry points (the SSYT and ASSYT constructors, jdt_slide and
 jdt_case) validate every input.  Every enumeration runs the filler _fill
-over a memoized reading order of _order, the only place that lists the
-cells of a skew shape for filling; it asks the work budget for _fill's
-first charge before it lists a cell.  The internal exhaustive check
+over a reading order of _order, the only place that lists the cells of
+a skew shape for filling; it asks the work budget for _fill's first
+charge before it lists a cell.  The internal exhaustive check
 verify_jdt_bijection trusts the value lists that _fill yields, which are
 semistandard by construction: it slides them in place through a slot plan
 cached per shape, with the same slide loop (_slide_slots) as jdt_slide,
@@ -245,7 +245,10 @@ def _order(outer, inner, is_ssyt):
     """What `_fill` fills: the cells of outer/inner, canonical and nested,
     in the SSYT or the ASSYT reading order as a tuple, and their `_plan`.
     The budget is asked for `_fill`'s first charge before a cell is
-    listed, so a huge shape is refused before it is allocated."""
+    listed, so a huge shape is refused before it is allocated.  Memoized
+    for `_growths`, `_slide_plan`, `_reading_words`, `count_lr_fillings`
+    and the skew LR rule's ASSYT half, which fill a shape again; the
+    memoized skew table of `symfunc` fills each once, unmemoized."""
     _work.require(2 + 3 * (sum(outer) - sum(inner)))
     reading = _ssyt_reading_cells if is_ssyt else _assyt_reading_cells
     cells = tuple(reading(SkewShape._trusted(outer, inner)))
@@ -362,7 +365,7 @@ def enumerate_ssyt(shape, content):
 
 def enumerate_ssyt_bounded(shape, max_entry):
     """All SSYT of the shape with entries in 1..max_entry."""
-    return _tableaux(SSYT, shape, max_entry=max_entry)
+    return _tableaux(SSYT, shape, max_entry=pt._as_integer(max_entry))
 
 
 def enumerate_assyt(shape, content):
@@ -371,7 +374,7 @@ def enumerate_assyt(shape, content):
 
 
 def enumerate_assyt_bounded(shape, max_entry):
-    return _tableaux(ASSYT, shape, max_entry=max_entry)
+    return _tableaux(ASSYT, shape, max_entry=pt._as_integer(max_entry))
 
 
 def enumerate_lr_fillings(shape, content):
@@ -497,6 +500,7 @@ def skew_pieri_terms(k, shape):
     (k-i)-horizontal strip above the outer shape and remove an i-vertical
     strip from the inner shape, with sign (-1)^i.  A vertical strip takes
     at most one cell from each row, so i stops at len(inner)."""
+    k = pt._as_integer(k)
     gamma, beta = shape.outer, shape.inner
     out = []
     for i in range(min(k, len(beta)) + 1):

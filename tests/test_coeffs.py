@@ -122,9 +122,9 @@ def test_lr_matches_skew_schur_up_to_6():
                     assert coeffs.lr_coeff(nu, lam, mu) == expansion.coeff(mu)
 
 
-def test_lr_coeff_hit_skips_validation_and_input_is_still_checked(monkeypatch):
+def test_lr_coeff_validates_each_spelling_but_not_interned_partitions(monkeypatch):
     assert coeffs.lr_coeff((3, 2, 1), (2, 1), (2, 1)) == 2
-    # non-canonical and unhashable spellings of the same key
+    # non-canonical and unhashable spellings of the same arguments
     assert coeffs.lr_coeff([3, 2, 1], [2, 1], (2, 1)) == 2
     assert coeffs.lr_coeff((3, 2, 1, 0), (2, 1), (2.0, 1)) == 2
     for bad in (((1, 2), (1,), (1,)), ((2,), (1,), (1, -1)),
@@ -134,7 +134,11 @@ def test_lr_coeff_hit_skips_validation_and_input_is_still_checked(monkeypatch):
     calls = []
     real = pt.make_partition
     monkeypatch.setattr(pt, "make_partition", lambda p: calls.append(p) or real(p))
-    assert coeffs.lr_coeff((3, 2, 1), (2, 1), (2, 1)) == 2
+    # the split tables of the catalog pass the interned tuples of
+    # partitions_of, which are not validated again
+    nu = next(x for x in pt.partitions_of(6) if x == (3, 2, 1))
+    lam = next(x for x in pt.partitions_of(3) if x == (2, 1))
+    assert coeffs.lr_coeff(nu, lam, lam) == 2
     assert calls == []
     assert coeffs.lr_coeff([3, 2, 1], [2, 1], [2, 1]) == 2
     assert len(calls) == 3

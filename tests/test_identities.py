@@ -281,6 +281,29 @@ def test_malformed_partition_params_are_named():
         idn.verify_instance("tabmanip2", {"alpha": (2, 1), "theta": 1})
 
 
+def test_malformed_integer_params_are_named():
+    # a negative bound used to pass with 0 instances, and a string, a
+    # fraction or None raised a raw TypeError
+    for ident, prm, key in (
+        ("kb1", {"vector_bound": -1}, "vector_bound"),
+        ("kb1", {"vector_bound": 2.5}, "vector_bound"),
+        ("kb1", {"vector_bound": None}, "vector_bound"),
+        ("kbk_ud", {"k": "x", "vector_bound": 2}, "k"),
+        ("gessel_1", {"m": -1, "n": 1, "vector_bound": 2}, "m"),
+        ("gessel_1", {"m": 1, "n": [1], "vector_bound": 2}, "n"),
+        ("littlewood_sum", {"alpha": (2, 1), "q": None}, "q"),
+    ):
+        with pytest.raises(ValueError, match=f"malformed params for {ident}: "
+                           f"{key} is not an integer >= 0"):
+            idn.verify_instance(ident, prm)
+    want = idn.verify_instance("kbk_ud", {"k": 2, "vector_bound": 3})
+    assert want.passed and want.instances > 0
+    for spelled in ({"k": "2", "vector_bound": "3"}, {"k": 2.0, "vector_bound": 3.0}):
+        got = idn.verify_instance("kbk_ud", spelled)
+        assert (got.passed, got.instances, got.params) == (
+            True, want.instances, want.params)
+
+
 def test_reverse_foulkes_matches_second_relation():
     # U_a D_b applied to s_g is s_a s_{g/b}; the signed skew expansion of
     # the second relation applied to s_g is the other side

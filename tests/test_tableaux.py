@@ -150,6 +150,43 @@ def test_growths_are_the_containing_partitions_in_order():
                 assert order[0] == tuple(tb._ssyt_reading_cells(shape2))
 
 
+def test_schur_skew_table_keeps_no_reading_order_and_lr_counts_share_one():
+    # the memoized skew table fills its shape once, so a miss of it leaves
+    # the `_order` memo as it was; counting one shape over two contents
+    # reads that memo again
+    lam, mu = (5, 3, 2, 1), (2, 1)
+    sf._schur_skew_terms.cache_clear()
+    tb._order.cache_clear()
+    terms = sf._schur_skew_terms(lam, mu)
+    assert sf._schur_skew_terms.cache_info().misses == 1
+    assert sum(c for _nu, c in terms) > 1
+    assert tb._order.cache_info().currsize == 0
+    shape = SkewShape(lam, mu)
+    counts = [tb.count_lr_fillings(shape, nu) for nu in ((4, 3, 1), (3, 3, 2))]
+    assert counts == [dict(terms)[(4, 3, 1)], dict(terms)[(3, 3, 2)]]
+    info = tb._order.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
+def test_size_arguments_are_integers():
+    # at a non-integral size the strips had float parts, and a bound of
+    # 2.5 let an entry 3 into a tableau
+    shape = SkewShape((2, 1), (1,))
+    for call in (
+        lambda k: tb.enumerate_ssyt_bounded(SkewShape((1,)), k),
+        lambda k: tb.enumerate_assyt_bounded(SkewShape((1,)), k),
+        lambda k: tb.skew_pieri_terms(k, shape),
+        lambda k: tb.skew_pieri(k, shape),
+        lambda k: pt.horizontal_strips_above((2, 1), k),
+        lambda k: pt.vertical_strips_below((2, 1), k),
+    ):
+        with pytest.raises(ValueError, match="2.5 is not an integer"):
+            call(2.5)
+        with pytest.raises(ValueError):
+            call("two")
+        assert call(2.0) == call("2") == call(2)
+
+
 def test_fill_of_1000_cells_needs_no_recursion():
     # deeper than Python's recursion limit: the filler keeps its own stack
     row = tb._order((1000,), (), True)
