@@ -68,12 +68,18 @@ class Bounds:
     max_g: int = 3
 
 
+def _anywhere(prm):
+    return None
+
+
 @dataclass(frozen=True)
 class Entry:
     ident: str
     formula: str
     instances: Callable  # Bounds -> list of params dicts
     check: Callable  # params dict -> (checked count, [Failure])
+    # params dict -> why it is outside the entry's domain, or None
+    domain: Callable = _anywhere
 
 
 def _ops_equal(params, exprs, vector_bound):
@@ -502,6 +508,17 @@ def _gessel_instances(lo):
     return gen
 
 
+def _at_least_one(*keys):
+    """The domain of an entry whose integer params keys start at 1."""
+    def domain(prm):
+        for key in keys:
+            if prm[key] < 1:
+                return f"{key} is not an integer >= 1 ({prm[key]})"
+        return None
+
+    return domain
+
+
 def _chk_gessel_1(prm):
     m, n = prm["m"], prm["n"]
     lhs = op.D(_row(n)) * op.U(_row(m))
@@ -616,6 +633,26 @@ def _chk_littlewood_sum(prm):
     ]
 
 
+def _lsum_domain(prm):
+    n = sum(prm["alpha"])
+    if prm["q"] > n:
+        return f"q is larger than |alpha| ({prm['q']} > {n})"
+    return None
+
+
+def _theta_domain(min_gap):
+    """The domain of `_theta_instances(min_gap)`."""
+    def domain(prm):
+        a, t = prm["alpha"], prm["theta"]
+        if not pt.contains(t, a):
+            return f"theta {t} is not contained in alpha {a}"
+        if sum(a) - sum(t) < min_gap:
+            return f"alpha/theta has fewer than {min_gap} cells"
+        return None
+
+    return domain
+
+
 def _theta_instances(min_gap):
     def gen(bounds):
         out = []
@@ -706,8 +743,8 @@ def _lsum_instances(bounds):
 CATALOG = {}
 
 
-def _register(ident, formula, instances, check):
-    CATALOG[ident] = Entry(ident, formula, instances, check)
+def _register(ident, formula, instances, check, domain=_anywhere):
+    CATALOG[ident] = Entry(ident, formula, instances, check, domain)
 
 
 for _form, (_prefix, _formulas) in enumerate((
@@ -753,16 +790,16 @@ _register("reverse_foulkes",
 _register("gessel_1", "D_n U_m = sum_i U_{m-i} D_{n-i}",
           _gessel_instances(0), _chk_gessel_1)
 _register("gessel_2", "U_m D_n = D_n U_m - D_{n-1} U_{m-1}",
-          _gessel_instances(1), _chk_gessel_2)
+          _gessel_instances(1), _chk_gessel_2, _at_least_one("m", "n"))
 _register("gessel_3", "D_{1^n} U_m = U_m D_{1^n} + U_{m-1} D_{1^{n-1}}",
-          _gessel_instances(1), _chk_gessel_3)
+          _gessel_instances(1), _chk_gessel_3, _at_least_one("m", "n"))
 _register("kb1", "KB_1 = U_1 D_1 - 1", _single, _chk_kb1)
 _register("straightcorners",
           "KB_1 s_a = (noc(a) - 1) s_a + sum_{b in addremove(a)} s_b",
           _alpha_instances, _chk_straightcorners)
 _register("kbk_ud",
           "KB_(k) = sum_{l of k} U_l D_l - sum_{l of k-1} U_l D_l",
-          _k_instances, _chk_kbk_ud)
+          _k_instances, _chk_kbk_ud, _at_least_one("k"))
 _register("kbf_ud", "KB_f = sum_l U_{f[X-1] * s_l} D_l",
           _lam_instances, _chk_kbf_ud)
 _register("tworow_hook",
@@ -770,18 +807,18 @@ _register("tworow_hook",
           _tworow_instances, _chk_tworow_hook)
 _register("littlewood_sum",
           "sum_{r of q} s_{a/r} s_r = s_a * h_{n-q} h_q (and the e version)",
-          _lsum_instances, _chk_littlewood_sum)
+          _lsum_instances, _chk_littlewood_sum, _lsum_domain)
 _register("skew_corners",
           "s_{a/t} * s_{(n-k-1,1)} = (noc(a)-noc(t)-1) s_{a/t} "
           "+ sum s_{b/t} - sum s_{a/f}",
-          _theta_instances(2), _chk_skew_corners)
+          _theta_instances(2), _chk_skew_corners, _theta_domain(2))
 _register("nokronecker",
           "s_{a/t} * s_{(n-k-1,1)} = s_1 sum_{d in add(t)} s_{a/d} - s_{a/t}",
-          _theta_instances(2), _chk_nokronecker)
+          _theta_instances(2), _chk_nokronecker, _theta_domain(2))
 _register("tabmanip2",
           "sum_{g,d} s_{g/d} = (|add a| - |addcomplement|) s_{a/t} "
           "+ sum_b s_{b/t}, checked algebraically and by the jdt bijection",
-          _theta_instances(0), _chk_tabmanip2)
+          _theta_instances(0), _chk_tabmanip2, _theta_domain(0))
 
 
 def _report(entry, params, instances):
@@ -813,7 +850,9 @@ def verify_instance(ident, params):
     may be any part sequences (lists, JSON arrays, trailing zeros) and
     integer params any integral spelling (2.0, "2"): each is made
     canonical first, as the checks and their memos expect; one that is not
-    a partition, or not an integer >= 0, is a ValueError that names it."""
+    a partition, or not an integer >= 0, is a ValueError that names it,
+    and so are params outside the entry's domain (`Entry.domain`), such as
+    gessel_2 at m = 0 or tabmanip2 with theta not contained in alpha."""
     if ident not in CATALOG:
         raise ValueError(f"unknown identity {ident!r}")
     params = dict(params)
@@ -830,10 +869,14 @@ def verify_instance(ident, params):
             raise ValueError(
                 f"malformed params for {ident}: {key} is not {kind} ({exc})"
             ) from None
+    entry = CATALOG[ident]
     try:
-        return _report(CATALOG[ident], params, [dict(params)])
+        reason = entry.domain(params)
+        if reason is None:
+            return _report(entry, params, [dict(params)])
     except KeyError as exc:
         raise ValueError(f"malformed params for {ident}: missing {exc}") from None
+    raise ValueError(f"malformed params for {ident}: {reason}")
 
 
 def run_suite(bounds=Bounds(), ids=None):

@@ -6,8 +6,9 @@ convention throughout: row 0 is the bottom (longest) row and columns grow
 upward, so a cell is addressed as Cell(row, col) counted from the bottom
 left.
 
-Every partition family (partitions_of, sub_partitions and the strips)
-is listed by one reverse-lexicographic loop, `_between`, which charges
+Every partition family (partitions_of, sub_partitions, the strips and
+the Pieri product tables of `symfunc`) is listed by one
+reverse-lexicographic loop, `_between`, which charges
 the work meter (`_work`) by the rows each of its steps scans.
 """
 
@@ -29,10 +30,11 @@ class Cell(NamedTuple):
 
 def _as_integer(x):
     """x as an int; ValueError when x is not an integral number, so 2.5 or
-    Fraction(7, 2) is rejected rather than truncated."""
+    Fraction(7, 2) is rejected rather than truncated, and None or a list
+    gives the same error as "x"."""
     try:
         n = int(x)
-    except OverflowError:
+    except (OverflowError, TypeError):
         raise ValueError(f"{x!r} is not an integer") from None
     if n != x and not isinstance(x, str):
         raise ValueError(f"{x!r} is not an integer")

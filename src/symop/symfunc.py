@@ -27,8 +27,11 @@ dot product per entry over their transposed vectors, at C level
 (`_dot`), not one dict update per term.  s goes to h and e by
 expanding the Jacobi-Trudi determinant along its first column, and
 h_lam and e_lam come back to s as products of one-row (one-column) Schur
-functions; h and e reach p by way of s.  The product and skew tables
-count Littlewood-Richardson fillings of one skew shape each, with free
+functions; h and e reach p by way of s.  A product with a row (k) or a
+column (1^k) factor is the Pieri rule: its terms are the horizontal
+(vertical) k-strips on the other factor, listed by the partition walk
+of `partitions`.  The other product tables and the skew tables count
+Littlewood-Richardson fillings of one skew shape each, with free
 content, so they enumerate the terms of the answer; a product s_lam s_mu
 is the skew Schur function of a disconnected shape with components lam
 and mu.  The Kronecker product is diagonal on power sums, p_lam * p_mu =
@@ -340,16 +343,32 @@ def _bilinear(f, g, table):
 
 @cache
 def _schur_mul_terms(lam, mu):
-    """Schur expansion of s_lam s_mu: the skew table of the disconnected
-    shape (mu_1+lam_1, ..., mu_m+lam_1, lam_1, ..., lam_l) / (lam_1^m),
-    whose components are mu (bottom right) and lam (top left); a skew
-    Schur function of a disconnected shape is the product of its
-    components."""
+    """Schur expansion of s_lam s_mu.  When one factor is a row (k), the
+    empty partition being the row (0), or a column (1^k), it is the Pieri
+    rule (Macdonald I (5.16), (5.17)): the sum of s_nu, once each, over
+    the nu whose nu/base is a horizontal (vertical) k-strip on the other
+    factor, base.  Those nu are the partitions of |base| + k between the
+    floor base and the cap (base_1 + k, base_1, base_2, ...) for a row or
+    (base_1 + 1, ..., base_l + 1, 1^k) for a column, which `_between`
+    walks in reverse-lex order, charging each node.  Any other pair is
+    the skew table of the disconnected shape
+    (mu_1+lam_1, ..., mu_m+lam_1, lam_1, ..., lam_l) / (lam_1^m), whose
+    components are mu (bottom right) and lam (top left); a skew Schur
+    function of a disconnected shape is the product of its components."""
     _work.charge()
-    if not lam:
-        return _schur_skew_terms(mu, ())
-    top = lam[0]
-    return _schur_skew_terms(tuple(x + top for x in mu) + lam, (top,) * len(mu))
+    for strip, base in ((lam, mu), (mu, lam)):
+        if len(strip) <= 1:
+            cap = (pt.part_at(base, 0) + pt.part_at(strip, 0),) + base
+            break
+        if strip[0] == 1:
+            cap = tuple(x + 1 for x in base) + strip
+            break
+    else:
+        top = lam[0]
+        return _schur_skew_terms(tuple(x + top for x in mu) + lam,
+                                 (top,) * len(mu))
+    return tuple((pt._intern(nu), 1)
+                 for nu in pt._between(base, cap, sum(lam) + sum(mu)))
 
 
 @cache
@@ -424,12 +443,16 @@ def _schur_kb_terms(lam, mu):
     return terms if sign > 0 else tuple((nu, -c) for nu, c in terms)
 
 
+@cache
 def _he_to_schur(basis, lam):
     """Schur expansion of h_lam (basis "h") or e_lam (basis "e"): the
     product of the one-row Schur functions s_(k) = h_k (one-column
     s_(1^k) = e_k) through the product table, one part at a time.  The
     loop asks `_he_prefix` for every prefix of lam, shortest first, so
-    each is memoized and no call recurses over the parts."""
+    each is memoized and no call recurses over the parts.  Memoized
+    itself, as a basis change asks for each term of its input and the
+    terms of many inputs repeat: a repeat then costs one lookup, not one
+    per prefix."""
     for i in range(len(lam) + 1):
         terms = _he_prefix(basis, lam[:i])
     return terms
@@ -438,7 +461,10 @@ def _he_to_schur(basis, lam):
 @cache
 def _he_prefix(basis, lam):
     """The terms of `_he_to_schur(basis, lam)`, from the memoized terms of
-    lam[:-1], which `_he_to_schur` asks for first."""
+    lam[:-1], which `_he_to_schur` asks for first: each of those terms s_nu
+    times the factor s_(k) or s_(1^k) of the last part k is a Pieri table
+    of `_schur_mul_terms`, the k-strips on nu.  e_k charges k before its
+    column of k ones is built, so a huge k is refused by the budget."""
     if not lam:
         return (((), 1),)
     k = lam[-1]

@@ -397,14 +397,18 @@ def test_product_work_limit(capsys, monkeypatch):
         ["expand", "s[1]^10*s[1]^10"],
         ["expand", "s[1]^20*s[1]^20"],
         ["expand", "s[6,5,4,3,2,1]*s[6,5,4,3,2,1]"],
+        # a product of 1,000 cells whose factors are neither rows nor
+        # columns fills its disconnected shape: it answers under the real
+        # budget (see test_recursion_over_input_size_is_not_called_nesting)
+        ["expand", "s[499,1]*s[499,1]"],
     ], _LOW_WORK)
     assert time.monotonic() - start < 5
-    # a product of 1,000 cells answers under the real budget (see
-    # test_recursion_over_input_size_is_not_called_nesting); this low
-    # budget refuses it, still with one line and exit 2
-    assert cli.main(["expand", "s[500]*s[500]"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    # a row factor multiplies by its horizontal strips: the 1,000 cells of
+    # s[500]*s[500] are 501 strips, and this low budget answers them
+    assert cli.main(["expand", "s[500]*s[500]"]) == 0
+    assert capsys.readouterr().out == sf.render(
+        sf.linear_combination((1, sf.schur((1000 - i, i))) for i in range(501))
+    ) + "\n"
     monkeypatch.undo()
     # the work of a product grows with its answer: the three-term Pieri
     # product of a large shape answers at once
@@ -464,6 +468,22 @@ def test_apply_work_limit(capsys, monkeypatch):
     ):
         assert cli.main(["apply"] + argv) == 0, argv
         assert capsys.readouterr().out == sf.render(want) + "\n"
+
+
+def test_an_operator_index_with_row_factors_is_a_pieri_product(
+        capsys, monkeypatch):
+    # U(s[500]*s[500]) multiplies s[1] by each of the 501 terms of its
+    # index: one Pieri table of the row (500) and 501 of the row (1), a few
+    # strips each, and no LR filling of a shape of about 1,000 cells
+    monkeypatch.setattr(cli, "MAX_WORK", _LOW_WORK)
+    start = time.monotonic()
+    assert cli.main(["apply", "U(s[500]*s[500])", "s[1]"]) == 0
+    out = capsys.readouterr().out
+    assert time.monotonic() - start < 5
+    assert out.startswith("s[1001] + 2*s[1000,1] + 2*s[999,2] + s[999,1,1] + ")
+    index = sf.linear_combination(
+        (1, sf.schur((1000 - i, i))) for i in range(501))
+    assert out == sf.render(sf.mul(index, sf.schur((1,)))) + "\n"
 
 
 def test_partition_walk_limit(capsys, monkeypatch):
@@ -531,9 +551,8 @@ def test_h_and_e_expansions_meet_the_budget(capsys, monkeypatch, argv):
 @pytest.mark.parametrize("argv", [
     ["skew", f"{_NINES}/1"],
     ["skewpieri", "1", _NINES],
-    ["expand", f"h[{_NINES}]"],
     ["skewcorners", _NINES, "4"],
-], ids=["skew", "skewpieri", "expand-h", "skewcorners"])
+], ids=["skew", "skewpieri", "skewcorners"])
 def test_huge_skew_shapes_meet_the_budget_before_their_cells(
         capsys, monkeypatch, argv):
     # each reaches the skew table of a shape of about 10^30 cells, which
@@ -541,6 +560,17 @@ def test_huge_skew_shapes_meet_the_budget_before_their_cells(
     monkeypatch.setattr(cli, "MAX_WORK", _LOW_WORK)
     start = time.monotonic()
     _assert_refused(capsys, [argv], _LOW_WORK)
+    assert time.monotonic() - start < 5
+
+
+def test_a_huge_row_is_its_one_pieri_strip(capsys, monkeypatch):
+    # h_N is the product of s_(N) with 1, the one horizontal N-strip on the
+    # empty partition: no skew shape of N cells is built, so it answers
+    # exactly under a low budget however large N is
+    monkeypatch.setattr(cli, "MAX_WORK", _LOW_WORK)
+    start = time.monotonic()
+    assert cli.main(["expand", f"h[{_NINES}]"]) == 0
+    assert capsys.readouterr() == (f"s[{_NINES}]\n", "")
     assert time.monotonic() - start < 5
 
 
@@ -612,7 +642,7 @@ def test_verify_is_unmetered_when_sub_partitions_are_cold(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, units", [
-    (["expand", "kron(s[2,1],s[2,1])*p[2]+h[2]"], 254),
+    (["expand", "kron(s[2,1],s[2,1])*p[2]+h[2]"], 113),
     (["skewlr", "2,1/1", "2,1/1"], 349),
 ], ids=["expand", "skewlr"])
 def test_work_charge_is_deterministic(argv, units):
@@ -787,13 +817,12 @@ def test_recursion_over_input_size_is_not_called_nesting(capsys):
     assert captured.err == (
         "symop: error: bad tableau JSON: nested too deeply\n")
     # the tableau filler keeps its own stack, so a product of 1,000 cells
-    # answers under the real budget
-    assert cli.main(["expand", "s[500]*s[500]"]) == 0
+    # whose factors are neither rows nor columns answers under the real
+    # budget
+    assert cli.main(["expand", "s[499,1]*s[499,1]"]) == 0
     terms = capsys.readouterr().out.rstrip("\n").split(" + ")
-    assert len(terms) == 501
-    assert terms[0] == "s[1000]" and terms[-1] == "s[500,500]"
-    assert cli.main(["apply", "U(s[500]*s[500])", "s[1]"]) == 0
-    assert capsys.readouterr().out.startswith("s[1001] + 2*s[1000,1] + ")
+    assert len(terms) == 1995
+    assert terms[0] == "s[998,2]" and terms[-1] == "s[499,499,1,1]"
     # the partition families keep no stack either, so the skew rules run
     # over a column of 1,200 cells like the product they expand
     col1, col2 = ",".join(["1"] * 1200), ",".join(["2"] * 1200)

@@ -304,6 +304,39 @@ def test_malformed_integer_params_are_named():
             True, want.instances, want.params)
 
 
+@pytest.mark.parametrize("ident, cases", [
+    ("gessel_2", [({"m": 0, "n": 1, "vector_bound": 2}, "m is not an integer >= 1"),
+                  ({"m": 1, "n": 0, "vector_bound": 2}, "n is not an integer >= 1")]),
+    ("gessel_3", [({"m": 0, "n": 1, "vector_bound": 2}, "m is not an integer >= 1"),
+                  ({"m": 1, "n": 0, "vector_bound": 2}, "n is not an integer >= 1")]),
+    ("kbk_ud", [({"k": 0, "vector_bound": 2}, "k is not an integer >= 1")]),
+    ("littlewood_sum", [({"alpha": (2, 1), "q": 4}, r"q is larger than \|alpha\|")]),
+    ("tabmanip2", [({"alpha": (2, 1), "theta": (3,)},
+                    r"theta \(3,\) is not contained in alpha")]),
+    ("skew_corners", [({"alpha": (2, 1), "theta": (1, 1, 1)},
+                       "theta .* is not contained in alpha"),
+                      ({"alpha": (2, 1), "theta": (2,)},
+                       "alpha/theta has fewer than 2 cells")]),
+    ("nokronecker", [({"alpha": (2, 1), "theta": (3,)},
+                      "theta .* is not contained in alpha"),
+                     ({"alpha": (2, 1), "theta": (2, 1)},
+                      "alpha/theta has fewer than 2 cells")]),
+])
+def test_out_of_domain_params_are_named(ident, cases):
+    # integers >= 0 and partitions that the entry's instances never take:
+    # the check's own error (a negative part, a containment) escaped
+    # unnamed, and gessel_3 at n = 0 reported a false failure
+    for prm, reason in cases:
+        with pytest.raises(ValueError,
+                           match=f"^malformed params for {ident}: {reason}"):
+            idn.verify_instance(ident, prm)
+    # every instance the entry generates is inside its domain
+    entry = idn.CATALOG[ident]
+    instances = entry.instances(idn.Bounds(2, 3))
+    assert instances
+    assert all(entry.domain(prm) is None for prm in instances)
+
+
 def test_reverse_foulkes_matches_second_relation():
     # U_a D_b applied to s_g is s_a s_{g/b}; the signed skew expansion of
     # the second relation applied to s_g is the other side

@@ -775,3 +775,49 @@ def test_skew_schur_of_raw_pairs_still_validates():
                                   ((2.5,), (), "2.5 is not an integer")):
         with pytest.raises(ValueError, match=message):
             sf.skew_schur(outer, inner)
+
+
+def _is_row_or_column(lam):
+    return len(lam) <= 1 or lam[0] == 1
+
+
+def _disconnected_shape(lam, mu):
+    """The skew shape (outer, inner) whose components are mu (bottom right)
+    and lam (top left): its LR table is the product s_lam s_mu."""
+    top = pt.part_at(lam, 0)
+    return tuple(x + top for x in mu) + lam, (top,) * len(mu) if top else ()
+
+
+def _pieri_mismatches(n):
+    """The pairs (lam, mu) with |lam| + |mu| <= n and a row or column factor
+    whose product table, the Pieri rule's strips, differs from the LR
+    table of their disconnected shape, terms and order alike."""
+    return [(lam, mu) for lam in pt.partitions_upto(n)
+            for mu in pt.partitions_upto(n - sum(lam))
+            if (_is_row_or_column(lam) or _is_row_or_column(mu))
+            and sf._schur_mul_terms(lam, mu)
+            != sf._schur_skew_terms(*_disconnected_shape(lam, mu))]
+
+
+def test_pieri_tables_match_the_lr_route_up_to_10():
+    # a product with a row (k) or a column (1^k) factor, the empty
+    # partition being the row (0), is the sum over the strips the Pieri
+    # rule adds; every other pair fills its disconnected shape
+    pairs = [(lam, mu) for lam in pt.partitions_upto(10)
+             for mu in pt.partitions_upto(10 - sum(lam))
+             if _is_row_or_column(lam) or _is_row_or_column(mu)]
+    assert len(pairs) == 1036
+    assert _pieri_mismatches(10) == []
+
+
+def test_pieri_cross_check_catches_a_dropped_or_an_added_term(monkeypatch):
+    # s_2 s_21 = s_41 + s_32 + s_311 + s_221: a table that loses s_311, or
+    # gains s_5, is reported for that pair alone
+    pair = ((2,), (2, 1))
+    real = sf._schur_mul_terms
+    assert real(*pair) == (((4, 1), 1), ((3, 2), 1), ((3, 1, 1), 1),
+                           ((2, 2, 1), 1))
+    for plant in (lambda t: t[:2] + t[3:], lambda t: (((5,), 1),) + t):
+        monkeypatch.setattr(sf, "_schur_mul_terms", lambda lam, mu: (
+            plant(real(lam, mu)) if (lam, mu) == pair else real(lam, mu)))
+        assert _pieri_mismatches(6) == [pair]

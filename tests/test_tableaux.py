@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -184,6 +185,11 @@ def test_size_arguments_are_integers():
             call(2.5)
         with pytest.raises(ValueError):
             call("two")
+        # None or a list is the same error, not a TypeError from int()
+        for bad in (None, [2]):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"{bad!r} is not an integer")):
+                call(bad)
         assert call(2.0) == call("2") == call(2)
 
 
